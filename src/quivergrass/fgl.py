@@ -117,20 +117,6 @@ class FormalGroupLaw:
                 items.append(((i, j), Frac(c)))
         return FormalGroupLaw(SERIES, tuple(sorted(items)), order)
 
-    # -- law as a polynomial in two auxiliary variables -----------------
-
-    def law_polynomial(self, registry: VarRegistry, u: Variable, v: Variable) -> MultiPoly:
-        pu = MultiPoly.var(registry, u)
-        pv = MultiPoly.var(registry, v)
-        if self.backend == ADDITIVE:
-            return pu + pv
-        if self.backend == MULTIPLICATIVE:
-            return pu + pv - pu * pv
-        out = pu + pv
-        for (i, j), c in self.coeffs:
-            out = out + (pu.pow(i) * pv.pow(j)).scale(c)
-        return out
-
     def f_add(self, a: MultiPoly, b: MultiPoly) -> MultiPoly:
         """F(a, b), truncated for the series backend."""
         if self.backend == ADDITIVE:

@@ -28,7 +28,6 @@ from .symalg import (
     RationalFunction,
     SymalgError,
     Variable,
-    VarRegistry,
     d_var,
     rat_equal,
 )
@@ -177,17 +176,17 @@ def pair_check_kernel(ctx: KernelContext, v1: DimVector, v2: DimVector) -> ThomK
     family and direction (arrow factors both ways, symplectic factors both
     ways, plain diagonals as denominators both ways)."""
     chart = ctx.chart((v1, v2))
-    kernel = ThomKernel(fn=RationalFunction.one(chart.registry), chart=chart)
+    kernel = ThomKernel(chart)
     omega = ctx.omega()
     for k in ctx.quiver.double:
         mu = ctx.mu(k.aid)
-        ctx._hom_block(kernel, "rep_raise", k, None, 1, 2, mu, +1)
-        ctx._hom_block(kernel, "rep_lower", k, None, 2, 1, mu, +1)
+        ctx._hom_block(kernel, "rep_raise", (1, k.tail), (2, k.head), mu, +1, arrow=k.aid)
+        ctx._hom_block(kernel, "rep_lower", (2, k.tail), (1, k.head), mu, +1, arrow=k.aid)
     for v in ctx.quiver.vertices:
-        ctx._hom_block(kernel, "gp_omega", None, v, 1, 2, omega, +1)
-        ctx._hom_block(kernel, "gp_omega", None, v, 2, 1, omega, +1)
-        ctx._hom_block(kernel, "gp_inv", None, v, 1, 2, Character.zero(), -1)
-        ctx._hom_block(kernel, "gp_inv", None, v, 2, 1, Character.zero(), -1)
+        ctx._hom_block(kernel, "gp_omega", (1, v), (2, v), omega, +1, vertex=v)
+        ctx._hom_block(kernel, "gp_omega", (2, v), (1, v), omega, +1, vertex=v)
+        ctx._hom_block(kernel, "gp_inv", (1, v), (2, v), Character.zero(), -1, vertex=v)
+        ctx._hom_block(kernel, "gp_inv", (2, v), (1, v), Character.zero(), -1, vertex=v)
     return kernel
 
 

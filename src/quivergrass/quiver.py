@@ -218,6 +218,13 @@ def incidence_entry(form: Mapping[Tuple[str, str], int], i: str, j: str) -> int:
 
 # -- JSON input ---------------------------------------------------------------
 
+def _json_int(x) -> int:
+    """A JSON integer; floats, strings and booleans are malformed input."""
+    if type(x) is not int:
+        raise ValueError(f"expected an integer, got {x!r}")
+    return x
+
+
 def parse_quiver(data: Mapping) -> Tuple[QuiverSpec, NakajimaWeights, DilationTorus]:
     try:
         vertices = [str(v) for v in data["vertices"]]
@@ -239,10 +246,12 @@ def parse_quiver(data: Mapping) -> Tuple[QuiverSpec, NakajimaWeights, DilationTo
                 raise QuiverFormatError(f"missing weight for arrow {a.aid!r}")
     if "dilation" in data:
         d = data["dilation"]
-        torus = DilationTorus(
-            int(d["rank"]),
-            (tuple(int(x) for x in d["basis"][0]), tuple(int(x) for x in d["basis"][1])),
-        )
+        try:
+            rank, basis = _json_int(d["rank"]), d["basis"]
+            rows = (tuple(_json_int(x) for x in basis[0]), tuple(_json_int(x) for x in basis[1]))
+        except (IndexError, KeyError, TypeError, ValueError) as exc:
+            raise QuiverFormatError(f"bad dilation block: {exc!r}") from exc
+        torus = DilationTorus(rank, rows)
     else:
         torus = DilationTorus.diagonal()
     return q, weights, torus

@@ -11,6 +11,18 @@ pairs.  Kernels are products of short factors, so cancellation is
 syntactic factor matching with an exact-division fallback; no
 multivariate GCD is ever needed.
 
+Normalization happens in one place: the public ``RationalFunction``
+constructor splits every factor it is given into unit times primitive
+part (``MultiPoly.primitive``), folds constant factors into the unit and
+merges equal factors.  Hence the invariant: the factors of an existing
+``RationalFunction`` are primitive and non-constant.  Arithmetic that
+only recombines existing factors (``*``, ``inverse``, ``pow``) relies on
+it and goes through ``RationalFunction._trusted``, which merges
+exponents and sorts without normalizing again.  Everything that makes
+new polynomials (``rename``, ``substitute``, ``cancelled``, ``rat_sum``)
+goes through the public constructor; ``rename`` must, because a
+non-injective variable map can break primitivity.
+
 Canonical monomial order: graded, ties broken with the *last* registry
 variable most significant (that is exactly the packed-integer order).
 Factors are normalized to integer coefficients with content 1 and a
@@ -564,6 +576,31 @@ class RationalFunction:
             sorted(((p, e) for p, e in merged.items() if e != 0), key=_factor_sort_key)
         )
 
+    @classmethod
+    def _trusted(
+        cls,
+        registry: VarRegistry,
+        unit: Frac,
+        factors: Iterable[Tuple[MultiPoly, int]],
+    ) -> "RationalFunction":
+        """Merge factors that already satisfy the factor invariant (primitive,
+        non-constant, over ``registry``); ``unit`` must be a Fraction.  Only
+        exponents are summed: nothing is normalized again."""
+        self = cls.__new__(cls)
+        self.registry = registry
+        if unit == 0:
+            self.unit = Frac(0)
+            self.factors = ()
+            return self
+        merged: Dict[MultiPoly, int] = {}
+        for p, e in factors:
+            merged[p] = merged.get(p, 0) + e
+        self.unit = unit
+        self.factors = tuple(
+            sorted(((p, e) for p, e in merged.items() if e != 0), key=_factor_sort_key)
+        )
+        return self
+
     # -- constructors -----------------------------------------------------
 
     @staticmethod
@@ -623,15 +660,15 @@ class RationalFunction:
     def __mul__(self, other: "RationalFunction") -> "RationalFunction":
         if self.registry != other.registry:
             raise RegistryMismatchError("product over different registries")
-        return RationalFunction(
+        return RationalFunction._trusted(
             self.registry, self.unit * other.unit, self.factors + other.factors
         )
 
     def inverse(self) -> "RationalFunction":
         if self.unit == 0:
             raise SymalgError("inverse of zero")
-        return RationalFunction(
-            self.registry, Frac(1) / self.unit, [(p, -e) for p, e in self.factors]
+        return RationalFunction._trusted(
+            self.registry, 1 / self.unit, [(p, -e) for p, e in self.factors]
         )
 
     def __truediv__(self, other: "RationalFunction") -> "RationalFunction":
@@ -642,7 +679,7 @@ class RationalFunction:
             if n <= 0:
                 raise SymalgError("zero to a non-positive power")
             return self
-        return RationalFunction(
+        return RationalFunction._trusted(
             self.registry, self.unit ** n, [(p, e * n) for p, e in self.factors]
         )
 

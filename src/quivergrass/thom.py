@@ -27,29 +27,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction as Frac
+from functools import cached_property
+from itertools import chain
+from math import prod
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .fgl import Character, FormalGroupLaw
-from .quiver import (
-    Arrow,
-    DilationTorus,
-    DimVector,
-    NakajimaWeights,
-    QuiverSpec,
-    incidence_entry,
-    incidence_form,
-    star,
-)
-from .symalg import (
-    MultiPoly,
-    PoleError,
-    RationalFunction,
-    Variable,
-    VarRegistry,
-    d_var,
-    rat_equal,
-    x_var,
-)
+from .quiver import DilationTorus, DimVector, NakajimaWeights, QuiverSpec, incidence_form
+from .symalg import PoleError, RationalFunction, Variable, VarRegistry, d_var, x_var
 
 FlagType = Tuple[DimVector, ...]
 
@@ -99,12 +84,26 @@ class FactorRecord:
 
 @dataclass
 class ThomKernel:
-    """A kernel function together with its factor bookkeeping."""
+    """A kernel's factor records together with the function they multiply to.
 
-    fn: RationalFunction
+    ``records`` is the single source of truth: assembly only appends
+    (record, contribution) pairs.  ``fn`` is derived from them on first
+    access, as one product of the units and one merge of all factors, and
+    is cached; it must not be read before assembly has finished.
+    """
+
     chart: TorusChart
     records: List[Tuple[FactorRecord, RationalFunction]] = field(default_factory=list)
     zero_records: List[FactorRecord] = field(default_factory=list)
+
+    @cached_property
+    def fn(self) -> RationalFunction:
+        contributions = [c for _, c in self.records]
+        return RationalFunction._trusted(
+            self.chart.registry,
+            prod((c.unit for c in contributions), start=Frac(1)),
+            chain.from_iterable(c.factors for c in contributions),
+        )
 
     @property
     def degenerate(self) -> bool:
@@ -146,65 +145,39 @@ class KernelContext:
 
     # -- factor assembly ------------------------------------------------------
 
-    def _emit(
-        self,
-        kernel: ThomKernel,
-        family: str,
-        arrow: Optional[str],
-        vertex: Optional[str],
-        g: int,
-        gp: int,
-        s: int,
-        t: int,
-        char: Character,
-        exponent: int,
-    ) -> None:
-        rec = FactorRecord(family, arrow, vertex, (g, gp), (s, t), char, exponent)
-        if char.is_zero():
+    def _emit(self, kernel: ThomKernel, rec: FactorRecord) -> None:
+        if rec.char.is_zero():
             kernel.zero_records.append(rec)
             return
-        lam = self.law.lambda_char(kernel.chart.registry, char)
-        contribution = lam.pow(exponent)
-        kernel.records.append((rec, contribution))
-        kernel.fn = kernel.fn * contribution
+        lam = self.law.lambda_char(kernel.chart.registry, rec.char)
+        kernel.records.append((rec, lam.pow(rec.exponent)))
 
     def _hom_block(
         self,
         kernel: ThomKernel,
         family: str,
-        arrow: Optional[Arrow],
-        vertex: Optional[str],
-        g: int,
-        gp: int,
+        source: Tuple[int, str],
+        target: Tuple[int, str],
         twist: Character,
         exponent: int,
+        arrow: Optional[str] = None,
+        vertex: Optional[str] = None,
     ) -> None:
-        """Factors of Hom(slot-g block, slot-g' block) for one arrow or vertex."""
+        """Factors of Hom(block (g, i), block (g', j)), one per coordinate pair.
+
+        ``source`` = (g, i) and ``target`` = (g', j) are (slot, vertex)
+        blocks; ``arrow`` or ``vertex`` names the carrier in the records.
+        """
         chart = kernel.chart
-        src_vertex = arrow.tail if arrow else vertex
-        dst_vertex = arrow.head if arrow else vertex
-        for s in range(1, chart.dim(g, src_vertex) + 1):
-            for t in range(1, chart.dim(gp, dst_vertex) + 1):
-                coeffs: Dict[Variable, int] = {}
-                coeffs[chart.x(gp, dst_vertex, t)] = 1
-                src = chart.x(g, src_vertex, s)
+        (g, i), (gp, j) = source, target
+        for s in range(1, chart.dim(g, i) + 1):
+            for t in range(1, chart.dim(gp, j) + 1):
+                coeffs: Dict[Variable, int] = {chart.x(gp, j, t): 1}
+                src = chart.x(g, i, s)
                 coeffs[src] = coeffs.get(src, 0) - 1
                 char = Character.make(coeffs).add(twist)
-                self._emit(
-                    kernel,
-                    family,
-                    arrow.aid if arrow else None,
-                    None if arrow else vertex,
-                    g,
-                    gp,
-                    s,
-                    t,
-                    char,
-                    exponent,
-                )
-
-    def _new_kernel(self, chart: TorusChart) -> ThomKernel:
-        return ThomKernel(RationalFunction.one(chart.registry), chart)
+                rec = FactorRecord(family, arrow, vertex, (g, gp), (s, t), char, exponent)
+                self._emit(kernel, rec)
 
     # -- public operators ------------------------------------------------------
 
@@ -214,15 +187,9 @@ class KernelContext:
         blocks: Iterable[Tuple[Tuple[int, str], Tuple[int, str], Character, int]],
     ) -> ThomKernel:
         """Product over Hom blocks ((g, i), (g', j), twist, multiplicity)."""
-        kernel = self._new_kernel(chart)
-        for (g, i), (gp, j), twist, mult in blocks:
-            for s in range(1, chart.dim(g, i) + 1):
-                for t in range(1, chart.dim(gp, j) + 1):
-                    coeffs: Dict[Variable, int] = {chart.x(gp, j, t): 1}
-                    src = chart.x(g, i, s)
-                    coeffs[src] = coeffs.get(src, 0) - 1
-                    char = Character.make(coeffs).add(twist)
-                    self._emit(kernel, "module", None, None, g, gp, s, t, char, mult)
+        kernel = ThomKernel(chart)
+        for source, target, twist, mult in blocks:
+            self._hom_block(kernel, "module", source, target, twist, mult)
         return kernel
 
     def kernel_dstar_p(self, flag: FlagType, chart: Optional[TorusChart] = None) -> ThomKernel:
@@ -230,18 +197,19 @@ class KernelContext:
         if not flag:
             raise ValueError("flag type must be nonempty")
         chart = chart or self.chart(flag)
-        kernel = self._new_kernel(chart)
+        kernel = ThomKernel(chart)
         omega = self.omega()
         m = chart.slots
         for g in range(1, m + 1):
             for gp in range(g + 1, m + 1):
                 for v in self.quiver.vertices:
-                    self._hom_block(kernel, "gp_omega", None, v, g, gp, omega, +1)
+                    self._hom_block(kernel, "gp_omega", (g, v), (gp, v), omega, +1, vertex=v)
         for k in self.quiver.double:
             mu = self.mu(k.aid)
             for g in range(1, m + 1):
                 for gp in range(1, g):
-                    self._hom_block(kernel, "rep_lower", k, None, g, gp, mu, +1)
+                    self._hom_block(kernel, "rep_lower", (g, k.tail), (gp, k.head), mu, +1,
+                                    arrow=k.aid)
         return kernel
 
     def kernel_tilde_q(self, flag: FlagType, chart: Optional[TorusChart] = None) -> ThomKernel:
@@ -249,18 +217,19 @@ class KernelContext:
         if not flag:
             raise ValueError("flag type must be nonempty")
         chart = chart or self.chart(flag)
-        kernel = self._new_kernel(chart)
+        kernel = ThomKernel(chart)
         m = chart.slots
         for k in self.quiver.double:
             mu = self.mu(k.aid)
             for g in range(1, m + 1):
                 for gp in range(g + 1, m + 1):
-                    self._hom_block(kernel, "rep_raise", k, None, g, gp, mu, +1)
+                    self._hom_block(kernel, "rep_raise", (g, k.tail), (gp, k.head), mu, +1,
+                                    arrow=k.aid)
         zero = Character.zero()
         for g in range(1, m + 1):
             for gp in range(g + 1, m + 1):
                 for v in self.quiver.vertices:
-                    self._hom_block(kernel, "gp_inv", None, v, g, gp, zero, -1)
+                    self._hom_block(kernel, "gp_inv", (g, v), (gp, v), zero, -1, vertex=v)
         return kernel
 
     def flag_kernel(self, flag: FlagType, chart: Optional[TorusChart] = None) -> ThomKernel:
@@ -268,9 +237,7 @@ class KernelContext:
         chart = chart or self.chart(flag)
         a = self.kernel_dstar_p(flag, chart)
         b = self.kernel_tilde_q(flag, chart)
-        merged = ThomKernel(a.fn * b.fn, chart, a.records + b.records,
-                            a.zero_records + b.zero_records)
-        return merged
+        return ThomKernel(chart, a.records + b.records, a.zero_records + b.zero_records)
 
     def biextension_kernel(self, v1: DimVector, v2: DimVector) -> ThomKernel:
         return self.flag_kernel((v1, v2))
@@ -294,7 +261,7 @@ class KernelContext:
         if not flag:
             raise ValueError("flag type must be nonempty")
         chart = chart or self.chart(flag)
-        kernel = self._new_kernel(chart)
+        kernel = ThomKernel(chart)
         omega = self.omega()
         m = chart.slots
         # Conormal directions of the partial-flag base, symplectic twist,
@@ -302,7 +269,7 @@ class KernelContext:
         for g in range(1, m + 1):
             for gp in range(g + 1, m + 1):
                 for v in self.quiver.vertices:
-                    self._hom_block(kernel, "iota_gp_omega", None, v, g, gp, omega, +1)
+                    self._hom_block(kernel, "iota_gp_omega", (g, v), (gp, v), omega, +1, vertex=v)
         # All off-diagonal blocks of the doubled representation space in a
         # single sweep over ordered slot pairs.
         for k in self.quiver.double:
@@ -311,12 +278,13 @@ class KernelContext:
                 for gp in range(1, m + 1):
                     if g == gp:
                         continue
-                    self._hom_block(kernel, "psi_offdiag", k, None, g, gp, mu, +1)
+                    self._hom_block(kernel, "psi_offdiag", (g, k.tail), (gp, k.head), mu, +1,
+                                    arrow=k.aid)
         zero = Character.zero()
         for g in range(1, m + 1):
             for gp in range(g + 1, m + 1):
                 for v in self.quiver.vertices:
-                    self._hom_block(kernel, "psi_gp_inv", None, v, g, gp, zero, -1)
+                    self._hom_block(kernel, "psi_gp_inv", (g, v), (gp, v), zero, -1, vertex=v)
         return kernel
 
     # -- classical layer -----------------------------------------------------
@@ -325,10 +293,10 @@ class KernelContext:
         """Diagonal multiplicities of the plain representation-space kernel
         with the dilation coordinates at zero."""
         chart = self.chart((v,))
-        kernel = self._new_kernel(chart)
+        kernel = ThomKernel(chart)
         zero = Character.zero()
         for h in self.quiver.arrows:
-            self._hom_block(kernel, "classical", h, None, 1, 1, zero, +1)
+            self._hom_block(kernel, "classical", (1, h.tail), (1, h.head), zero, +1, arrow=h.aid)
         counts: Dict[Tuple[str, str], int] = {}
         for h in self.quiver.arrows:
             i, j = h.tail, h.head

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -152,3 +156,33 @@ def test_global_flags_both_positions(capsys):
     _, out2 = run(capsys, ["poincare", "--alpha", "1", "--format", "json"])
     assert out1 == out2
     assert json.loads(out1)["results"][0]["value"] == "2"
+
+
+@pytest.mark.parametrize(
+    "dilation",
+    [
+        {"rank": 1, "basis": [[1]]},  # one row
+        [1, 1],  # not an object
+        {"rank": 1.5, "basis": [[1], [1]]},  # rank not an integer
+        {"rank": "1", "basis": [[1], [1]]},
+    ],
+)
+def test_malformed_dilation_exits_2(tmp_path, capsys, dilation):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({**A1, "dilation": dilation}))
+    code = main(["kernel", "--quiver", str(path), "--flag", "1"])
+    assert code == EXIT_PARSE_ERROR
+    assert "dilation" in capsys.readouterr().err
+
+
+def test_reports_do_not_depend_on_the_hash_seed(quiver_files):
+    _, a2 = quiver_files
+    argv = [sys.executable, "-m", "quivergrass.cli", "verify", "--suite", "crosscheck",
+            "--quiver", a2, "--format", "json"]
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    outs = []
+    for seed in ("0", "1", "12345"):
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+        proc = subprocess.run(argv, env=env, capture_output=True, check=True)
+        outs.append(proc.stdout)
+    assert outs[0] and outs[0] == outs[1] == outs[2]

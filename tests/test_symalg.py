@@ -238,3 +238,42 @@ def test_canonical_factor_form(xyw):
     q = lin(reg, {x: 2, y: -2})
     g = RationalFunction.from_poly(q)
     assert g.unit == -2 and g.factors == f.factors
+
+
+def test_trusted_arithmetic_matches_public_constructor(xyw):
+    # *, inverse and pow merge existing factors without normalizing them
+    # again; they must give exactly what the normalizing constructor gives
+    # on the same raw data.
+    reg, x, y, w = xyw
+    rng = random.Random(23)
+    base = [lin(reg, {x: 1, y: -1}), lin(reg, {x: 1}, 1), MultiPoly.var(reg, w),
+            lin(reg, {x: 2, y: 1, w: -1}) * lin(reg, {y: 1}, -3)]
+
+    def raw_factor():
+        r = rng.random()
+        if r < 0.1:
+            p = MultiPoly.const(reg, F(rng.choice([-4, -1, 2, 3]), rng.randint(1, 3)))
+        elif r < 0.15:
+            return MultiPoly.zero(reg), rng.randint(1, 2)
+        else:
+            # a rational multiple of a shared polynomial, so factors repeat
+            # across operands up to scalars and can cancel
+            p = rng.choice(base).scale(F(rng.choice([-3, -1, 1, 2]), rng.randint(1, 4)))
+        return p, rng.choice([-2, -1, 1, 2, 3])
+
+    def raw():
+        unit = F(rng.randint(-5, 5) or 1, rng.randint(1, 4))
+        return unit, [raw_factor() for _ in range(rng.randint(0, 5))]
+
+    for _ in range(200):
+        (ua, fa), (ub, fb) = raw(), raw()
+        a, b = RationalFunction(reg, ua, fa), RationalFunction(reg, ub, fb)
+        checks = [(a * b, RationalFunction(reg, ua * ub, fa + fb))]
+        if not a.is_zero():
+            checks.append((a.inverse(), RationalFunction(reg, 1 / ua, [(p, -e) for p, e in fa])))
+        for n in range(-2 if not a.is_zero() else 1, 4):
+            checks.append((a.pow(n), RationalFunction(reg, ua ** n, [(p, e * n) for p, e in fa])))
+        for got, want in checks:
+            assert got == want
+            assert type(got.unit) is F
+            assert RationalFunction(reg, got.unit, got.factors) == got

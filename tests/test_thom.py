@@ -296,3 +296,21 @@ def test_evaluate_kernel_reports_culprits():
     )
     assert value is None
     assert any(kind == "pole" for kind, _ in culprits)
+
+
+def test_kernel_fn_is_the_left_fold_of_its_records():
+    # fn is merged once from the records; it must equal the factor-by-factor
+    # product the kernel used to be folded from, each step re-normalized by
+    # the public constructor
+    from quivergrass.checks import enumerate_flags
+
+    for law in ALL_LAWS:
+        ctx = ctx_for("a2", law)
+        for flag in enumerate_flags(ctx.quiver, 3):
+            chart = ctx.chart(flag)
+            for kernel in (ctx.flag_kernel(flag, chart), ctx.appendix_b_kernel(flag, chart)):
+                fold = RationalFunction.one(chart.registry)
+                for _, contribution in kernel.records:
+                    fold = RationalFunction(chart.registry, fold.unit * contribution.unit,
+                                            fold.factors + contribution.factors)
+                assert kernel.fn == fold
