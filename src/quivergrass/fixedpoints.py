@@ -28,7 +28,6 @@ from .symalg import (
     Variable,
     VarRegistry,
     aux_var,
-    _monomial_key,
 )
 
 

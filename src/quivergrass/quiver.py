@@ -237,10 +237,16 @@ def parse_quiver(data: Mapping) -> Tuple[QuiverSpec, NakajimaWeights, DilationTo
     q = QuiverSpec(vertices, arrows)
     weights = default_nakajima(q)
     if "weights" in data:
-        for aid, w in data["weights"].items():
+        block = data["weights"]
+        if not isinstance(block, dict):
+            raise QuiverFormatError(f"bad weights block: expected an object, got {block!r}")
+        for aid, w in block.items():
             if aid.rstrip("*") not in {a.aid for a in q.arrows}:
                 raise QuiverFormatError(f"weight for unknown arrow {aid!r}")
-            weights[str(aid)] = int(w)
+            try:
+                weights[str(aid)] = _json_int(w)
+            except ValueError as exc:
+                raise QuiverFormatError(f"bad weights block: {exc}") from exc
         for a in q.double:
             if a.aid not in weights:
                 raise QuiverFormatError(f"missing weight for arrow {a.aid!r}")

@@ -2,14 +2,24 @@
 
 Polynomials are sparse maps from monomials to Fraction coefficients,
 always in canonical form (no zero coefficients stored).  Monomials are
-packed into integers, sixteen bits per variable, so multiplying
-monomials is a single integer addition and the canonical order is a
-plain integer comparison; symmetrization sums over many coset
-representatives stay fast.  Rational functions are kept factored: a
-scalar unit times a list of (primitive polynomial, signed exponent)
-pairs.  Kernels are products of short factors, so cancellation is
-syntactic factor matching with an exact-division fallback; no
-multivariate GCD is ever needed.
+packed into integers after Monagan and Pearce (CASC 2007): sixteen bits
+per variable, the first registry variable lowest, and above them, at bit
+``_BITS * len(registry)`` (``VarRegistry.shift``), an unbounded field
+holding the total degree.  Multiplying monomials is one integer
+addition, and comparing two keys as plain integers is the graded
+canonical order below, so ``leading``, ``degree`` and sorting never
+unpack a key.  Total degree at most ``_MASK`` bounds every exponent
+field, so no field can carry into the next: ``pack``, the monomial
+constructors and ``*`` (hence ``pow``) check that one bound, once per
+monomial or once per product, and raise ``SymalgError`` past it instead
+of corrupting a neighbouring exponent.  Exact division takes the
+largest remainder term from a heap of pending keys (Johnson, EUROSAM
+1974) instead of scanning the remainder.
+
+Rational functions are kept factored: a scalar unit times a list of
+(primitive polynomial, signed exponent) pairs.  Kernels are products of
+short factors, so cancellation is syntactic factor matching with an
+exact-division fallback; no multivariate GCD is ever needed.
 
 Normalization happens in one place: the public ``RationalFunction``
 constructor splits every factor it is given into unit times primitive
@@ -25,6 +35,8 @@ non-injective variable map can break primitivity.
 
 Canonical monomial order: graded, ties broken with the *last* registry
 variable most significant (that is exactly the packed-integer order).
+Factors are sorted by degree, term count, then their terms keyed by the
+exponent bits alone (``k & low_mask``, the degree field masked off).
 Factors are normalized to integer coefficients with content 1 and a
 positive leading coefficient; the scalar they shed is absorbed into the
 unit.  This keeps printed forms stable for golden files.
@@ -38,6 +50,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 from fractions import Fraction
 from math import gcd
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
@@ -132,6 +145,13 @@ class VarRegistry:
             raise SymalgError("duplicate variables in registry")
         self.variables: Tuple[Variable, ...] = tuple(vs)
         self.position: Dict[Variable, int] = {v: i for i, v in enumerate(vs)}
+        # Bit offset of the total-degree field, the mask of the exponent
+        # fields below it, and the lowest bit of every field above the
+        # first: subtracting two keys borrows into one of those bits
+        # exactly when some exponent of the subtrahend is the larger.
+        self.shift = _BITS * len(vs)
+        self.low_mask = (1 << self.shift) - 1
+        self.borrow_bits = sum(1 << (_BITS * i) for i in range(1, len(vs) + 1))
 
     def __len__(self) -> int:
         return len(self.variables)
@@ -149,14 +169,21 @@ class VarRegistry:
         return self.position[v]
 
     def pack(self, exponents: Sequence[int]) -> int:
-        key = 0
+        if len(exponents) > len(self.variables):
+            raise SymalgError("more exponents than registry variables")
+        key = degree = 0
         for i, e in enumerate(exponents):
             if e < 0:
                 raise SymalgError("negative exponent in a monomial")
-            if e > _MASK:
-                raise SymalgError("monomial degree exceeds the packing width")
-            key |= e << (_BITS * i)
-        return key
+            key += e << (_BITS * i)
+            degree += e
+        return key + self.degree_field(degree)
+
+    def degree_field(self, degree: int) -> int:
+        """The total-degree field of a key, checked against the bound."""
+        if degree > _MASK:
+            raise SymalgError("monomial degree exceeds the packing width")
+        return degree << self.shift
 
     def unpack(self, key: int) -> Tuple[int, ...]:
         out = []
@@ -169,33 +196,13 @@ class VarRegistry:
         return "VarRegistry(" + ", ".join(v.name for v in self.variables) + ")"
 
 
-def _degree_of(key: int) -> int:
-    total = 0
-    while key:
-        total += key & _MASK
-        key >>= _BITS
-    return total
-
-
-def _divides(ka: int, kb: int) -> bool:
-    """Componentwise ka >= kb on packed monomials."""
-    while kb:
-        if (ka & _MASK) < (kb & _MASK):
-            return False
-        ka >>= _BITS
-        kb >>= _BITS
-    return True
-
-
 def _same_registry(a: "MultiPoly", b: "MultiPoly") -> None:
     if a.registry != b.registry:
         raise RegistryMismatchError("operands use different variable registries")
 
 
-def _monomial_key(key: int) -> Tuple[int, int]:
-    # Graded; ties resolved by the packed integer, i.e. later registry
-    # variables are more significant.
-    return (_degree_of(key), key)
+def _var_key(registry: VarRegistry, v: Variable) -> int:
+    return (1 << (_BITS * registry.index(v))) + registry.degree_field(1)
 
 
 class MultiPoly:
@@ -241,21 +248,21 @@ class MultiPoly:
 
     @staticmethod
     def var(registry: VarRegistry, v: Variable) -> "MultiPoly":
-        return MultiPoly(registry, _packed={1 << (_BITS * registry.index(v)): 1})
+        return MultiPoly(registry, _packed={_var_key(registry, v): 1})
 
     @staticmethod
     def monomial(registry: VarRegistry, exps: Mapping[Variable, int], coeff=1) -> "MultiPoly":
-        key = 0
+        exponents = [0] * len(registry)
         for v, e in exps.items():
-            key += e << (_BITS * registry.index(v))
-        return MultiPoly(registry, _packed={key: _coeff(coeff)})
+            exponents[registry.index(v)] = e
+        return MultiPoly(registry, _packed={registry.pack(exponents): _coeff(coeff)})
 
     @staticmethod
     def linear(registry: VarRegistry, coeffs: Mapping[Variable, int], const=0) -> "MultiPoly":
         packed: Dict[int, Frac] = {}
         for v, c in coeffs.items():
             if c:
-                packed[1 << (_BITS * registry.index(v))] = _coeff(c)
+                packed[_var_key(registry, v)] = _coeff(c)
         if const:
             packed[0] = packed.get(0, 0) + _coeff(const)
         return MultiPoly(registry, _packed=packed)
@@ -283,13 +290,13 @@ class MultiPoly:
     def degree(self) -> int:
         if not self.terms:
             return 0
-        return max(_degree_of(k) for k in self.terms)
+        return max(self.terms) >> self.registry.shift
 
     def leading(self) -> Tuple[int, Frac]:
         """Leading (packed monomial, coefficient) in the canonical order."""
         if not self.terms:
             raise SymalgError("zero polynomial has no leading term")
-        k = max(self.terms, key=_monomial_key)
+        k = max(self.terms)
         return k, self.terms[k]
 
     def __eq__(self, other: object) -> bool:
@@ -344,6 +351,9 @@ class MultiPoly:
         if not self.terms or not other.terms:
             return MultiPoly.zero(self.registry)
         a, b = self.terms, other.terms
+        shift = self.registry.shift
+        # Degrees add; within the bound no exponent field can carry.
+        self.registry.degree_field((max(a) >> shift) + (max(b) >> shift))
         if len(a) > len(b):
             a, b = b, a
         out: Dict[int, Frac] = {}
@@ -382,9 +392,10 @@ class MultiPoly:
         return result
 
     def truncate(self, max_degree: int) -> "MultiPoly":
+        bound = (max_degree + 1) << self.registry.shift  # least key of higher degree
         return MultiPoly(
             self.registry,
-            _packed={k: c for k, c in self.terms.items() if _degree_of(k) <= max_degree},
+            _packed={k: c for k, c in self.terms.items() if k < bound},
         )
 
     # -- evaluation / substitution --------------------------------------
@@ -429,12 +440,17 @@ class MultiPoly:
             if w not in target:
                 raise RegistryMismatchError(f"target registry misses {w.name}")
             shift.append(_BITS * target.index(w))
+        src, dst = self.registry.shift, target.shift
         out: Dict[int, Frac] = {}
-        for exps, c in self.items_unpacked():
-            key = 0
-            for e, sh in zip(exps, shift):
+        for k, c in self.terms.items():
+            # The degree is unchanged: exponents merged by a non-injective
+            # map sum to at most the degree, so they fit their field too.
+            key = (k >> src) << dst
+            for sh in shift:
+                e = k & _MASK
                 if e:
                     key += e << sh
+                k >>= _BITS
             s = out.get(key, 0) + c
             if s:
                 out[key] = s
@@ -473,24 +489,37 @@ class MultiPoly:
         if self.is_zero():
             return self
         dk, dc = divisor.leading()
+        borrow_bits = self.registry.borrow_bits
         rem = dict(self.terms)
+        # Max-heap of negated remainder keys.  An entry whose term has
+        # cancelled is stale and skipped; a key re-created after that is
+        # pushed again.  Each step takes the largest remaining key and only
+        # creates smaller ones, so no key is ever processed twice.
+        pending = [-k for k in rem]
+        heapify(pending)
         q: Dict[int, Frac] = {}
-        dterms = list(divisor.terms.items())
-        while rem:
-            k = max(rem, key=_monomial_key)
-            c = rem[k]
-            if not _divides(k, dk):
-                return None
+        dterms = [(fk, fc) for fk, fc in divisor.terms.items() if fk != dk]
+        while pending:
+            k = -heappop(pending)
+            c = rem.pop(k, None)
+            if c is None:
+                continue
             tk = k - dk
-            tc = _coeff(Frac(c) / Frac(dc))
-            q[tk] = q.get(tk, 0) + tc
+            if (tk ^ k ^ dk) & borrow_bits:  # some exponent of dk exceeds k's
+                return None
+            tc = q[tk] = _coeff(Frac(c) / Frac(dc))
             for fk, fc in dterms:
                 nk = tk + fk
-                s = rem.get(nk, Frac(0)) - tc * fc
-                if s:
-                    rem[nk] = s
+                s = rem.get(nk)
+                if s is None:
+                    rem[nk] = -tc * fc
+                    heappush(pending, -nk)
                 else:
-                    rem.pop(nk, None)
+                    s -= tc * fc
+                    if s:
+                        rem[nk] = s
+                    else:
+                        del rem[nk]
         return MultiPoly(self.registry, _packed=q)
 
     # -- display ----------------------------------------------------------
@@ -499,7 +528,7 @@ class MultiPoly:
         if not self.terms:
             return "0"
         bits = []
-        for k in sorted(self.terms, key=_monomial_key, reverse=True):
+        for k in sorted(self.terms, reverse=True):
             c = self.terms[k]
             exps = self.registry.unpack(k)
             mono = "*".join(
@@ -518,21 +547,13 @@ class MultiPoly:
         return " + ".join(bits).replace("+ -", "- ")
 
 
-def poly_arith(a: MultiPoly, b: MultiPoly, op: str) -> MultiPoly:
-    """Dispatch form of polynomial arithmetic (op = "add" | "mul")."""
-    if op == "add":
-        return a + b
-    if op == "mul":
-        return a * b
-    raise SymalgError(f"unknown op {op!r}")
-
-
 def _factor_sort_key(item: Tuple[MultiPoly, int]):
     p, e = item
+    low = p.registry.low_mask
     return (
         p.degree(),
         len(p.terms),
-        sorted((k, (v.numerator, v.denominator)) for k, v in p.terms.items()),
+        sorted((k & low, (v.numerator, v.denominator)) for k, v in p.terms.items()),
         e,
     )
 

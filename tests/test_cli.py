@@ -175,6 +175,23 @@ def test_malformed_dilation_exits_2(tmp_path, capsys, dilation):
     assert "dilation" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "weights",
+    [
+        [1],  # not an object
+        {"h1": 1.5, "h1*": 1},  # weight not an integer
+        {"h1": "1", "h1*": 1},
+        {"h1": True, "h1*": 1},
+    ],
+)
+def test_malformed_weights_exits_2(tmp_path, capsys, weights):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({**A2, "weights": weights}))
+    code = main(["kernel", "--quiver", str(path), "--flag", "1,0|0,1"])
+    assert code == EXIT_PARSE_ERROR
+    assert "weights" in capsys.readouterr().err
+
+
 def test_reports_do_not_depend_on_the_hash_seed(quiver_files):
     _, a2 = quiver_files
     argv = [sys.executable, "-m", "quivergrass.cli", "verify", "--suite", "crosscheck",

@@ -4,6 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from quivergrass.symalg import (
+    _MASK,
     MultiPoly,
     PoleError,
     RationalFunction,
@@ -12,7 +13,6 @@ from quivergrass.symalg import (
     VarRegistry,
     aux_var,
     block_shuffles,
-    poly_arith,
     rat_equal,
     rat_sum,
     symmetrize,
@@ -38,19 +38,21 @@ def test_poly_add_mul_examples(xyw):
     reg, x, y, w = xyw
     px = lin(reg, {x: 1, y: 1})
     qx = lin(reg, {x: 1, y: -1})
-    assert poly_arith(px, qx, "add") == lin(reg, {x: 2})
-    assert poly_arith(qx, px, "mul") == (
+    assert px + qx == lin(reg, {x: 2})
+    assert qx * px == (
         MultiPoly.var(reg, x) * MultiPoly.var(reg, x)
         - MultiPoly.var(reg, y) * MultiPoly.var(reg, y)
     )
-    assert poly_arith(MultiPoly.zero(reg), px, "mul").is_zero()
+    assert (MultiPoly.zero(reg) * px).is_zero()
 
 
 def test_registry_mismatch(xyw):
     reg, x, y, w = xyw
     other = VarRegistry([x, y])
     with pytest.raises(RegistryMismatchError):
-        poly_arith(lin(reg, {x: 1}), MultiPoly.linear(other, {x: 1}), "add")
+        lin(reg, {x: 1}) + MultiPoly.linear(other, {x: 1})
+    with pytest.raises(RegistryMismatchError):
+        lin(reg, {x: 1}) * MultiPoly.linear(other, {x: 1})
 
 
 def test_ring_axioms_randomized(xyw):
@@ -277,3 +279,122 @@ def test_trusted_arithmetic_matches_public_constructor(xyw):
             assert got == want
             assert type(got.unit) is F
             assert RationalFunction(reg, got.unit, got.factors) == got
+
+
+@pytest.fixture
+def ab():
+    a, b = aux_var("a"), aux_var("b")
+    return VarRegistry([a, b]), a, b
+
+
+def test_power_past_the_packing_width_raises(ab):
+    reg, a, b = ab
+    with pytest.raises(SymalgError):
+        MultiPoly.var(reg, a).pow(65536)
+
+
+def test_monomial_past_the_packing_width_raises(ab):
+    reg, a, b = ab
+    with pytest.raises(SymalgError):
+        MultiPoly.monomial(reg, {a: 70000})
+    with pytest.raises(SymalgError):
+        reg.pack((70000, 0))
+    with pytest.raises(SymalgError):  # a third field would overlap the degree field
+        reg.pack((1, 0, 1))
+
+
+@pytest.mark.parametrize("position", [0, 1])
+def test_product_past_the_packing_width_raises(ab, position):
+    # degrees 40000 + 30000 pass the bound; in a alone its field would carry
+    reg, a, b = ab
+    big = MultiPoly.monomial(reg, {a: 40000})
+    other = MultiPoly.monomial(reg, {reg.variables[position]: 30000})
+    with pytest.raises(SymalgError):
+        big * other
+    with pytest.raises(SymalgError):
+        (big + MultiPoly.const(reg, 1)) * (other + MultiPoly.var(reg, b))
+
+
+def test_degree_bound_is_inclusive(ab):
+    reg, a, b = ab
+    top = MultiPoly.var(reg, a).pow(_MASK)
+    assert top == MultiPoly.monomial(reg, {a: _MASK})
+    assert top.degree() == _MASK and repr(top) == f"a^{_MASK}"
+    assert reg.unpack(top.leading()[0]) == (_MASK, 0)
+    assert (top * MultiPoly.const(reg, 3)).degree() == _MASK
+
+
+def divide_exact_linear_scan(num, den):
+    """Test oracle: long division that finds each leading remainder term by a
+    linear scan, on unpacked exponent tuples in the graded order (total
+    degree, then the last variable most significant)."""
+
+    def order(e):
+        return sum(e), e[::-1]
+
+    dterms = dict(den.items_unpacked())
+    de = max(dterms, key=order)
+    dc = dterms[de]
+    rem = dict(num.items_unpacked())
+    q = {}
+    while rem:
+        e = max(rem, key=order)
+        c = rem[e]
+        if any(x < y for x, y in zip(e, de)):
+            return None
+        t = tuple(x - y for x, y in zip(e, de))
+        tc = F(c) / F(dc)
+        q[t] = q.get(t, 0) + tc
+        for fe, fc in dterms.items():
+            ne = tuple(x + y for x, y in zip(t, fe))
+            s = rem.get(ne, F(0)) - tc * fc
+            if s:
+                rem[ne] = s
+            else:
+                rem.pop(ne, None)
+    return MultiPoly(num.registry, q)
+
+
+def test_heap_division_matches_linear_scan():
+    rng = random.Random(31)
+    regs = [VarRegistry([aux_var(f"v{i}") for i in range(n)]) for n in (1, 2, 3, 4)]
+
+    def rand_poly(reg, max_terms, max_exp):
+        n = len(reg)
+        terms = {}
+        for _ in range(rng.randint(1, max_terms)):
+            e = tuple(rng.randint(0, max_exp) for _ in range(n))
+            terms[e] = F(rng.randint(-5, 5), rng.choice([1, 1, 2, 3]))
+        return MultiPoly(reg, terms)
+
+    def rand_divisor(reg):
+        r = rng.random()
+        if r < 0.15:
+            return MultiPoly.const(reg, F(rng.choice([-3, 2, 5]), rng.randint(1, 4)))
+        if r < 0.3:
+            exps = {v: rng.randint(0, 3) for v in reg.variables}
+            exps[rng.choice(reg.variables)] += 1
+            return MultiPoly.monomial(reg, exps, F(rng.choice([-2, 1, 3])))
+        return rand_poly(reg, 4, 2)
+
+    kinds = {"multiple": 0, "non-multiple": 0}
+    for _ in range(300):
+        reg = rng.choice(regs)
+        a, b = rand_poly(reg, 6, 3), rand_divisor(reg)
+        if b.is_zero() or a.is_zero():
+            continue
+        num = a * b
+        got = num.divide_exact(b)
+        assert got == divide_exact_linear_scan(num, b) == a
+        kinds["multiple"] += 1
+        if b.is_constant():
+            continue
+        # b has positive degree, so it cannot divide ab + c for a constant c != 0
+        off = num + MultiPoly.const(reg, rng.choice([-1, 1, F(1, 2)]))
+        assert off.divide_exact(b) is None
+        assert divide_exact_linear_scan(off, b) is None
+        kinds["non-multiple"] += 1
+        # and a random perturbation: both sides agree whatever it gives
+        off = num + rand_poly(reg, 3, 3)
+        assert off.divide_exact(b) == divide_exact_linear_scan(off, b)
+    assert min(kinds.values()) >= 100
