@@ -30,6 +30,7 @@ from .quiver import (
     DilationTorus,
     QuiverFormatError,
     default_nakajima,
+    json_int,
     load_quiver,
     stock_quiver,
 )
@@ -373,6 +374,13 @@ def cmd_ind_rank(args) -> int:
 def cmd_zastava_fiber(args) -> int:
     with open(args.config, "r", encoding="utf-8") as fh:
         data = json.load(fh)
+    if not (
+        isinstance(data, dict)
+        and isinstance(data.get("tau", []), list)
+        and isinstance(data.get("points"), list)
+        and all(isinstance(p, dict) for p in data["points"])
+    ):
+        raise ValueError('a fiber config is {"tau": [..], "poset": .., "points": [{..}, ..]}')
     ctx = _load_context(args)
     tau_values = [_parse_fraction(str(v)) for v in data.get("tau", [])]
     if args.tau is not None:
@@ -380,7 +388,7 @@ def cmd_zastava_fiber(args) -> int:
     tau = tau_point(ctx, tau_values)
     poset = Poset.parse(str(data.get("poset", "chain:1")))
     points = [
-        DivisorPoint(str(p["id"]), str(p["color"]), int(p.get("multiplicity", 1)))
+        DivisorPoint(str(p["id"]), str(p["color"]), json_int(p.get("multiplicity", 1)))
         for p in data["points"]
     ]
     coords = {str(p["id"]): _parse_fraction(str(p["coord"])) for p in data["points"]}

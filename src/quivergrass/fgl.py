@@ -12,6 +12,15 @@ drives every kernel factor:
   a character maps to the F-combination of its coordinates truncated at
   total degree N.
 
+An orientation depends only on the law and on the character's signature:
+its coefficients, in order, and the rank order of its variables'
+positions in the registry.  ``lambda_char`` computes it once per
+signature on aux variables y1..yk, keeps it in a memo shared by every
+chart and bounded by ``_ORIENTATIONS_SIZE`` (the oldest entry goes
+first), and embeds it into each chart with ``RationalFunction.embed``.
+So ``f_add`` and ``f_inverse_series`` run once per signature, not once
+per factor.
+
 Values are immutable; a law can be shared freely.
 """
 
@@ -21,6 +30,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction as Frac
 from typing import Dict, Mapping, Tuple
 
+from .quiver import json_int
 from .symalg import (
     MultiPoly,
     RationalFunction,
@@ -37,6 +47,11 @@ SERIES = "series"
 
 class TruncationOverflowError(SymalgError):
     """Raised when a series-backend computation exceeds safe bounds."""
+
+
+# Canonical orientations by (law, coefficients, rank order of positions).
+_ORIENTATIONS_SIZE = 256
+_ORIENTATIONS: Dict[tuple, RationalFunction] = {}
 
 
 @dataclass(frozen=True)
@@ -147,11 +162,33 @@ class FormalGroupLaw:
     # -- the orientation of a character ------------------------------------
 
     def lambda_char(self, registry: VarRegistry, chi: Character) -> RationalFunction:
+        """The orientation of ``chi`` on the chart of ``registry``.
+
+        Computed once per (law, signature) on canonical aux variables,
+        memoized, and embedded into ``registry`` (see the module docstring).
+        """
         for v, _ in chi.coeffs:
             if v not in registry:
                 raise SymalgError(f"character uses {v.name} outside the registry")
         if chi.is_zero():
             return RationalFunction.zero(registry)
+        positions = [registry.index(v) for v, _ in chi.coeffs]
+        ranks = tuple(sorted(range(len(positions)), key=positions.__getitem__))
+        key = (self, tuple(c for _, c in chi.coeffs), ranks)
+        canonical = _ORIENTATIONS.get(key)
+        if canonical is None:
+            aux = [aux_var(f"y{i + 1}", i + 1) for i in range(len(positions))]
+            canonical = self._orient(
+                VarRegistry([aux[i] for i in ranks], keep_order=True),
+                Character(tuple((y, c) for y, (_, c) in zip(aux, chi.coeffs))),
+            )
+            if len(_ORIENTATIONS) >= _ORIENTATIONS_SIZE:
+                del _ORIENTATIONS[next(iter(_ORIENTATIONS))]
+            _ORIENTATIONS[key] = canonical
+        return canonical.embed(sorted(positions), registry)
+
+    def _orient(self, registry: VarRegistry, chi: Character) -> RationalFunction:
+        """The orientation of a nonzero ``chi``, computed on ``registry``."""
         if self.backend == ADDITIVE:
             form = MultiPoly.linear(registry, chi.as_dict())
             return RationalFunction.from_poly(form)
@@ -272,7 +309,11 @@ def parse_series_file(text: str) -> FormalGroupLaw:
     import json
 
     data = json.loads(text)
-    order = int(data["N"])
+    if not isinstance(data, dict) or "N" not in data or not isinstance(
+        data.get("coeffs", {}), dict
+    ):
+        raise SymalgError('a series law is a JSON object {"N": n, "coeffs": {"i,j": a_ij}}')
+    order = json_int(data["N"])
     coeffs: Dict[Tuple[int, int], Frac] = {}
     for key, val in data.get("coeffs", {}).items():
         i, j = (int(t) for t in key.split(","))

@@ -63,6 +63,8 @@ class PointConfig:
 
     @staticmethod
     def from_mapping(data: Mapping[str, Sequence]) -> "PointConfig":
+        if not isinstance(data, dict) or not all(isinstance(v, list) for v in data.values()):
+            raise ValueError(f"a point configuration maps colors to lists, got {data!r}")
         return PointConfig({str(c): [Frac(str(v)) for v in vals] for c, vals in data.items()})
 
     def weight(self, ctx: KernelContext) -> DimVector:
@@ -316,6 +318,8 @@ def verify_m_locality(
 
 def parse_point_config(data: Mapping) -> Tuple[PointConfig, PointConfig, List[Frac]]:
     """JSON form: {"tau": [..], "D1": {"1": [0]}, "D2": {"1": [5]}}."""
+    if not isinstance(data, dict) or not isinstance(data.get("tau", []), list):
+        raise ValueError('a point configuration file is {"tau": [..], "D1": {..}, "D2": {..}}')
     tau = [Frac(str(v)) for v in data.get("tau", [])]
     d1 = PointConfig.from_mapping(data.get("D1", {}))
     d2 = PointConfig.from_mapping(data.get("D2", {}))

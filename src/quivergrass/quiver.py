@@ -218,7 +218,7 @@ def incidence_entry(form: Mapping[Tuple[str, str], int], i: str, j: str) -> int:
 
 # -- JSON input ---------------------------------------------------------------
 
-def _json_int(x) -> int:
+def json_int(x) -> int:
     """A JSON integer; floats, strings and booleans are malformed input."""
     if type(x) is not int:
         raise ValueError(f"expected an integer, got {x!r}")
@@ -244,7 +244,7 @@ def parse_quiver(data: Mapping) -> Tuple[QuiverSpec, NakajimaWeights, DilationTo
             if aid.rstrip("*") not in {a.aid for a in q.arrows}:
                 raise QuiverFormatError(f"weight for unknown arrow {aid!r}")
             try:
-                weights[str(aid)] = _json_int(w)
+                weights[str(aid)] = json_int(w)
             except ValueError as exc:
                 raise QuiverFormatError(f"bad weights block: {exc}") from exc
         for a in q.double:
@@ -253,8 +253,8 @@ def parse_quiver(data: Mapping) -> Tuple[QuiverSpec, NakajimaWeights, DilationTo
     if "dilation" in data:
         d = data["dilation"]
         try:
-            rank, basis = _json_int(d["rank"]), d["basis"]
-            rows = (tuple(_json_int(x) for x in basis[0]), tuple(_json_int(x) for x in basis[1]))
+            rank, basis = json_int(d["rank"]), d["basis"]
+            rows = (tuple(json_int(x) for x in basis[0]), tuple(json_int(x) for x in basis[1]))
         except (IndexError, KeyError, TypeError, ValueError) as exc:
             raise QuiverFormatError(f"bad dilation block: {exc!r}") from exc
         torus = DilationTorus(rank, rows)

@@ -33,6 +33,16 @@ new polynomials (``rename``, ``substitute``, ``cancelled``, ``rat_sum``)
 goes through the public constructor; ``rename`` must, because a
 non-injective variable map can break primitivity.
 
+``RationalFunction.embed`` is the one transport that skips normalization.
+It sends variable i to target position ``positions[i]`` with the
+positions strictly increasing.  Such a map is injective, so distinct
+monomials and distinct factors stay distinct, and it keeps the order of
+positions, so it keeps the order of packed keys: exponent fields compare
+from the highest position down and the degree field moves unchanged.
+The leading term of every factor, its content and its sign, and the
+factor sort order all carry over, hence the factor invariant does too
+and the result goes through ``_trusted``.
+
 Canonical monomial order: graded, ties broken with the *last* registry
 variable most significant (that is exactly the packed-integer order).
 Factors are sorted by degree, term count, then their terms keyed by the
@@ -434,19 +444,25 @@ class MultiPoly:
 
     def rename(self, mapping: Mapping[Variable, Variable], target: VarRegistry) -> "MultiPoly":
         """Transport along an injective variable map into another registry."""
-        shift: List[int] = []
+        positions: List[int] = []
         for v in self.registry.variables:
             w = mapping.get(v, v)
             if w not in target:
                 raise RegistryMismatchError(f"target registry misses {w.name}")
-            shift.append(_BITS * target.index(w))
+            positions.append(target.index(w))
+        return self._repack(positions, target)
+
+    def _repack(self, positions: Sequence[int], target: VarRegistry) -> "MultiPoly":
+        """Move exponent field i into field ``positions[i]`` of ``target``;
+        fields sent to the same position add up."""
+        shifts = [_BITS * p for p in positions]
         src, dst = self.registry.shift, target.shift
         out: Dict[int, Frac] = {}
         for k, c in self.terms.items():
             # The degree is unchanged: exponents merged by a non-injective
             # map sum to at most the degree, so they fit their field too.
             key = (k >> src) << dst
-            for sh in shift:
+            for sh in shifts:
                 e = k & _MASK
                 if e:
                     key += e << sh
@@ -462,7 +478,8 @@ class MultiPoly:
 
     def primitive(self) -> Tuple[Frac, "MultiPoly"]:
         """Split into (unit, primitive part): integer coefficients, content 1,
-        positive leading coefficient under the canonical monomial order."""
+        positive leading coefficient under the canonical monomial order.
+        An already primitive polynomial is returned as it is."""
         if self.is_zero():
             return Frac(0), self
         den_lcm = 1
@@ -471,15 +488,13 @@ class MultiPoly:
         num_gcd = 0
         for c in self.terms.values():
             num_gcd = gcd(num_gcd, abs(c.numerator * (den_lcm // c.denominator)))
-        unit = Frac(num_gcd, den_lcm)
-        prim = MultiPoly(
+        _, lead = self.leading()
+        if num_gcd == den_lcm == 1 and lead > 0:
+            return Frac(1), self
+        unit = Frac(num_gcd, den_lcm) if lead > 0 else Frac(-num_gcd, den_lcm)
+        return unit, MultiPoly(
             self.registry, _packed={k: _coeff(c / unit) for k, c in self.terms.items()}
         )
-        _, lead = prim.leading()
-        if lead < 0:
-            unit = -unit
-            prim = -prim
-        return unit, prim
 
     def divide_exact(self, divisor: "MultiPoly") -> Optional["MultiPoly"]:
         """Quotient self/divisor if the division is exact, else None."""
@@ -760,6 +775,20 @@ class RationalFunction:
             target,
             self.unit,
             [(p.rename(mapping, target), e) for p, e in self.factors],
+        )
+
+    def embed(self, positions: Sequence[int], target: VarRegistry) -> "RationalFunction":
+        """Transport into ``target``, variable i going to position
+        ``positions[i]``; the positions must strictly increase.  Such a map
+        keeps the factor invariant, so nothing is normalized again (see the
+        module docstring)."""
+        bounds = [*positions, len(target)]
+        if len(positions) != len(self.registry) or any(
+            a >= b for a, b in zip(bounds, bounds[1:])
+        ):
+            raise SymalgError("an embedding needs increasing positions in the target")
+        return RationalFunction._trusted(
+            target, self.unit, [(p._repack(positions, target), e) for p, e in self.factors]
         )
 
     def substitute(self, assignment: Mapping[Variable, Frac]) -> "RationalFunction":

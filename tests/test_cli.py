@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from quivergrass import fgl
 from quivergrass.cli import EXIT_CHECK_FAILED, EXIT_OK, EXIT_PARSE_ERROR, main
 
 A1 = {"vertices": ["1"], "arrows": [], "dilation": {"rank": 1, "basis": [[1], [1]]}}
@@ -192,14 +193,90 @@ def test_malformed_weights_exits_2(tmp_path, capsys, weights):
     assert "weights" in capsys.readouterr().err
 
 
-def test_reports_do_not_depend_on_the_hash_seed(quiver_files):
+def test_reports_do_not_depend_on_the_hash_seed(quiver_files, tmp_path):
     _, a2 = quiver_files
-    argv = [sys.executable, "-m", "quivergrass.cli", "verify", "--suite", "crosscheck",
-            "--quiver", a2, "--format", "json"]
+    law = tmp_path / "law.json"
+    law.write_text('{"N": 4, "coeffs": {"1,2": "1", "2,1": "-1/2"}}')
+    commands = [
+        ["verify", "--suite", "crosscheck", "--quiver", a2],
+        ["kernel", "--quiver", a2, "--flag", "1,1|1,0", "--fgl", "multiplicative"],
+        ["kernel", "--quiver", a2, "--flag", "1,1|1,0", "--fgl", f"series:{law}"],
+    ]
     src = str(Path(__file__).resolve().parent.parent / "src")
-    outs = []
-    for seed in ("0", "1", "12345"):
-        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
-        proc = subprocess.run(argv, env=env, capture_output=True, check=True)
-        outs.append(proc.stdout)
-    assert outs[0] and outs[0] == outs[1] == outs[2]
+    for command in commands:
+        argv = [sys.executable, "-m", "quivergrass.cli", *command, "--format", "json"]
+        outs = []
+        for seed in ("0", "1", "12345"):
+            env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+            proc = subprocess.run(argv, env=env, capture_output=True, check=True)
+            outs.append(proc.stdout)
+        assert outs[0] and outs[0] == outs[1] == outs[2]
+
+
+def test_kernel_report_is_the_same_from_a_cold_and_a_warm_memo(quiver_files, tmp_path, capsys):
+    _, a2 = quiver_files
+    law = tmp_path / "law.json"
+    law.write_text('{"N": 4, "coeffs": {"1,2": "1", "2,1": "-1/2"}}')
+    for spec in ("additive", "multiplicative", f"series:{law}"):
+        argv = ["--format", "json", "kernel", "--quiver", a2, "--flag", "1,1|1,0", "--fgl", spec]
+        fgl._ORIENTATIONS.clear()
+        cold = run(capsys, argv)
+        warm = run(capsys, argv)
+        assert cold[0] == EXIT_OK and cold == warm
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "[1, 2]",  # not an object
+        '{"N": 4.7, "coeffs": {"1,1": "-1"}}',  # N not an integer
+        '{"N": "4", "coeffs": {}}',
+        '{"coeffs": {"1,1": "-1"}}',  # no N
+        '{"N": 4, "coeffs": [1]}',
+        '{"N": 4, "coeffs": {"1": "-1"}}',
+    ],
+)
+def test_malformed_series_law_exits_2(quiver_files, tmp_path, capsys, text):
+    a1, _ = quiver_files
+    law = tmp_path / "law.json"
+    law.write_text(text)
+    code = main(["kernel", "--quiver", a1, "--flag", "1|1", "--fgl", f"series:{law}"])
+    assert code == EXIT_PARSE_ERROR
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        [1],  # not an object
+        {"D1": [0]},  # a configuration that is not a color map
+        {"D1": {"1": 0}},  # coordinates that are not a list
+        {"tau": 1},
+    ],
+)
+def test_malformed_point_config_exits_2(quiver_files, tmp_path, capsys, config):
+    a1, _ = quiver_files
+    cfg = tmp_path / "pts.json"
+    cfg.write_text(json.dumps(config))
+    code = main(["verify", "fgl", "--quiver", a1, "--config", str(cfg)])
+    assert code == EXIT_PARSE_ERROR
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        [1],  # not an object
+        {"tau": ["1/3"], "points": [1]},  # a point that is not an object
+        {"tau": ["1/3"]},  # no points
+        {"tau": ["1/3"], "points": [{"id": "a", "color": "1", "coord": 0, "multiplicity": 1.5}]},
+        {"tau": ["1/3"], "points": [{"id": "a", "color": "1", "coord": 0, "multiplicity": "1"}]},
+    ],
+)
+def test_malformed_fiber_config_exits_2(quiver_files, tmp_path, capsys, config):
+    a1, _ = quiver_files
+    cfg = tmp_path / "fiber.json"
+    cfg.write_text(json.dumps(config))
+    code = main(["zastava-fiber", "--quiver", a1, "--config", str(cfg)])
+    assert code == EXIT_PARSE_ERROR
+    assert "error:" in capsys.readouterr().err

@@ -3,6 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from quivergrass import fgl
 from quivergrass.fgl import (
     Character,
     FormalGroupLaw,
@@ -139,3 +140,47 @@ def test_series_file_roundtrip(tmp_path):
     law = parse_series_file(path.read_text())
     assert law.order == 4
     assert fgl_verify(law).unit_ok
+
+
+NON_SYMMETRIC = FormalGroupLaw.series({(1, 2): F(1), (1, 1): F(-1, 2)}, 4)
+
+
+def test_lambda_char_matches_direct_orientation_on_shuffled_registries():
+    # the memoized orientation, embedded into a keep_order registry whose
+    # positions disagree with sort_key, must be the direct computation
+    rng = random.Random(41)
+    laws = [FormalGroupLaw.additive(), FormalGroupLaw.multiplicative(), NON_SYMMETRIC]
+    variables = [x_var(s, p, f"v{p}", i) for s in (1, 2) for p in (0, 1) for i in (1, 2)]
+    variables += [d_var(1), d_var(2)]  # a rank-2 dilation
+    for _ in range(300):
+        rng.shuffle(variables)
+        reg = VarRegistry(variables, keep_order=True)
+        chi = Character.make(
+            {v: rng.choice([-2, -1, 1, 2]) for v in rng.sample(variables, rng.randint(1, 3))}
+        )
+        for law in laws:
+            got, want = law.lambda_char(reg, chi), law._orient(reg, chi)
+            assert got == want and repr(got) == repr(want)
+
+
+def test_truncation_overflow_is_not_cached(reg):
+    law = FormalGroupLaw.series({(1, 1): F(-1)}, 4)
+    x1 = reg.variables[0]
+    before = dict(fgl._ORIENTATIONS)
+    for _ in range(2):
+        with pytest.raises(TruncationOverflowError):
+            law.lambda_char(reg, Character.make({x1: 100}))
+    assert fgl._ORIENTATIONS == before
+
+
+def test_orientation_memo_is_bounded(reg):
+    x1, x2, _ = x1x2w(reg)
+    law = FormalGroupLaw.additive()
+    for c in range(1, fgl._ORIENTATIONS_SIZE + 40):
+        chi = Character.make({x1: c, x2: -1})
+        got = law.lambda_char(reg, chi)
+        assert got == law._orient(reg, chi)
+        assert len(fgl._ORIENTATIONS) <= fgl._ORIENTATIONS_SIZE
+    # the first signatures were evicted; they are computed again, unchanged
+    chi = Character.make({x1: 1, x2: -1})
+    assert law.lambda_char(reg, chi) == law._orient(reg, chi)

@@ -398,3 +398,27 @@ def test_heap_division_matches_linear_scan():
         off = num + rand_poly(reg, 3, 3)
         assert off.divide_exact(b) == divide_exact_linear_scan(off, b)
     assert min(kinds.values()) >= 100
+
+
+def test_primitive_returns_an_already_primitive_polynomial_itself(xyw):
+    reg, x, y, w = xyw
+    p = lin(reg, {x: -2, y: 3}, 1) * lin(reg, {w: 1}, -1)  # leading term 3*y*w
+    unit, prim = p.primitive()
+    assert unit == 1 and prim is p
+    for scale in (F(-2, 3), F(5), F(-1)):
+        unit, prim = p.scale(scale).primitive()
+        assert unit == scale and prim == p
+
+
+def test_embed_matches_rename_and_needs_increasing_positions(xyw):
+    reg, x, y, w = xyw
+    a, b = aux_var("a", 1), aux_var("b", 2)
+    small = VarRegistry([a, b])
+    f = RationalFunction(small, F(-3, 2), [(lin(small, {a: 1, b: -2}), 2),
+                                           (lin(small, {b: 1}, 1), -1)])
+    embedded = f.embed([0, 2], reg)
+    assert embedded == f.rename({a: x, b: w}, reg)
+    assert repr(embedded) == repr(f.rename({a: x, b: w}, reg))
+    for positions in ([2, 0], [1, 1], [0], [1, 3]):
+        with pytest.raises(SymalgError):
+            f.embed(positions, reg)

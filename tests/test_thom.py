@@ -314,3 +314,20 @@ def test_kernel_fn_is_the_left_fold_of_its_records():
                     fold = RationalFunction(chart.registry, fold.unit * contribution.unit,
                                             fold.factors + contribution.factors)
                 assert kernel.fn == fold
+
+
+def test_lambda_char_matches_direct_orientation_on_kernel_records():
+    # every orientation a kernel asks for, taken through the memo and the
+    # embedding, is the direct computation on the chart's registry
+    from quivergrass.checks import enumerate_flags
+
+    for name in ("a2", "a3"):
+        for law in ALL_LAWS:
+            ctx = ctx_for(name, law)
+            for flag in enumerate_flags(ctx.quiver, 3):
+                chart = ctx.chart(flag)
+                for kernel in (ctx.flag_kernel(flag, chart), ctx.appendix_b_kernel(flag, chart)):
+                    for rec, _ in kernel.records:
+                        got = law.lambda_char(chart.registry, rec.char)
+                        want = law._orient(chart.registry, rec.char)
+                        assert got == want and repr(got) == repr(want)
