@@ -111,8 +111,7 @@ def shuffle_product(
 
     product = fa * fb * fk
     partition = _blocks(chart, a.weight, b.weight)
-    result = symmetrize(product, partition) if partition else product
-    result = result.cancelled()
+    result = symmetrize(product, partition) if partition else product.cancelled()
     polynomial = result.is_regular()
     if require_polynomial and not polynomial:
         raise PoleOnDiagonalError(f"product is not polynomial: {result}")
@@ -169,8 +168,7 @@ def monomial_element(
         for v in ctx.quiver.vertices
         if weight.get(v, 0)
     ]
-    result = symmetrize(fn, partition) if partition else fn
-    result = result.cancelled()
+    result = symmetrize(fn, partition) if partition else fn.cancelled()
     return ShuffleElement(weight, result, result.is_regular())
 
 

@@ -1,7 +1,11 @@
 """Exact multivariate polynomial and rational-function arithmetic over Q.
 
-Polynomials are sparse maps from monomials to Fraction coefficients,
-always in canonical form (no zero coefficients stored).  Monomials are
+Polynomials are sparse maps from monomials to exact coefficients, always
+in canonical form: no zero coefficient is stored, and every coefficient
+is in ``_coeff`` normal form (an int, or a Fraction that is not
+integral).  ``MultiPoly(registry, _packed=d)`` stores ``d`` as it is, so
+the caller hands over a fresh, zero-free, normal dict and gives it up;
+every builder here makes one.  Monomials are
 packed into integers after Monagan and Pearce (CASC 2007): sixteen bits
 per variable, the first registry variable lowest, and above them, at bit
 ``_BITS * len(registry)`` (``VarRegistry.shift``), an unbounded field
@@ -20,6 +24,16 @@ Rational functions are kept factored: a scalar unit times a list of
 (primitive polynomial, signed exponent) pairs.  Kernels are products of
 short factors, so cancellation is syntactic factor matching with an
 exact-division fallback; no multivariate GCD is ever needed.
+
+Factor polynomials have integer coefficients, and the scalar lives only
+in the unit: ``rat_sum`` and ``cancelled`` never put it into a
+polynomial.  ``cancelled`` expands the numerator factors alone and
+divides exactly; by Gauss's lemma products and exact quotients of
+primitive polynomials with positive leading terms are again primitive
+with positive leading terms, so every step stays on integers.
+``rat_sum`` scales the units' numerators to the least common
+denominator L of the units, adds the integer numerators in place, and
+puts 1/L back into the unit.
 
 Normalization happens in one place: the public ``RationalFunction``
 constructor splits every factor it is given into unit times primitive
@@ -231,7 +245,7 @@ class MultiPoly:
     ):
         self.registry = registry
         if _packed is not None:
-            self.terms: Dict[int, Frac] = {k: c for k, c in _packed.items() if c != 0}
+            self.terms: Dict[int, Frac] = _packed
         else:
             self.terms = {}
             for e, c in dict(terms).items():
@@ -240,7 +254,7 @@ class MultiPoly:
                     continue
                 key = registry.pack(e)
                 prev = self.terms.get(key)
-                self.terms[key] = c if prev is None else prev + c
+                self.terms[key] = c if prev is None else _coeff(prev + c)
                 if self.terms[key] == 0:
                     del self.terms[key]
         self._hash: Optional[int] = None
@@ -265,7 +279,9 @@ class MultiPoly:
         exponents = [0] * len(registry)
         for v, e in exps.items():
             exponents[registry.index(v)] = e
-        return MultiPoly(registry, _packed={registry.pack(exponents): _coeff(coeff)})
+        key = registry.pack(exponents)
+        coeff = _coeff(coeff)
+        return MultiPoly(registry, _packed=({key: coeff} if coeff else {}))
 
     @staticmethod
     def linear(registry: VarRegistry, coeffs: Mapping[Variable, int], const=0) -> "MultiPoly":
@@ -333,7 +349,7 @@ class MultiPoly:
             else:
                 s = s + c
                 if s:
-                    out[k] = s
+                    out[k] = _coeff(s)
                 else:
                     del out[k]
         return MultiPoly(self.registry, _packed=out)
@@ -351,7 +367,7 @@ class MultiPoly:
             else:
                 s = s - c
                 if s:
-                    out[k] = s
+                    out[k] = _coeff(s)
                 else:
                     del out[k]
         return MultiPoly(self.registry, _packed=out)
@@ -380,26 +396,29 @@ class MultiPoly:
                         out[k] = s
                     else:
                         del out[k]
+        if {*map(type, a.values()), *map(type, b.values())} != {int}:
+            # Fraction products and sums may be integral: demote them.
+            out = {k: _coeff(c) for k, c in out.items()}
         return MultiPoly(self.registry, _packed=out)
 
     def scale(self, c) -> "MultiPoly":
         c = _coeff(c)
         if c == 0:
             return MultiPoly.zero(self.registry)
-        return MultiPoly(self.registry, _packed={k: c * v for k, v in self.terms.items()})
+        return MultiPoly(self.registry, _packed={k: _coeff(c * v) for k, v in self.terms.items()})
 
     def pow(self, n: int) -> "MultiPoly":
         if n < 0:
             raise SymalgError("negative power of a polynomial")
-        result = MultiPoly.const(self.registry, 1)
+        result = None
         base = self
         while n:
             if n & 1:
-                result = result * base
+                result = base if result is None else result * base
             n >>= 1
             if n:
                 base = base * base
-        return result
+        return MultiPoly.const(self.registry, 1) if result is None else result
 
     def truncate(self, max_degree: int) -> "MultiPoly":
         bound = (max_degree + 1) << self.registry.shift  # least key of higher degree
@@ -437,7 +456,7 @@ class MultiPoly:
             key = self.registry.pack(ne)
             s = out.get(key, 0) + t
             if s:
-                out[key] = s
+                out[key] = _coeff(s)
             else:
                 out.pop(key, None)
         return MultiPoly(self.registry, _packed=out)
@@ -467,11 +486,15 @@ class MultiPoly:
                 if e:
                     key += e << sh
                 k >>= _BITS
-            s = out.get(key, 0) + c
-            if s:
-                out[key] = s
+            s = out.get(key)
+            if s is None:
+                out[key] = c
             else:
-                out.pop(key, None)
+                s = s + c
+                if s:
+                    out[key] = _coeff(s)
+                else:
+                    del out[key]
         return MultiPoly(target, _packed=out)
 
     # -- normal forms ----------------------------------------------------
@@ -485,15 +508,17 @@ class MultiPoly:
         den_lcm = 1
         for c in self.terms.values():
             den_lcm = den_lcm * c.denominator // gcd(den_lcm, c.denominator)
-        num_gcd = 0
-        for c in self.terms.values():
-            num_gcd = gcd(num_gcd, abs(c.numerator * (den_lcm // c.denominator)))
-        _, lead = self.leading()
-        if num_gcd == den_lcm == 1 and lead > 0:
+        # Coefficients scaled to integers, then their content g, signed so
+        # that the leading coefficient comes out positive; every division
+        # by g below is exact.
+        ints = [c.numerator * (den_lcm // c.denominator) for c in self.terms.values()]
+        g = gcd(*ints)
+        if self.leading()[1] < 0:
+            g = -g
+        if g == den_lcm == 1:
             return Frac(1), self
-        unit = Frac(num_gcd, den_lcm) if lead > 0 else Frac(-num_gcd, den_lcm)
-        return unit, MultiPoly(
-            self.registry, _packed={k: _coeff(c / unit) for k, c in self.terms.items()}
+        return Frac(g, den_lcm), MultiPoly(
+            self.registry, _packed={k: n // g for k, n in zip(self.terms, ints)}
         )
 
     def divide_exact(self, divisor: "MultiPoly") -> Optional["MultiPoly"]:
@@ -522,7 +547,9 @@ class MultiPoly:
             tk = k - dk
             if (tk ^ k ^ dk) & borrow_bits:  # some exponent of dk exceeds k's
                 return None
-            tc = q[tk] = _coeff(Frac(c) / Frac(dc))
+            # Exact quotients stay integers; only a non-integral one is a Fraction.
+            tq, r = divmod(c, dc)
+            tc = q[tk] = tq if not r else Frac(c) / dc
             for fk, fc in dterms:
                 nk = tk + fk
                 s = rem.get(nk)
@@ -711,6 +738,8 @@ class RationalFunction:
         return self * other.inverse()
 
     def pow(self, n: int) -> "RationalFunction":
+        if n == 1:
+            return self
         if self.unit == 0:
             if n <= 0:
                 raise SymalgError("zero to a non-positive power")
@@ -726,18 +755,11 @@ class RationalFunction:
         return rat_sum([self, RationalFunction(other.registry, -other.unit, other.factors)])
 
     def numerator(self) -> MultiPoly:
-        num = MultiPoly.const(self.registry, self.unit)
-        for p, e in self.factors:
-            if e > 0:
-                num = num * p.pow(e)
-        return num
+        num = _expand(self.registry, [(p, e) for p, e in self.factors if e > 0])
+        return num if self.unit == 1 else num.scale(self.unit)
 
     def denominator(self) -> MultiPoly:
-        den = MultiPoly.const(self.registry, 1)
-        for p, e in self.factors:
-            if e < 0:
-                den = den * p.pow(-e)
-        return den
+        return _expand(self.registry, self.denominator_factors())
 
     def denominator_factors(self) -> Tuple[Tuple[MultiPoly, int], ...]:
         return tuple((p, -e) for p, e in self.factors if e < 0)
@@ -752,7 +774,9 @@ class RationalFunction:
         dens = [(p, e) for p, e in self.factors if e < 0]
         if not nums or not dens:
             return self
-        num = self.numerator()
+        # The unit stays outside: by Gauss's lemma ``num`` and its exact
+        # quotients stay primitive, so ``primitive`` below is a no-op.
+        num = _expand(self.registry, nums)
         out_dens: List[Tuple[MultiPoly, int]] = []
         for p, e in dens:
             k = -e
@@ -764,7 +788,7 @@ class RationalFunction:
                 k -= 1
             if k:
                 out_dens.append((p, -k))
-        return RationalFunction(self.registry, 1, [(num, 1)] + out_dens)
+        return RationalFunction(self.registry, self.unit, [(num, 1)] + out_dens)
 
     # -- maps -------------------------------------------------------------------
 
@@ -832,8 +856,20 @@ class RationalFunction:
         return " * ".join(bits)
 
 
+def _expand(registry: VarRegistry, powers: Iterable[Tuple[MultiPoly, int]]) -> MultiPoly:
+    """The expanded product of ``p ** e`` over ``powers``, all e > 0,
+    started from the first power; 1 for no powers."""
+    out: Optional[MultiPoly] = None
+    for p, e in powers:
+        pw = p.pow(e)
+        out = pw if out is None else out * pw
+    return MultiPoly.const(registry, 1) if out is None else out
+
+
 def rat_sum(terms: Sequence[RationalFunction]) -> RationalFunction:
-    """Exact n-ary sum over a common denominator, with cancellation."""
+    """Exact n-ary sum over a common denominator, with cancellation.
+
+    A single nonzero term is returned as it is, uncancelled."""
     if not terms:
         raise SymalgError("empty sum needs a registry; use RationalFunction.zero")
     registry0 = terms[0].registry
@@ -851,20 +887,36 @@ def rat_sum(terms: Sequence[RationalFunction]) -> RationalFunction:
         for p, e in t.factors:
             if e < 0:
                 common[p] = max(common.get(p, 0), -e)
-    total = MultiPoly.zero(registry)
+    # Integer numerators over the lcm L of the unit denominators, added in
+    # place; 1/L goes back into the unit.
+    lcm = 1
     for t in terms:
-        num = MultiPoly.const(registry, t.unit)
+        d = t.unit.denominator
+        lcm = lcm * d // gcd(lcm, d)
+    total: Dict[int, int] = {}
+    get = total.get
+    for t in terms:
         dens = {p: -e for p, e in t.factors if e < 0}
-        for p, e in t.factors:
-            if e > 0:
-                num = num * p.pow(e)
+        powers = [(p, e) for p, e in t.factors if e > 0]
         for p, need in common.items():
             deficit = need - dens.get(p, 0)
             if deficit:
-                num = num * p.pow(deficit)
-        total = total + num
+                powers.append((p, deficit))
+        scale = t.unit.numerator * (lcm // t.unit.denominator)
+        for k, c in _expand(registry, powers).terms.items():
+            s = get(k)
+            if s is None:
+                total[k] = scale * c
+            else:
+                s += scale * c
+                if s:
+                    total[k] = s
+                else:
+                    del total[k]
     result = RationalFunction(
-        registry, 1, [(total, 1)] + [(p, -e) for p, e in common.items()]
+        registry,
+        Frac(1, lcm),
+        [(MultiPoly(registry, _packed=total), 1)] + [(p, -e) for p, e in common.items()],
     )
     return result.cancelled()
 
@@ -948,7 +1000,8 @@ def symmetrize(
 
     ``partition`` is a list of per-color block lists.  The result is the
     sum over the product of each color's representatives, in canonical
-    order (deterministic, so a parallel reduction must reproduce it).
+    order (deterministic, so a parallel reduction must reproduce it), and
+    it is cancelled, also when there is only one representative.
     """
     per_color = [block_shuffles(blocks) for blocks in partition]
     terms: List[RationalFunction] = []
@@ -957,6 +1010,6 @@ def symmetrize(
         for part in combo:
             m.update(part)
         terms.append(f.rename(m, f.registry))
-    if not terms:
-        return f
+    if len(terms) == 1:
+        return terms[0].cancelled()
     return rat_sum(terms)

@@ -201,6 +201,9 @@ def test_reports_do_not_depend_on_the_hash_seed(quiver_files, tmp_path):
         ["verify", "--suite", "crosscheck", "--quiver", a2],
         ["kernel", "--quiver", a2, "--flag", "1,1|1,0", "--fgl", "multiplicative"],
         ["kernel", "--quiver", a2, "--flag", "1,1|1,0", "--fgl", f"series:{law}"],
+        # a symmetrized sum of three terms, and a product with one representative
+        ["shuffle", "--quiver", a2, "--word", "1,2,1"],
+        ["shuffle", "--quiver", a2, "--word", "1,2"],
     ]
     src = str(Path(__file__).resolve().parent.parent / "src")
     for command in commands:

@@ -87,6 +87,10 @@ def test_e1e2_single_coset():
         a, b, t = F(rng.randint(0, 30)), F(rng.randint(40, 80)), F(rng.randint(1, 7))
         assert prod.fn.evaluate({x1: a, x2: b, d_var(1): t}) == (b - a + t) * (a - b + t)
     assert prod.polynomial
+    # One shuffle representative per vertex: the product is cancelled once,
+    # and cancelling it again changes nothing.
+    again = prod.fn.cancelled()
+    assert again == prod.fn and repr(again) == repr(prod.fn)
 
 
 def test_unit_is_two_sided():

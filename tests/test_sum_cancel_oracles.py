@@ -1,0 +1,248 @@
+"""Differential tests of the integer sum/cancel path against the Fraction
+formulas it replaced.
+
+The oracles below are the earlier implementations, kept only here: they
+push the unit into an expanded numerator and divide every coefficient by
+a Fraction unit.  The library keeps the unit outside and every expanded
+polynomial on integers; both must give the same functions, equal under
+``==`` and printed the same.
+"""
+
+import itertools
+import random
+from fractions import Fraction as F
+from math import gcd
+
+import pytest
+
+from quivergrass import shuffle
+from quivergrass.checks import _words_up_to
+from quivergrass.fgl import FormalGroupLaw
+from quivergrass.quiver import DilationTorus, default_nakajima, stock_quiver
+from quivergrass.symalg import (
+    MultiPoly,
+    RationalFunction,
+    VarRegistry,
+    _coeff,
+    aux_var,
+    block_shuffles,
+    rat_sum,
+    symmetrize,
+)
+from quivergrass.thom import KernelContext
+
+# -- oracles ---------------------------------------------------------------
+
+
+def primitive_oracle(p):
+    """(unit, primitive part) with every coefficient divided by a Fraction unit."""
+    if p.is_zero():
+        return F(0), p
+    den_lcm = 1
+    for c in p.terms.values():
+        den_lcm = den_lcm * c.denominator // gcd(den_lcm, c.denominator)
+    num_gcd = 0
+    for c in p.terms.values():
+        num_gcd = gcd(num_gcd, abs(c.numerator * (den_lcm // c.denominator)))
+    _, lead = p.leading()
+    if num_gcd == den_lcm == 1 and lead > 0:
+        return F(1), p
+    unit = F(num_gcd, den_lcm) if lead > 0 else F(-num_gcd, den_lcm)
+    return unit, MultiPoly(p.registry, _packed={k: _coeff(c / unit) for k, c in p.terms.items()})
+
+
+def numerator_oracle(f):
+    """The unit times the positive factors, expanded from a constant."""
+    num = MultiPoly.const(f.registry, f.unit)
+    for p, e in f.factors:
+        if e > 0:
+            num = num * p.pow(e)
+    return num
+
+
+def cancelled_oracle(f):
+    """Cancellation by exact division of a numerator that carries the unit."""
+    if f.unit == 0:
+        return f
+    nums = [(p, e) for p, e in f.factors if e > 0]
+    dens = [(p, e) for p, e in f.factors if e < 0]
+    if not nums or not dens:
+        return f
+    num = numerator_oracle(f)
+    out_dens = []
+    for p, e in dens:
+        k = -e
+        while k > 0:
+            q = num.divide_exact(p)
+            if q is None:
+                break
+            num = q
+            k -= 1
+        if k:
+            out_dens.append((p, -k))
+    return RationalFunction(f.registry, 1, [(num, 1)] + out_dens)
+
+
+def rat_sum_oracle(terms):
+    """Sum with each unit pushed into its numerator and a copied running total."""
+    registry0 = terms[0].registry
+    terms = [t for t in terms if t.unit != 0]
+    if not terms:
+        return RationalFunction.zero(registry0)
+    registry = terms[0].registry
+    if len(terms) == 1:
+        return terms[0]
+    common = {}
+    for t in terms:
+        for p, e in t.factors:
+            if e < 0:
+                common[p] = max(common.get(p, 0), -e)
+    total = MultiPoly.zero(registry)
+    for t in terms:
+        num = MultiPoly.const(registry, t.unit)
+        dens = {p: -e for p, e in t.factors if e < 0}
+        for p, e in t.factors:
+            if e > 0:
+                num = num * p.pow(e)
+        for p, need in common.items():
+            deficit = need - dens.get(p, 0)
+            if deficit:
+                num = num * p.pow(deficit)
+        total = total + num
+    result = RationalFunction(registry, 1, [(total, 1)] + [(p, -e) for p, e in common.items()])
+    return cancelled_oracle(result)
+
+
+def symmetrize_oracle(f, partition):
+    """The sum over shuffle representatives, as ``rat_sum_oracle`` forms it."""
+    per_color = [block_shuffles(blocks) for blocks in partition]
+    terms = []
+    for combo in itertools.product(*per_color):
+        m = {}
+        for part in combo:
+            m.update(part)
+        terms.append(f.rename(m, f.registry))
+    return rat_sum_oracle(terms)
+
+
+def same(a, b):
+    return a == b and repr(a) == repr(b)
+
+
+# -- random inputs ---------------------------------------------------------
+
+REG = VarRegistry([aux_var(f"v{i}") for i in range(3)])
+
+
+def random_coeff(rng, fractions):
+    c = 0
+    while not c:
+        c = F(rng.randint(-9, 9), rng.randint(1, 6)) if fractions else rng.randint(-9, 9)
+    return c
+
+
+def random_poly(rng, fractions=False, content=1):
+    """1-4 terms of degree <= 2; ``content`` scales every coefficient."""
+    exps = rng.sample(list(itertools.product(range(3), repeat=3)), rng.randint(1, 4))
+    return MultiPoly(REG, {e: content * random_coeff(rng, fractions) for e in exps})
+
+
+def random_unit(rng):
+    return random_coeff(rng, fractions=rng.random() < 0.6)
+
+
+def random_function(rng, pool):
+    """A unit times powers of pool factors, exponents in [-2, 2], plus a
+    random numerator polynomial half of the time."""
+    factors = [(p, rng.randint(-2, 2)) for p in rng.sample(pool, rng.randint(1, len(pool)))]
+    if rng.random() < 0.5:
+        factors.append((random_poly(rng, rng.random() < 0.5, rng.choice([1, 2, 6])), 1))
+    return RationalFunction(REG, random_unit(rng), factors)
+
+
+def factor_pool(rng):
+    v0, v1, v2 = REG.variables
+    pool = [
+        MultiPoly.linear(REG, {v0: 1, v1: -1}),
+        MultiPoly.linear(REG, {v1: 1, v2: -1}, rng.randint(1, 3)),
+        MultiPoly.linear(REG, {v0: 2, v2: 1}),
+    ]
+    return pool + [random_poly(rng)]
+
+
+# -- tests -----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("fractions", [False, True])
+def test_primitive_matches_the_fraction_unit_formula(fractions):
+    rng = random.Random(41 + fractions)
+    kinds = {"negative lead": 0, "content > 1": 0, "already primitive": 0}
+    for _ in range(400):
+        p = random_poly(rng, fractions, rng.choice([1, 1, 2, 3, 12]))
+        if rng.random() < 0.3:
+            p = -p
+        got, want = p.primitive(), primitive_oracle(p)
+        assert got[0] == want[0] and same(got[1], want[1])
+        assert all(type(c) is int for c in got[1].terms.values())
+        kinds["negative lead"] += p.leading()[1] < 0
+        kinds["content > 1"] += abs(got[0]) > 1
+        kinds["already primitive"] += got[0] == 1
+    assert min(kinds.values()) >= 20
+
+
+def test_cancelled_matches_the_unit_in_numerator_formula():
+    rng = random.Random(43)
+    divided = 0
+    for _ in range(300):
+        pool = factor_pool(rng)
+        a, b = rng.sample(pool, 2)
+        # A numerator factor that some denominators divide, and one that
+        # they do not.
+        num = a * b.pow(rng.randint(1, 2)) * random_poly(rng, content=rng.choice([1, 2]))
+        f = RationalFunction(
+            REG, random_unit(rng), [(num, 1), (b, -rng.randint(1, 3)), (pool[3], -1)]
+        )
+        got, want = f.cancelled(), cancelled_oracle(f)
+        assert same(got, want)
+        divided += got.denominator_factors() != f.denominator_factors()
+    assert divided >= 100
+
+
+def test_rat_sum_matches_the_unit_in_numerator_formula():
+    rng = random.Random(47)
+    zero_sums = single = 0
+    for trial in range(250):
+        pool = factor_pool(rng)
+        terms = [random_function(rng, pool) for _ in range(rng.randint(1, 4))]
+        if trial % 5 == 0:  # terms that cancel to zero
+            terms = terms + [RationalFunction(REG, -t.unit, t.factors) for t in terms]
+            rng.shuffle(terms)
+        if trial % 7 == 0:  # a zero term beside a single nonzero one
+            terms = [terms[0], RationalFunction.zero(REG)]
+        got, want = rat_sum(terms), rat_sum_oracle(terms)
+        assert same(got, want)
+        zero_sums += got.is_zero()
+        single += len([t for t in terms if not t.is_zero()]) == 1
+    assert zero_sums >= 40 and single >= 40
+
+
+@pytest.mark.parametrize("qname", ["a1", "a2"])
+@pytest.mark.parametrize("law", [FormalGroupLaw.additive, FormalGroupLaw.multiplicative])
+def test_generator_word_products_match_the_old_sum_and_cancel(monkeypatch, qname, law):
+    """Every symmetrized sum of AC4's generator words (total weight <= 4)
+    against the old flow: the Fraction-unit sum, then a second cancellation."""
+    calls = []
+
+    def checked(f, partition):
+        got = symmetrize(f, partition)
+        want = cancelled_oracle(symmetrize_oracle(f, partition))
+        assert same(got, want)
+        calls.append(len(list(itertools.product(*[block_shuffles(b) for b in partition]))))
+        return got
+
+    monkeypatch.setattr(shuffle, "symmetrize", checked)
+    q = stock_quiver(qname)
+    ctx = KernelContext(q, default_nakajima(q), DilationTorus.diagonal(), law())
+    for word in _words_up_to(q, 4):
+        assert shuffle.word_product(ctx, word).polynomial
+    assert 1 in calls and max(calls) > 1

@@ -422,3 +422,24 @@ def test_embed_matches_rename_and_needs_increasing_positions(xyw):
     for positions in ([2, 0], [1, 1], [0], [1, 3]):
         with pytest.raises(SymalgError):
             f.embed(positions, reg)
+
+
+def test_first_powers_are_the_operands_themselves(xyw):
+    reg, x, y, w = xyw
+    p = lin(reg, {x: 2, y: -1}, 3)
+    f = RationalFunction(reg, F(-3, 4), [(p, 2), (lin(reg, {w: 1}, 1), -1)])
+    assert p.pow(1) is p and f.pow(1) is f
+    zero = RationalFunction.zero(reg)
+    assert zero.pow(1) is zero
+    assert p.pow(0) == MultiPoly.const(reg, 1) and f.pow(0) == RationalFunction.one(reg)
+    assert p.pow(3) == p * p * p and f.pow(2) == f * f
+
+
+def test_one_representative_symmetrize_is_cancelled(xyw):
+    reg, x, y, w = xyw
+    num = lin(reg, {x: 1, y: -1}) * lin(reg, {w: 1}, 2)
+    f = RationalFunction(reg, F(5, 3), [(num, 1), (lin(reg, {x: 1, y: -1}), -1)])
+    once = symmetrize(f, [[[x, y]]])  # one block: one representative
+    twice = once.cancelled()
+    assert once == twice and repr(once) == repr(twice)
+    assert once == f.cancelled() and not once.denominator_factors()

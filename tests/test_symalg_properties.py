@@ -1,5 +1,9 @@
 """Property tests for the packed-monomial substrate (hypothesis)."""
 
+import functools
+import operator
+from fractions import Fraction
+
 import pytest
 
 pytest.importorskip("hypothesis")
@@ -7,7 +11,15 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quivergrass.symalg import _MASK, MultiPoly, VarRegistry, aux_var
+from quivergrass.symalg import (
+    _MASK,
+    MultiPoly,
+    RationalFunction,
+    VarRegistry,
+    aux_var,
+    rat_equal,
+    rat_sum,
+)
 
 REGISTRIES = [VarRegistry([aux_var(f"v{i}") for i in range(n)]) for n in (1, 2, 3, 4)]
 
@@ -68,3 +80,70 @@ def test_leading_is_the_graded_maximum(data):
     assert p.registry.unpack(key) == exps
     assert c == dict(p.items_unpacked())[exps]
     assert p.degree() == sum(exps)
+
+
+def assert_normal_form(p):
+    """Every stored coefficient is nonzero and in ``_coeff`` normal form:
+    an int, or a Fraction that is not integral."""
+    for c in p.terms.values():
+        assert c != 0
+        assert type(c) is int or (type(c) is Fraction and c.denominator != 1), repr(c)
+
+
+@settings(max_examples=150, deadline=None)
+@given(registry_and_polys(2), coefficients, st.integers(0, 8))
+def test_results_store_no_zero_and_normal_coefficients(data, c, bound):
+    reg, (a, b) = data
+    first = reg.variables[0]
+    merge = {v: first for v in reg.variables}  # non-injective: terms may merge
+    results = [
+        a + b, a - b, a - a, a * b, a.scale(c), a.truncate(bound),
+        a.rename(merge, reg), a.substitute({first: c}),
+        (a * b).divide_exact(b), a.primitive()[1], a.pow(2),
+    ]
+    quotient = a.divide_exact(b)
+    if quotient is not None:
+        results.append(quotient)
+    for p in results:
+        assert_normal_form(p)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.sampled_from(REGISTRIES), st.integers(0, 4))
+def test_a_zero_monomial_is_the_zero_polynomial(reg, e):
+    assert MultiPoly.monomial(reg, {reg.variables[-1]: e}, coeff=0).is_zero()
+    assert MultiPoly.monomial(reg, {reg.variables[-1]: e}, coeff=Fraction(0, 3)) == MultiPoly.zero(reg)
+
+
+@st.composite
+def registry_and_functions(draw, max_count):
+    """Up to ``max_count`` functions over one registry, drawing their factors
+    from a shared pool so that denominators meet and cancel."""
+    reg, pool = draw(registry_and_polys(3))
+    exponents = st.lists(st.integers(-2, 2), min_size=len(pool), max_size=len(pool))
+    units = st.one_of(coefficients, st.just(0))
+    fns = [
+        RationalFunction(reg, draw(units), list(zip(pool, draw(exponents))))
+        for _ in range(draw(st.integers(1, max_count)))
+    ]
+    return reg, fns
+
+
+@settings(max_examples=60, deadline=None)
+@given(registry_and_functions(3))
+def test_rat_sum_agrees_with_left_folded_pairwise_sums(data):
+    _, fns = data
+    total = rat_sum(fns)
+    assert rat_equal(total, functools.reduce(operator.add, fns))
+    negated = [RationalFunction(f.registry, -f.unit, f.factors) for f in fns]
+    assert rat_sum(fns + negated).is_zero()
+
+
+@settings(max_examples=80, deadline=None)
+@given(registry_and_functions(1))
+def test_cancelled_is_idempotent(data):
+    _, (f,) = data
+    once = f.cancelled()
+    twice = once.cancelled()
+    assert twice == once and repr(twice) == repr(once)
+    assert rat_equal(once, f)
