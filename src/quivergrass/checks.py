@@ -54,7 +54,7 @@ class CheckResult:
         return self.status == "pass"
 
 
-def _result(name: str, ok: bool, value, expected, provenance: str) -> CheckResult:
+def _result(name: str, ok: bool, value, expected="", provenance: str = "") -> CheckResult:
     return CheckResult(name, "pass" if ok else "fail", str(value), str(expected), provenance)
 
 
@@ -154,9 +154,7 @@ def crosscheck_suite(
                     bad.append(flag)
                     continue
                 total = sum(dim_total(v) for v in flag)
-                units_by_total.setdefault(total, set()).add(
-                    repr(rep.unit) if rep.unit is not None else "degenerate"
-                )
+                units_by_total.setdefault(total, set()).add(repr(rep.unit))
             constant = all(len(us) == 1 for us in units_by_total.values())
             out.append(
                 _result(

@@ -18,7 +18,7 @@ from fractions import Fraction as Frac
 from typing import Dict, List, Optional, Sequence
 
 from . import checks as checksmod
-from .checks import CheckResult
+from .checks import CheckResult, _result
 from .fgl import select_fgl
 from .locality import (
     parse_point_config,
@@ -128,10 +128,6 @@ def _emit(report: Dict, args) -> int:
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
-def _res(name, ok, value, expected="", provenance="") -> CheckResult:
-    return CheckResult(name, "pass" if ok else "fail", str(value), str(expected), provenance)
-
-
 # -- subcommand handlers -------------------------------------------------------
 
 
@@ -143,7 +139,7 @@ def cmd_kernel(args) -> int:
 
     dil = validate_dilation(ctx.quiver, ctx.weights, ctx.dilation)
     results.append(
-        _res(
+        _result(
             "quiver.dilation_consistency",
             dil.all_ok,
             "; ".join(f"{aid}:{'ok' if ok else 'violated'}" for aid, ok, _, _ in dil.entries)
@@ -154,7 +150,7 @@ def cmd_kernel(args) -> int:
     )
     if ctx.quiver.loops:
         results.append(
-            _res(
+            _result(
                 "quiver.loops",
                 True,
                 ",".join(a.aid for a in ctx.quiver.loops),
@@ -168,7 +164,7 @@ def cmd_kernel(args) -> int:
         rep = ctx.classical_divisor(v)
         for pair, (got, want) in sorted(rep.incidence_match.items()):
             results.append(
-                _res(
+                _result(
                     f"classical.multiplicity.{pair[0]}-{pair[1]}",
                     got == want,
                     got,
@@ -177,7 +173,7 @@ def cmd_kernel(args) -> int:
                 )
             )
         results.append(
-            _res(
+            _result(
                 "classical.kernel",
                 True,
                 repr(rep.kernel.fn) + ("  [degenerate: loop factors]" if rep.degenerate else ""),
@@ -188,10 +184,10 @@ def cmd_kernel(args) -> int:
     else:
         flag = _parse_flag(ctx, args.flag)
         kernel = ctx.flag_kernel(flag)
-        results.append(_res("kernel", True, repr(kernel.fn), "", "factored form"))
+        results.append(_result("kernel", True, repr(kernel.fn), "", "factored form"))
         cross = crosscheck(ctx, flag)
         results.append(
-            _res(
+            _result(
                 "kernel.dual_assembly_unit",
                 cross.ok,
                 repr(cross.unit),
@@ -216,10 +212,10 @@ def cmd_shuffle(args) -> int:
             fn = fn.substitute(tau)
         shown = str(fn.scalar_value()) if fn.is_scalar() else repr(fn)
         results.append(
-            _res("shuffle.product", True, shown, "", "symmetrized kernel product")
+            _result("shuffle.product", True, shown, "", "symmetrized kernel product")
         )
         results.append(
-            _res("shuffle.polynomial", elt.polynomial, elt.polynomial, True,
+            _result("shuffle.polynomial", elt.polynomial, elt.polynomial, True,
                  "denominator cancellation")
         )
     elif args.dim:
@@ -229,7 +225,7 @@ def cmd_shuffle(args) -> int:
         echo["degree"] = args.degree
         basis = weight_space(ctx, alpha, args.degree, seed=args.seed)
         results.append(
-            _res(
+            _result(
                 "shuffle.weight_space_dim",
                 True,
                 basis.dimension,
@@ -256,7 +252,7 @@ def cmd_verify(args) -> int:
         tau = tau_point(ctx, tau_values)
         rep = verify_trivialization(ctx, d1, d2, tau)
         results.append(
-            _res(
+            _result(
                 "locality.config",
                 rep.ok,
                 rep.describe(),
@@ -278,7 +274,7 @@ def _crosscheck_single_quiver(args) -> List[CheckResult]:
             ",".join(str(v.get(name, 0)) for name in ctx.quiver.vertices) for v in flag
         )
         results.append(
-            _res(
+            _result(
                 f"crosscheck.flag[{label}]",
                 rep.ok,
                 repr(rep.unit),
@@ -292,14 +288,14 @@ def _crosscheck_single_quiver(args) -> List[CheckResult]:
 def cmd_sl2(args) -> int:
     rep = sl2_enumerate(args.p, args.e, args.n, args.window, m=args.m)
     results = [
-        _res(
+        _result(
             "sl2.count",
             rep.s0_count == rep.s0_expected,
             rep.s0_count,
             rep.s0_expected,
             "exhaustive enumeration vs monic nilpotent-coefficient polynomials",
         ),
-        _res(
+        _result(
             "sl2.routes",
             rep.routes_agree,
             "lattice route agrees with polynomial route",
@@ -309,14 +305,16 @@ def cmd_sl2(args) -> int:
     ]
     if args.m is not None:
         results.append(
-            _res("sl2.sminus_count", True, rep.sminus_count, "", "divisibility enumeration")
+            _result("sl2.sminus_count", True, rep.sminus_count, "", "divisibility enumeration")
         )
     table = [
         "".join(str(c) for c in sum(cand.monic_poly, ()))
         for cand in rep.candidates
         if cand.monic_poly is not None
     ]
-    results.append(_res("sl2.bijection_table", True, ";".join(sorted(table)), "", "coefficient strings"))
+    results.append(
+        _result("sl2.bijection_table", True, ";".join(sorted(table)), "", "coefficient strings")
+    )
     echo = {"p": args.p, "e": args.e, "n": args.n, "window": args.window, "m": args.m}
     return _emit(_report("sl2-lattice", echo, results, args), args)
 
@@ -330,8 +328,8 @@ def cmd_poincare(args) -> int:
     for d in dims:
         expected *= 2 ** d
     results = [
-        _res("poincare.series", True, qpoly_str(poly), "", "product of q-binomial sums"),
-        _res("poincare.total", total == expected, total, expected, "value at q = 1"),
+        _result("poincare.series", True, qpoly_str(poly), "", "product of q-binomial sums"),
+        _result("poincare.total", total == expected, total, expected, "value at q = 1"),
     ]
     return _emit(_report("poincare", {"alpha": args.alpha}, results, args), args)
 
@@ -342,14 +340,14 @@ def cmd_carell(args) -> int:
     chart = carell_chart(args.n, args.k)
     gauss = gaussian_binomial(args.n, args.k)
     results = [
-        _res(
+        _result(
             "carell.dim",
             chart.dimension == comb(args.n, args.k),
             chart.dimension,
             comb(args.n, args.k),
             "standard monomials of the fixed-scheme chart ideal",
         ),
-        _res(
+        _result(
             "carell.weight_series",
             chart.weight_series() == gauss,
             qpoly_str(chart.weight_series()),
@@ -365,7 +363,7 @@ def cmd_ind_rank(args) -> int:
     divisor = ColoredDivisor.parse(args.divisor)
     rank = ind_rank(poset, divisor)
     results = [
-        _res("ind_rank", True, rank, "", "count of monotone subdivisor systems")
+        _result("ind_rank", True, rank, "", "count of monotone subdivisor systems")
     ]
     echo = {"poset": args.poset, "divisor": args.divisor}
     return _emit(_report("ind-rank", echo, results, args), args)
@@ -395,14 +393,14 @@ def cmd_zastava_fiber(args) -> int:
     divisor = ColoredDivisor(points, coords)
     fiber = ind_fiber(ctx, poset, divisor, tau)
     results = [
-        _res("zastava.rank", True, fiber.rank, "", "monotone system count"),
+        _result("zastava.rank", True, fiber.rank, "", "monotone system count"),
     ]
     for system, value in zip(fiber.maps, fiber.values):
         label = ";".join(
             f"{e}:{'+'.join(pid for pid, k in sub if k) or 'empty'}"
             for e, sub in sorted(system.items())
         )
-        results.append(_res(f"zastava.value[{label}]", True, value, "", "pair-kernel product"))
+        results.append(_result(f"zastava.value[{label}]", True, value, "", "pair-kernel product"))
     echo = {"config": args.config, "poset": str(data.get("poset", "chain:1"))}
     return _emit(_report("zastava-fiber", echo, results, args), args)
 

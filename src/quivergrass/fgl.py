@@ -75,6 +75,12 @@ class Character:
     def is_zero(self) -> bool:
         return not self.coeffs
 
+    def check_in(self, registry: VarRegistry) -> None:
+        """Raise ``SymalgError`` unless every variable is in ``registry``."""
+        for v, _ in self.coeffs:
+            if v not in registry:
+                raise SymalgError(f"character uses {v.name} outside the registry")
+
     def neg(self) -> "Character":
         return Character(tuple((v, -c) for v, c in self.coeffs))
 
@@ -167,9 +173,7 @@ class FormalGroupLaw:
         Computed once per (law, signature) on canonical aux variables,
         memoized, and embedded into ``registry`` (see the module docstring).
         """
-        for v, _ in chi.coeffs:
-            if v not in registry:
-                raise SymalgError(f"character uses {v.name} outside the registry")
+        chi.check_in(registry)
         if chi.is_zero():
             return RationalFunction.zero(registry)
         positions = [registry.index(v) for v, _ in chi.coeffs]

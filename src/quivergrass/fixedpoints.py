@@ -184,10 +184,6 @@ class LatticePoint:
     q_poly: ZWindow          # Q, comonic in z^-1
     q_inv: ZWindow
 
-    @property
-    def volume(self) -> int:
-        return 0
-
     def contains_e1_power(self, k: int) -> bool:
         """Is z^k e1 in the lattice?  Divide by the generator: z^k * (z^n Q)."""
         probe = self.q_poly.scale_z(self.n + k)
@@ -318,9 +314,6 @@ class ColoredSubschemeLattice:
     @property
     def total(self) -> int:
         return len(self.elements)
-
-    def count_at(self, beta: Mapping[str, int]) -> int:
-        return sum(1 for e in self.elements if all(e[k] == beta.get(k, 0) for k in e))
 
     def grade_counts(self) -> Dict[int, int]:
         out: Dict[int, int] = {}

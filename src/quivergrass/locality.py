@@ -178,7 +178,7 @@ def pair_check_kernel(ctx: KernelContext, v1: DimVector, v2: DimVector) -> ThomK
     family and direction (arrow factors both ways, symplectic factors both
     ways, plain diagonals as denominators both ways)."""
     chart = ctx.chart((v1, v2))
-    kernel = ThomKernel(chart)
+    kernel = ThomKernel(chart, ctx.law)
     omega = ctx.omega()
     for k in ctx.quiver.double:
         mu = ctx.mu(k.aid)

@@ -165,14 +165,6 @@ def dim_zero(q: QuiverSpec) -> DimVector:
     return {v: 0 for v in q.vertices}
 
 
-def dim_unit(q: QuiverSpec, vertex: str) -> DimVector:
-    d = dim_zero(q)
-    if vertex not in d:
-        raise QuiverFormatError(f"unknown vertex {vertex!r}")
-    d[vertex] = 1
-    return d
-
-
 def dim_add(a: DimVector, b: DimVector) -> DimVector:
     keys = set(a) | set(b)
     return {k: a.get(k, 0) + b.get(k, 0) for k in keys}

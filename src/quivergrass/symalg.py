@@ -54,8 +54,8 @@ monomials and distinct factors stay distinct, and it keeps the order of
 positions, so it keeps the order of packed keys: exponent fields compare
 from the highest position down and the degree field moves unchanged.
 The leading term of every factor, its content and its sign, and the
-factor sort order all carry over, hence the factor invariant does too
-and the result goes through ``_trusted``.
+factor sort order all carry over, hence the factor invariant does too,
+and the transported factors are stored as they come: no merge, no sort.
 
 Canonical monomial order: graded, ties broken with the *last* registry
 variable most significant (that is exactly the packed-integer order).
@@ -811,9 +811,11 @@ class RationalFunction:
             a >= b for a, b in zip(bounds, bounds[1:])
         ):
             raise SymalgError("an embedding needs increasing positions in the target")
-        return RationalFunction._trusted(
-            target, self.unit, [(p._repack(positions, target), e) for p, e in self.factors]
-        )
+        out = RationalFunction.__new__(RationalFunction)
+        out.registry = target
+        out.unit = self.unit
+        out.factors = tuple((p._repack(positions, target), e) for p, e in self.factors)
+        return out
 
     def substitute(self, assignment: Mapping[Variable, Frac]) -> "RationalFunction":
         out: List[Tuple[MultiPoly, int]] = []

@@ -21,6 +21,16 @@ correspondence:
 The two paths must agree up to a unit, which ``crosscheck`` extracts and
 reports.  Weight-zero characters (loops on a single slot) never divide:
 their factors are treated as units and flagged on the kernel.
+
+A kernel is held as a divisor: factor records, each a character chi with
+a signed exponent e, standing for the product of the orientations
+lambda(chi)^e (the Euler class of a sum of characters is the product of
+their orientations; Quillen, Bull. AMS 1969).  Assembly orients nothing.
+``crosscheck`` decides on characters: equal characters cancel with unit
+exactly 1, and only the residual divisor is oriented and cancelled.  That
+is the same function as the quotient of the two oriented kernels, since
+a merge of factored functions only sums the exponents of equal factors
+and multiplies units, and a cancelled pair gives exponent 0 and unit 1.
 """
 
 from __future__ import annotations
@@ -84,30 +94,45 @@ class FactorRecord:
 
 @dataclass
 class ThomKernel:
-    """A kernel's factor records together with the function they multiply to.
+    """A kernel as a divisor, oriented on first use.
 
-    ``records`` is the single source of truth: assembly only appends
-    (record, contribution) pairs.  ``fn`` is derived from them on first
-    access, as one product of the units and one merge of all factors, and
-    is cached; it must not be read before assembly has finished.
+    ``divisor`` is the single source of truth: assembly only appends
+    records.  ``records`` pairs each with its contribution
+    lambda(rec.char)^rec.exponent under ``law``, and ``fn`` is their
+    product (one product of units, one merge of factors).  Both are cached
+    on first access, so neither may be read before assembly has finished.
+    Weight-zero records sit in ``zero_records`` and enter neither.
     """
 
     chart: TorusChart
-    records: List[Tuple[FactorRecord, RationalFunction]] = field(default_factory=list)
+    law: FormalGroupLaw
+    divisor: List[FactorRecord] = field(default_factory=list)
     zero_records: List[FactorRecord] = field(default_factory=list)
 
     @cached_property
+    def records(self) -> List[Tuple[FactorRecord, RationalFunction]]:
+        registry = self.chart.registry
+        return [
+            (rec, self.law.lambda_char(registry, rec.char).pow(rec.exponent))
+            for rec in self.divisor
+        ]
+
+    @cached_property
     def fn(self) -> RationalFunction:
-        contributions = [c for _, c in self.records]
-        return RationalFunction._trusted(
-            self.chart.registry,
-            prod((c.unit for c in contributions), start=Frac(1)),
-            chain.from_iterable(c.factors for c in contributions),
-        )
+        return _product(self.chart.registry, [c for _, c in self.records])
 
     @property
     def degenerate(self) -> bool:
         return bool(self.zero_records)
+
+
+def _product(registry: VarRegistry, parts: Sequence[RationalFunction]) -> RationalFunction:
+    """The product of factored functions over ``registry``, merged once."""
+    return RationalFunction._trusted(
+        registry,
+        prod((p.unit for p in parts), start=Frac(1)),
+        chain.from_iterable(p.factors for p in parts),
+    )
 
 
 class KernelContext:
@@ -149,8 +174,8 @@ class KernelContext:
         if rec.char.is_zero():
             kernel.zero_records.append(rec)
             return
-        lam = self.law.lambda_char(kernel.chart.registry, rec.char)
-        kernel.records.append((rec, lam.pow(rec.exponent)))
+        rec.char.check_in(kernel.chart.registry)
+        kernel.divisor.append(rec)
 
     def _hom_block(
         self,
@@ -170,13 +195,18 @@ class KernelContext:
         """
         chart = kernel.chart
         (g, i), (gp, j) = source, target
-        for s in range(1, chart.dim(g, i) + 1):
-            for t in range(1, chart.dim(gp, j) + 1):
-                coeffs: Dict[Variable, int] = {chart.x(gp, j, t): 1}
-                src = chart.x(g, i, s)
+        n, m = chart.dim(g, i), chart.dim(gp, j)
+        if not n or not m:
+            return
+        targets = [chart.x(gp, j, t) for t in range(1, m + 1)]
+        for s in range(1, n + 1):
+            src = chart.x(g, i, s)
+            for t, tgt in enumerate(targets, start=1):
+                coeffs: Dict[Variable, int] = dict(twist.coeffs)
+                coeffs[tgt] = coeffs.get(tgt, 0) + 1
                 coeffs[src] = coeffs.get(src, 0) - 1
-                char = Character.make(coeffs).add(twist)
-                rec = FactorRecord(family, arrow, vertex, (g, gp), (s, t), char, exponent)
+                rec = FactorRecord(family, arrow, vertex, (g, gp), (s, t),
+                                   Character.make(coeffs), exponent)
                 self._emit(kernel, rec)
 
     # -- public operators ------------------------------------------------------
@@ -187,7 +217,7 @@ class KernelContext:
         blocks: Iterable[Tuple[Tuple[int, str], Tuple[int, str], Character, int]],
     ) -> ThomKernel:
         """Product over Hom blocks ((g, i), (g', j), twist, multiplicity)."""
-        kernel = ThomKernel(chart)
+        kernel = ThomKernel(chart, self.law)
         for source, target, twist, mult in blocks:
             self._hom_block(kernel, "module", source, target, twist, mult)
         return kernel
@@ -197,7 +227,7 @@ class KernelContext:
         if not flag:
             raise ValueError("flag type must be nonempty")
         chart = chart or self.chart(flag)
-        kernel = ThomKernel(chart)
+        kernel = ThomKernel(chart, self.law)
         omega = self.omega()
         m = chart.slots
         for g in range(1, m + 1):
@@ -217,7 +247,7 @@ class KernelContext:
         if not flag:
             raise ValueError("flag type must be nonempty")
         chart = chart or self.chart(flag)
-        kernel = ThomKernel(chart)
+        kernel = ThomKernel(chart, self.law)
         m = chart.slots
         for k in self.quiver.double:
             mu = self.mu(k.aid)
@@ -237,7 +267,7 @@ class KernelContext:
         chart = chart or self.chart(flag)
         a = self.kernel_dstar_p(flag, chart)
         b = self.kernel_tilde_q(flag, chart)
-        return ThomKernel(chart, a.records + b.records, a.zero_records + b.zero_records)
+        return ThomKernel(chart, self.law, a.divisor + b.divisor, a.zero_records + b.zero_records)
 
     def biextension_kernel(self, v1: DimVector, v2: DimVector) -> ThomKernel:
         return self.flag_kernel((v1, v2))
@@ -261,7 +291,7 @@ class KernelContext:
         if not flag:
             raise ValueError("flag type must be nonempty")
         chart = chart or self.chart(flag)
-        kernel = ThomKernel(chart)
+        kernel = ThomKernel(chart, self.law)
         omega = self.omega()
         m = chart.slots
         # Conormal directions of the partial-flag base, symplectic twist,
@@ -293,7 +323,7 @@ class KernelContext:
         """Diagonal multiplicities of the plain representation-space kernel
         with the dilation coordinates at zero."""
         chart = self.chart((v,))
-        kernel = ThomKernel(chart)
+        kernel = ThomKernel(chart, self.law)
         zero = Character.zero()
         for h in self.quiver.arrows:
             self._hom_block(kernel, "classical", (1, h.tail), (1, h.head), zero, +1, arrow=h.aid)
@@ -331,28 +361,35 @@ class ClassicalDivisorReport:
 @dataclass
 class CrossPathReport:
     flag: FlagType
-    unit: Optional[RationalFunction]
-    is_unit: bool
-    main_fn: RationalFunction
-    alt_fn: RationalFunction
-
-    @property
-    def ok(self) -> bool:
-        return self.is_unit
+    unit: RationalFunction
+    ok: bool
 
 
 def crosscheck(ctx: KernelContext, flag: FlagType) -> CrossPathReport:
     """Build the kernel along both decompositions and extract the unit."""
     chart = ctx.chart(flag)
-    main = ctx.flag_kernel(flag, chart)
-    alt = ctx.appendix_b_kernel(flag, chart)
-    if main.fn.is_zero() or alt.fn.is_zero():
-        both_zero = main.fn.is_zero() and alt.fn.is_zero()
-        return CrossPathReport(flag, None, both_zero, main.fn, alt.fn)
-    ratio = (alt.fn / main.fn).cancelled()
-    if ratio.is_scalar() or ratio.is_monomial_unit():
-        return CrossPathReport(flag, ratio, True, main.fn, alt.fn)
-    return CrossPathReport(flag, ratio, False, main.fn, alt.fn)
+    return compare_kernels(flag, ctx.flag_kernel(flag, chart), ctx.appendix_b_kernel(flag, chart))
+
+
+def compare_kernels(flag: FlagType, main: ThomKernel, alt: ThomKernel) -> CrossPathReport:
+    """The unit alt / main, decided on the two divisors: exponents summed per
+    character, + for ``alt`` and - for ``main``, and only nonzero sums
+    oriented.  The cancelled product is ``(alt.fn / main.fn).cancelled()``
+    (see the module docstring); with no residual it is the scalar 1.  No
+    kernel is 0: a nonzero character has a nonzero orientation."""
+    registry = main.chart.registry
+    if alt.chart.registry != registry or alt.law != main.law:
+        raise ValueError("compared kernels must share a chart registry and a law")
+    residual: Dict[Character, int] = {}
+    for rec in alt.divisor:
+        residual[rec.char] = residual.get(rec.char, 0) + rec.exponent
+    for rec in main.divisor:
+        residual[rec.char] = residual.get(rec.char, 0) - rec.exponent
+    parts = [main.law.lambda_char(registry, chi).pow(e) for chi, e in residual.items() if e]
+    unit = _product(registry, parts)
+    if parts:
+        unit = unit.cancelled()
+    return CrossPathReport(flag, unit, unit.is_scalar() or unit.is_monomial_unit())
 
 
 def evaluate_kernel(

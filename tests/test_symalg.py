@@ -424,6 +424,33 @@ def test_embed_matches_rename_and_needs_increasing_positions(xyw):
             f.embed(positions, reg)
 
 
+def test_embed_equals_the_merged_and_sorted_transport():
+    # embed stores the transported factors as they come; a merge and a sort
+    # of the same factors must change nothing, not even their order
+    rng = random.Random(7)
+    small = VarRegistry([aux_var(n, i) for i, n in enumerate("abc", start=1)])
+    big = VarRegistry([aux_var(f"t{i}", i) for i in range(1, 7)])
+    for _ in range(200):
+        factors = []
+        for _ in range(rng.randint(0, 4)):
+            terms = {
+                tuple(rng.randint(0, 2) for _ in small.variables): F(rng.randint(-4, 4),
+                                                                     rng.randint(1, 3))
+                for _ in range(rng.randint(1, 4))
+            }
+            poly = MultiPoly(small, terms)
+            if not poly.is_zero():
+                factors.append((poly, rng.choice([-2, -1, 1, 2, 3])))
+        f = RationalFunction(small, F(rng.randint(-5, 5), rng.randint(1, 4)), factors)
+        positions = sorted(rng.sample(range(len(big)), len(small)))
+        got = f.embed(positions, big)
+        want = RationalFunction._trusted(
+            big, f.unit, [(p._repack(positions, big), e) for p, e in f.factors]
+        )
+        assert got == want and repr(got) == repr(want)
+        assert [p for p, _ in got.factors] == [p for p, _ in want.factors]
+
+
 def test_first_powers_are_the_operands_themselves(xyw):
     reg, x, y, w = xyw
     p = lin(reg, {x: 2, y: -1}, 3)
