@@ -26,7 +26,6 @@ from .quiver import (
     DimVector,
     QuiverSpec,
     default_nakajima,
-    dim_add,
     dim_total,
     stock_quiver,
 )
@@ -34,7 +33,6 @@ from .shuffle import (
     generator,
     monomial_element,
     shuffle_product,
-    unit_element,
     word_product,
 )
 from .symalg import Variable, rat_equal
@@ -220,19 +218,13 @@ def _bilinear_product(ctx, v1: DimVector, v2: DimVector, w: DimVector, lhs):
     k1 = ctx.biextension_kernel(v1, w)
     k2 = ctx.biextension_kernel(v2, w)
     reg = lhs.chart.registry
-    m1 = {}
-    for vtx in ctx.quiver.vertices:
-        for s in range(1, v1.get(vtx, 0) + 1):
-            m1[k1.chart.x(1, vtx, s)] = lhs.chart.x(1, vtx, s)
-        for t in range(1, w.get(vtx, 0) + 1):
-            m1[k1.chart.x(2, vtx, t)] = lhs.chart.x(2, vtx, t)
-    m2 = {}
-    for vtx in ctx.quiver.vertices:
-        for s in range(1, v2.get(vtx, 0) + 1):
-            m2[k2.chart.x(1, vtx, s)] = lhs.chart.x(1, vtx, v1.get(vtx, 0) + s)
-        for t in range(1, w.get(vtx, 0) + 1):
-            m2[k2.chart.x(2, vtx, t)] = lhs.chart.x(2, vtx, t)
-    return k1.fn.rename(m1, reg) * k2.fn.rename(m2, reg)
+    # k1 sits on the first v1 coordinates of slot 1, k2 on the rest; both
+    # share slot 2.
+    p1 = k1.chart.embedding(lhs.chart, lambda g, vtx, s: (g, s))
+    p2 = k2.chart.embedding(
+        lhs.chart, lambda g, vtx, s: (g, s + v1.get(vtx, 0) if g == 1 else s)
+    )
+    return k1.fn.rename(p1, reg) * k2.fn.rename(p2, reg)
 
 
 def classical_suite(

@@ -23,7 +23,6 @@ from .fgl import select_fgl
 from .locality import (
     parse_point_config,
     tau_point,
-    verify_m_locality,
     verify_trivialization,
 )
 from .quiver import (
@@ -76,9 +75,9 @@ def _parse_flag(ctx: KernelContext, text: str):
     slots = []
     for chunk in text.split("|"):
         dims = [int(x) for x in chunk.split(",")]
-        if len(dims) != len(ctx.quiver.vertices):
+        if len(dims) != len(ctx.quiver.vertices) or min(dims) < 0:
             raise QuiverFormatError(
-                f"flag slot {chunk!r} must list {len(ctx.quiver.vertices)} dimensions"
+                f"dimension vector {chunk!r} must list {len(ctx.quiver.vertices)} non-negative entries"
             )
         slots.append(dict(zip(ctx.quiver.vertices, dims)))
     return tuple(slots)
@@ -159,9 +158,7 @@ def cmd_kernel(args) -> int:
             )
         )
     if args.classical:
-        dims = [int(x) for x in args.flag.split("|")[0].split(",")]
-        v = dict(zip(ctx.quiver.vertices, dims))
-        rep = ctx.classical_divisor(v)
+        rep = ctx.classical_divisor(_parse_flag(ctx, args.flag)[0])
         for pair, (got, want) in sorted(rep.incidence_match.items()):
             results.append(
                 _result(
@@ -219,8 +216,7 @@ def cmd_shuffle(args) -> int:
                  "denominator cancellation")
         )
     elif args.dim:
-        dims = [int(x) for x in args.dim.split(",")]
-        alpha = dict(zip(ctx.quiver.vertices, dims))
+        (alpha,) = _parse_flag(ctx, args.dim)
         echo["dim"] = args.dim
         echo["degree"] = args.degree
         basis = weight_space(ctx, alpha, args.degree, seed=args.seed)

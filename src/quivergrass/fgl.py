@@ -17,7 +17,8 @@ its coefficients, in order, and the rank order of its variables'
 positions in the registry.  ``lambda_char`` computes it once per
 signature on aux variables y1..yk, keeps it in a memo shared by every
 chart and bounded by ``_ORIENTATIONS_SIZE`` (the oldest entry goes
-first), and embeds it into each chart with ``RationalFunction.embed``.
+first), and transports it into each chart with ``RationalFunction.rename``
+along the increasing positions of the character's variables.
 So ``f_add`` and ``f_inverse_series`` run once per signature, not once
 per factor.
 
@@ -171,7 +172,7 @@ class FormalGroupLaw:
         """The orientation of ``chi`` on the chart of ``registry``.
 
         Computed once per (law, signature) on canonical aux variables,
-        memoized, and embedded into ``registry`` (see the module docstring).
+        memoized, and transported into ``registry`` (see the module docstring).
         """
         chi.check_in(registry)
         if chi.is_zero():
@@ -189,7 +190,7 @@ class FormalGroupLaw:
             if len(_ORIENTATIONS) >= _ORIENTATIONS_SIZE:
                 del _ORIENTATIONS[next(iter(_ORIENTATIONS))]
             _ORIENTATIONS[key] = canonical
-        return canonical.embed(sorted(positions), registry)
+        return canonical.rename(sorted(positions), registry)
 
     def _orient(self, registry: VarRegistry, chi: Character) -> RationalFunction:
         """The orientation of a nonzero ``chi``, computed on ``registry``."""

@@ -23,7 +23,6 @@ from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from .symalg import (
     MultiPoly,
-    RationalFunction,
     SymalgError,
     Variable,
     VarRegistry,
@@ -218,10 +217,6 @@ class Sl2Report:
     sminus_count: Optional[int]
     routes_agree: bool
 
-    @property
-    def bijection_ok(self) -> bool:
-        return self.s0_count == self.s0_expected and self.routes_agree
-
 
 def _poly_divides_zm(ring: TruncatedRing, coeffs: Sequence[Tuple[int, ...]], m: int) -> bool:
     """Does the monic polynomial P (coeffs low..high, top == 1) divide z^m?
@@ -252,6 +247,8 @@ def sl2_enumerate(
     along two independent routes."""
     if e < 2:
         raise ValueError("nilpotency order e must be at least 2")
+    if n < 0 or (m is not None and m < 0):
+        raise ValueError("the degrees n and m must be non-negative")
     if window < n + e:
         raise WindowOverflowError(f"window {window} too small; need at least n + e = {n + e}")
     if m is not None and window < m + e:
@@ -314,13 +311,6 @@ class ColoredSubschemeLattice:
     @property
     def total(self) -> int:
         return len(self.elements)
-
-    def grade_counts(self) -> Dict[int, int]:
-        out: Dict[int, int] = {}
-        for e in self.elements:
-            g = sum(e.values())
-            out[g] = out.get(g, 0) + 1
-        return out
 
 
 def hilbert_colored(alpha: Mapping[str, int]) -> ColoredSubschemeLattice:
@@ -401,6 +391,8 @@ def qpoly_eval(a: QPoly, q: int) -> int:
 def quiver_grass_poincare(alpha: Mapping[str, int]) -> QPoly:
     """Graded point count of the product of total Grassmannians attached
     to the zero representation of the given dimension."""
+    if any(a < 0 for a in alpha.values()):
+        raise ValueError("dimension vector entries must be non-negative")
     out: QPoly = [1]
     for _, a in sorted(alpha.items()):
         total: QPoly = [0]
@@ -598,35 +590,3 @@ def carell_chart(n: int, p: int) -> CarellChart:
 
 def carell_dim(n: int, p: int) -> int:
     return carell_chart(n, p).dimension
-
-
-def count_truncated_solutions(chart: CarellChart, ring: TruncatedRing) -> int:
-    """Points of the chart over a truncated nilpotent ring, brute force.
-
-    Chart variables range over the nilradical (the chart is centered at
-    the unique fixed point).  This bridges the Grassmannian fixed-scheme
-    presentation and the lattice-model enumeration: the two must count
-    the same sets.
-    """
-    nils = ring.nilpotents()
-    if len(nils) ** len(chart.variables) > 2 ** 16:
-        raise DegreeOverflowError("too many candidate points for brute force")
-
-    def eval_poly(poly: MultiPoly, assignment) -> Tuple[int, ...]:
-        total = ring.zero()
-        for exps, coeff in poly.items_unpacked():
-            if coeff.denominator != 1:
-                raise SymalgError("chart equation with non-integer coefficient")
-            c = coeff.numerator % ring.p
-            term = (c,) + (0,) * (ring.e - 1)
-            for val, e in zip(assignment, exps):
-                for _ in range(e):
-                    term = ring.mul(term, val)
-            total = ring.add(total, term)
-        return total
-
-    count = 0
-    for assignment in itertools.product(nils, repeat=len(chart.variables)):
-        if all(ring.is_zero(eval_poly(eq, assignment)) for eq in chart.equations):
-            count += 1
-    return count

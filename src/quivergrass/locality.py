@@ -247,8 +247,6 @@ class MLocalityReport:
     word1: ColorWord
     word2: ColorWord
     identity_holds: bool
-    lhs_repr: str
-    rhs_repr: str
 
 
 def verify_m_locality(
@@ -274,7 +272,7 @@ def verify_m_locality(
 
     combined: ColorWord = tuple(word1) + tuple(word2)
     if not combined:
-        return MLocalityReport(word1, word2, True, "1", "1")
+        return MLocalityReport(word1, word2, True)
     big = ctx.word_kernel(combined)
     reg = big.chart.registry
     n1 = len(word1)
@@ -282,38 +280,28 @@ def verify_m_locality(
     parts: List[RationalFunction] = []
     if word1:
         k1 = ctx.word_kernel(word1)
-        m1 = {
-            k1.chart.x(g, word1[g - 1], 1): big.chart.x(g, word1[g - 1], 1)
-            for g in range(1, n1 + 1)
-        }
-        parts.append(k1.fn.rename(m1, reg))
+        parts.append(k1.fn.rename(k1.chart.embedding(big.chart, lambda g, v, s: (g, s)), reg))
     if word2:
         k2 = ctx.word_kernel(word2)
-        m2 = {
-            k2.chart.x(g, word2[g - 1], 1): big.chart.x(n1 + g, word2[g - 1], 1)
-            for g in range(1, len(word2) + 1)
-        }
-        parts.append(k2.fn.rename(m2, reg))
+        parts.append(
+            k2.fn.rename(k2.chart.embedding(big.chart, lambda g, v, s: (n1 + g, s)), reg)
+        )
     if word1 and word2:
         alpha = abelianization(ctx.quiver, word1)
         beta = abelianization(ctx.quiver, word2)
         pair = ctx.biextension_kernel(alpha, beta)
-        mapping: Dict[Variable, Variable] = {}
-        seen1: Dict[str, int] = {}
-        for g, letter in enumerate(word1, start=1):
-            seen1[letter] = seen1.get(letter, 0) + 1
-            mapping[pair.chart.x(1, letter, seen1[letter])] = big.chart.x(g, letter, 1)
-        seen2: Dict[str, int] = {}
-        for g, letter in enumerate(word2, start=1):
-            seen2[letter] = seen2.get(letter, 0) + 1
-            mapping[pair.chart.x(2, letter, seen2[letter])] = big.chart.x(n1 + g, letter, 1)
-        parts.append(pair.fn.rename(mapping, reg))
+        # Pair slot 1 holds word1's letters, slot 2 word2's; the s-th
+        # coordinate of a vertex sits at the slot of its s-th occurrence.
+        slots: List[Dict[str, List[int]]] = [{}, {}]
+        for g, letter in enumerate(combined, start=1):
+            slots[g > n1].setdefault(letter, []).append(g)
+        positions = pair.chart.embedding(big.chart, lambda g, v, s: (slots[g - 1][v][s - 1], 1))
+        parts.append(pair.fn.rename(positions, reg))
 
     rhs_fn = parts[0]
     for p in parts[1:]:
         rhs_fn = rhs_fn * p
-    holds = rat_equal(big.fn, rhs_fn)
-    return MLocalityReport(word1, word2, holds, repr(big.fn), repr(rhs_fn))
+    return MLocalityReport(word1, word2, rat_equal(big.fn, rhs_fn))
 
 
 def parse_point_config(data: Mapping) -> Tuple[PointConfig, PointConfig, List[Frac]]:

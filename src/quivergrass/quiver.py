@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 
 class QuiverFormatError(Exception):
@@ -121,10 +121,6 @@ class DilationTorus:
     def full() -> "DilationTorus":
         return DilationTorus(2, ((1, 0), (0, 1)))
 
-    @staticmethod
-    def trivial() -> "DilationTorus":
-        return DilationTorus(0, ((), ()))
-
     def restrict(self, a: int, b: int) -> Tuple[int, ...]:
         """Exponents of t1^a t2^b on the subtorus coordinates."""
         return tuple(a * self.basis[0][k] + b * self.basis[1][k] for k in range(self.rank))
@@ -202,10 +198,6 @@ def incidence_form(q: QuiverSpec) -> Dict[Tuple[str, str], int]:
                 count = len(q.arrows_between(i, j)) + len(q.arrows_between(j, i))
             form[(i, j)] = count
     return form
-
-
-def incidence_entry(form: Mapping[Tuple[str, str], int], i: str, j: str) -> int:
-    return form.get((i, j), form.get((j, i), 0))
 
 
 # -- JSON input ---------------------------------------------------------------

@@ -23,7 +23,6 @@ from .symalg import (
     RationalFunction,
     SymalgError,
     Variable,
-    VarRegistry,
     symmetrize,
 )
 from .thom import KernelContext, TorusChart
@@ -86,28 +85,15 @@ def shuffle_product(
     chart = element_chart(ctx, gamma)
     reg = chart.registry
 
-    a_map: Dict[Variable, Variable] = {}
-    a_chart = element_chart(ctx, a.weight)
-    for v in ctx.quiver.vertices:
-        for s in range(1, a.weight.get(v, 0) + 1):
-            a_map[a_chart.x(1, v, s)] = chart.x(1, v, s)
-    b_map: Dict[Variable, Variable] = {}
-    b_chart = element_chart(ctx, b.weight)
-    for v in ctx.quiver.vertices:
-        for t in range(1, b.weight.get(v, 0) + 1):
-            b_map[b_chart.x(1, v, t)] = chart.x(1, v, a.weight.get(v, 0) + t)
+    def place(g: int, v: str, s: int) -> Tuple[int, int]:
+        # Slot 1 of the pair chart is a's block; slot 2 is b's, after a's.
+        return 1, s + (a.weight.get(v, 0) if g == 2 else 0)
 
-    fa = a.fn.rename(a_map, reg)
-    fb = b.fn.rename(b_map, reg)
-
+    fa = a.fn.rename(element_chart(ctx, a.weight).embedding(chart, place), reg)
+    b_positions = element_chart(ctx, b.weight).embedding(chart, lambda g, v, s: place(2, v, s))
+    fb = b.fn.rename(b_positions, reg)
     pair = ctx.biextension_kernel(a.weight, b.weight)
-    k_map: Dict[Variable, Variable] = {}
-    for v in ctx.quiver.vertices:
-        for s in range(1, a.weight.get(v, 0) + 1):
-            k_map[pair.chart.x(1, v, s)] = chart.x(1, v, s)
-        for t in range(1, b.weight.get(v, 0) + 1):
-            k_map[pair.chart.x(2, v, t)] = chart.x(1, v, a.weight.get(v, 0) + t)
-    fk = pair.fn.rename(k_map, reg)
+    fk = pair.fn.rename(pair.chart.embedding(chart, place), reg)
 
     product = fa * fb * fk
     partition = _blocks(chart, a.weight, b.weight)
@@ -150,12 +136,14 @@ def monomial_element(
     if not word:
         return unit_element(ctx)
     kernel = ctx.word_kernel(word)
-    mapping: Dict[Variable, Variable] = {}
+    occurrence: List[int] = []
     seen: Dict[str, int] = {}
-    for slot, letter in enumerate(word, start=1):
+    for letter in word:
         seen[letter] = seen.get(letter, 0) + 1
-        mapping[kernel.chart.x(slot, letter, 1)] = chart.x(1, letter, seen[letter])
-    fn = kernel.fn.rename(mapping, reg)
+        occurrence.append(seen[letter])
+    fn = kernel.fn.rename(
+        kernel.chart.embedding(chart, lambda g, v, s: (1, occurrence[g - 1])), reg
+    )
     xvars = [v for v in reg.variables if v.role == "x"]
     if len(exponents) != len(xvars):
         raise SymalgError("exponent list does not match the weight chart")
@@ -216,6 +204,8 @@ def weight_space(
     """
     if dim_total(alpha) > 4:
         raise SymalgError("weight spaces are computed for total weight <= 4")
+    if degree_bound < 0:
+        raise SymalgError("the degree bound must be non-negative")
     rng = random.Random(seed)
     taus = [tau or _random_tau(ctx, rng), _random_tau(ctx, rng)]
     chart = element_chart(ctx, alpha)

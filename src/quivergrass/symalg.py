@@ -43,19 +43,21 @@ merges equal factors.  Hence the invariant: the factors of an existing
 only recombines existing factors (``*``, ``inverse``, ``pow``) relies on
 it and goes through ``RationalFunction._trusted``, which merges
 exponents and sorts without normalizing again.  Everything that makes
-new polynomials (``rename``, ``substitute``, ``cancelled``, ``rat_sum``)
-goes through the public constructor; ``rename`` must, because a
-non-injective variable map can break primitivity.
+new polynomials (``substitute``, ``cancelled``, ``rat_sum``) goes
+through the public constructor.
 
-``RationalFunction.embed`` is the one transport that skips normalization.
-It sends variable i to target position ``positions[i]`` with the
-positions strictly increasing.  Such a map is injective, so distinct
-monomials and distinct factors stay distinct, and it keeps the order of
-positions, so it keeps the order of packed keys: exponent fields compare
-from the highest position down and the degree field moves unchanged.
-The leading term of every factor, its content and its sign, and the
-factor sort order all carry over, hence the factor invariant does too,
-and the transported factors are stored as they come: no merge, no sort.
+``RationalFunction.rename`` is the one transport from chart to chart.  It
+sends variable i to target position ``positions[i]``; the positions must
+be distinct, so the map is injective: distinct monomials stay distinct,
+each factor keeps its content, and distinct factors stay distinct, so
+nothing is normalized again.  When the positions strictly increase the
+map also keeps the order of packed keys (exponent fields compare from
+the highest position down and the degree field moves unchanged), hence
+the leading term of every factor and the factor sort order carry over,
+and the transported factors are stored as they come.  Otherwise a
+factor's leading term may change: a factor whose new leading
+coefficient is negative is negated, (-1)^e goes into the unit, and the
+factors are sorted again through ``_trusted``.
 
 Canonical monomial order: graded, ties broken with the *last* registry
 variable most significant (that is exactly the packed-integer order).
@@ -461,40 +463,21 @@ class MultiPoly:
                 out.pop(key, None)
         return MultiPoly(self.registry, _packed=out)
 
-    def rename(self, mapping: Mapping[Variable, Variable], target: VarRegistry) -> "MultiPoly":
-        """Transport along an injective variable map into another registry."""
-        positions: List[int] = []
-        for v in self.registry.variables:
-            w = mapping.get(v, v)
-            if w not in target:
-                raise RegistryMismatchError(f"target registry misses {w.name}")
-            positions.append(target.index(w))
-        return self._repack(positions, target)
-
     def _repack(self, positions: Sequence[int], target: VarRegistry) -> "MultiPoly":
-        """Move exponent field i into field ``positions[i]`` of ``target``;
-        fields sent to the same position add up."""
+        """Move exponent field i into field ``positions[i]`` of ``target``.
+        The positions are distinct, so distinct keys stay distinct and the
+        degree field moves unchanged."""
         shifts = [_BITS * p for p in positions]
         src, dst = self.registry.shift, target.shift
         out: Dict[int, Frac] = {}
         for k, c in self.terms.items():
-            # The degree is unchanged: exponents merged by a non-injective
-            # map sum to at most the degree, so they fit their field too.
             key = (k >> src) << dst
             for sh in shifts:
                 e = k & _MASK
                 if e:
                     key += e << sh
                 k >>= _BITS
-            s = out.get(key)
-            if s is None:
-                out[key] = c
-            else:
-                s = s + c
-                if s:
-                    out[key] = _coeff(s)
-                else:
-                    del out[key]
+            out[key] = c
         return MultiPoly(target, _packed=out)
 
     # -- normal forms ----------------------------------------------------
@@ -695,9 +678,6 @@ class RationalFunction:
             raise SymalgError("not a scalar")
         return self.unit
 
-    def is_polynomial(self) -> bool:
-        return all(e > 0 for _, e in self.factors)
-
     def is_regular(self) -> bool:
         """Polynomial up to units of the coordinate ring: any denominator
         factor must be a single monomial (invertible on the torus)."""
@@ -792,30 +772,31 @@ class RationalFunction:
 
     # -- maps -------------------------------------------------------------------
 
-    def rename(
-        self, mapping: Mapping[Variable, Variable], target: VarRegistry
-    ) -> "RationalFunction":
-        return RationalFunction(
-            target,
-            self.unit,
-            [(p.rename(mapping, target), e) for p, e in self.factors],
-        )
-
-    def embed(self, positions: Sequence[int], target: VarRegistry) -> "RationalFunction":
-        """Transport into ``target``, variable i going to position
-        ``positions[i]``; the positions must strictly increase.  Such a map
-        keeps the factor invariant, so nothing is normalized again (see the
+    def rename(self, positions: Sequence[int], target: VarRegistry) -> "RationalFunction":
+        """Transport into ``target``, variable i going to the distinct
+        position ``positions[i]``; nothing is normalized again (see the
         module docstring)."""
-        bounds = [*positions, len(target)]
-        if len(positions) != len(self.registry) or any(
-            a >= b for a, b in zip(bounds, bounds[1:])
+        size = len(target)
+        if (
+            len(positions) != len(self.registry)
+            or len(set(positions)) != len(positions)
+            or not all(0 <= p < size for p in positions)
         ):
-            raise SymalgError("an embedding needs increasing positions in the target")
-        out = RationalFunction.__new__(RationalFunction)
-        out.registry = target
-        out.unit = self.unit
-        out.factors = tuple((p._repack(positions, target), e) for p, e in self.factors)
-        return out
+            raise SymalgError("a transport needs distinct positions in the target")
+        factors = [(p._repack(positions, target), e) for p, e in self.factors]
+        if all(a < b for a, b in zip(positions, positions[1:])):
+            out = RationalFunction.__new__(RationalFunction)
+            out.registry = target
+            out.unit = self.unit
+            out.factors = tuple(factors)
+            return out
+        unit = self.unit
+        for i, (p, e) in enumerate(factors):
+            if p.leading()[1] < 0:
+                factors[i] = (-p, e)
+                if e % 2:
+                    unit = -unit
+        return RationalFunction._trusted(target, unit, factors)
 
     def substitute(self, assignment: Mapping[Variable, Frac]) -> "RationalFunction":
         out: List[Tuple[MultiPoly, int]] = []
@@ -1006,12 +987,14 @@ def symmetrize(
     it is cancelled, also when there is only one representative.
     """
     per_color = [block_shuffles(blocks) for blocks in partition]
+    registry = f.registry
     terms: List[RationalFunction] = []
     for combo in itertools.product(*per_color):
         m: Dict[Variable, Variable] = {}
         for part in combo:
             m.update(part)
-        terms.append(f.rename(m, f.registry))
+        positions = [registry.index(m.get(v, v)) for v in registry.variables]
+        terms.append(f.rename(positions, registry))
     if len(terms) == 1:
         return terms[0].cancelled()
     return rat_sum(terms)

@@ -40,11 +40,19 @@ from fractions import Fraction as Frac
 from functools import cached_property
 from itertools import chain
 from math import prod
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .fgl import Character, FormalGroupLaw
 from .quiver import DilationTorus, DimVector, NakajimaWeights, QuiverSpec, incidence_form
-from .symalg import PoleError, RationalFunction, Variable, VarRegistry, d_var, x_var
+from .symalg import (
+    ROLE_TORUS,
+    PoleError,
+    RationalFunction,
+    Variable,
+    VarRegistry,
+    d_var,
+    x_var,
+)
 
 FlagType = Tuple[DimVector, ...]
 
@@ -73,6 +81,21 @@ class TorusChart:
 
     def x(self, g: int, vertex: str, s: int) -> Variable:
         return x_var(g, self.quiver.vpos[vertex], vertex, s)
+
+    def embedding(
+        self, target: "TorusChart", place: Callable[[int, str, int], Tuple[int, int]]
+    ) -> List[int]:
+        """Positions in ``target`` for ``RationalFunction.rename``: x[g, i, s]
+        goes to x[g', i, s'] with (g', s') = place(g, i, s), and each
+        dilation axis to itself."""
+        index = target.registry.index
+        out: List[int] = []
+        for v in self.registry.variables:
+            if v.role == ROLE_TORUS:
+                g, s = place(v.slot, v.vname, v.index)
+                v = target.x(g, v.vname, s)
+            out.append(index(v))
+        return out
 
 
 @dataclass(frozen=True)

@@ -6,8 +6,7 @@ every monotone system of subdivisors the product of evaluated pair
 kernels inside each member, normalized so the empty system has value 1;
 factorization over disjoint supports is checked exactly through the
 canonical pair-kernel trivialization scalars.  Only configurations with
-pairwise distinct points enter the value layer; collisions are the
-business of the single experimental flat-limit routine at the end.
+pairwise distinct points enter the value layer.
 """
 
 from __future__ import annotations
@@ -19,14 +18,7 @@ from fractions import Fraction as Frac
 from typing import Dict, FrozenSet, List, Mapping, Sequence, Tuple
 
 from .locality import TauPoint, is_m_tau_disjoint, PointConfig
-from .symalg import (
-    MultiPoly,
-    RationalFunction,
-    SymalgError,
-    Variable,
-    VarRegistry,
-    aux_var,
-)
+from .symalg import SymalgError, Variable
 from .thom import KernelContext
 
 
@@ -99,6 +91,15 @@ class Poset:
             return Poset.antichain(int(spec.split(":", 1)[1]))
         with open(spec, "r", encoding="utf-8") as fh:
             data = json.load(fh)
+        if not (
+            isinstance(data, dict)
+            and isinstance(data.get("elements"), list)
+            and isinstance(data.get("relations", []), list)
+            and all(isinstance(r, list) and len(r) == 2 for r in data.get("relations", []))
+        ):
+            raise PosetFormatError(
+                'a poset file is {"elements": [...], "relations": [[a, b], ...]}'
+            )
         return Poset(
             [str(e) for e in data["elements"]],
             [(str(a), str(b)) for a, b in data.get("relations", [])],
@@ -329,61 +330,3 @@ def generic_fiber_factorization(
         lines.append((label or "empty", ok))
     rank_ok = fiber.rank == fl.rank * fr.rank
     return FactorizationReport(rank_ok, lines)
-
-
-# ---------------------------------------------------------------------------
-# Experimental flat limit for two colliding same-color particles
-# ---------------------------------------------------------------------------
-
-@dataclass
-class FlatLimitReport:
-    segre_coordinates: List[str]
-    limit_point: List[Frac]
-    on_segre_quadric: bool
-    off_product_chart: bool
-
-
-def flat_limit_two_points(ctx: KernelContext, tau: TauPoint) -> FlatLimitReport:
-    """One-parameter family of product points at coordinates (0, eps) on a
-    single color, pushed to its limit at eps = 0.
-
-    The four subdivisor coordinates (1, 1, 1, pair kernel) are cleared of
-    denominators, divided by the common parameter power, and read at
-    eps = 0.  The output is reported, not asserted, beyond lying on the
-    product quadric.
-    """
-    if len(ctx.quiver.vertices) != 1:
-        raise NonGenericError("the flat-limit routine is a single-color experiment")
-    color = ctx.quiver.vertices[0]
-    eps = aux_var("eps", 1)
-    kernel = ctx.biextension_kernel({color: 1}, {color: 1})
-    reg = kernel.chart.registry
-    target = VarRegistry([eps] + list(kernel.chart.dvars))
-    zero_sub = {kernel.chart.x(1, color, 1): Frac(0)}
-    fn = kernel.fn.substitute(zero_sub).substitute(tau)
-    fn = fn.rename({v: eps for v in reg.variables if v.role == "x"}, target)
-
-    one = RationalFunction.one(target)
-    coords = [one, one, one, fn]
-    denom = fn.denominator()
-    cleared = [c.numerator() * (denom if i < 3 else MultiPoly.const(target, 1))
-               for i, c in enumerate(coords)]
-    cleared[3] = fn.numerator()
-    # strip the common eps power
-    def eps_valuation(p: MultiPoly) -> int:
-        if p.is_zero():
-            return 10 ** 9
-        pos = target.index(eps)
-        return min(exps[pos] for exps, _ in p.items_unpacked())
-
-    val = min(eps_valuation(p) for p in cleared)
-    if val:
-        shift = MultiPoly(target, {tuple(
-            val if v == eps else 0 for v in target.variables
-        ): Frac(1)})
-        cleared = [p.divide_exact(shift) or p for p in cleared]
-    at_zero = [p.substitute({eps: Frac(0)}).constant_value() for p in cleared]
-    quad = at_zero[0] * at_zero[3] == at_zero[1] * at_zero[2]
-    return FlatLimitReport(
-        [repr(p) for p in cleared], at_zero, quad, at_zero[0] == 0
-    )

@@ -283,3 +283,32 @@ def test_malformed_fiber_config_exits_2(quiver_files, tmp_path, capsys, config):
     code = main(["zastava-fiber", "--quiver", a1, "--config", str(cfg)])
     assert code == EXIT_PARSE_ERROR
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ind-rank", "--poset", "{list_poset}", "--divisor", "a:i:2"],
+        ["ind-rank", "--poset", "{bad_relations}", "--divisor", "a:i:2"],
+        ["sl2-lattice", "--p", "2", "--e", "2", "--n", "-1", "--window", "4"],
+        ["sl2-lattice", "--p", "2", "--e", "2", "--n", "1", "--window", "4", "--m", "-1"],
+        ["poincare", "--alpha", "-1"],
+        ["shuffle", "--dim", "2", "--degree", "-1"],
+        ["shuffle", "--dim=-1"],
+        ["shuffle", "--dim", "1,1"],  # a1 has one vertex
+        ["kernel", "--quiver", "{a2}", "--flag=-1,0"],
+        ["kernel", "--quiver", "{a2}", "--flag", "1", "--classical"],
+    ],
+)
+def test_negative_and_malformed_arguments_exit_2(tmp_path, argv):
+    files = {"list_poset": [1, 2], "bad_relations": {"elements": ["a"], "relations": 3}, "a2": A2}
+    for name, data in files.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(data))
+    argv = [a.format(**{n: tmp_path / f"{n}.json" for n in files}) for a in argv]
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run(
+        [sys.executable, "-m", "quivergrass.cli", *argv],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+    )
+    assert proc.returncode == EXIT_PARSE_ERROR
+    assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr

@@ -146,7 +146,7 @@ NON_SYMMETRIC = FormalGroupLaw.series({(1, 2): F(1), (1, 1): F(-1, 2)}, 4)
 
 
 def test_lambda_char_matches_direct_orientation_on_shuffled_registries():
-    # the memoized orientation, embedded into a keep_order registry whose
+    # the memoized orientation, transported into a keep_order registry whose
     # positions disagree with sort_key, must be the direct computation
     rng = random.Random(41)
     laws = [FormalGroupLaw.additive(), FormalGroupLaw.multiplicative(), NON_SYMMETRIC]

@@ -111,8 +111,7 @@ def test_output_symmetric_under_vertex_permutations():
     from quivergrass.shuffle import element_chart
 
     chart = element_chart(ctx, prod.weight)
-    x1, x2 = chart.x(1, "1", 1), chart.x(1, "1", 2)
-    swapped = prod.fn.rename({x1: x2, x2: x1}, prod.fn.registry)
+    swapped = prod.fn.rename(chart.embedding(chart, lambda g, v, s: (g, 3 - s)), chart.registry)
     assert rat_equal(prod.fn, swapped)
 
 

@@ -121,7 +121,11 @@ def symmetrize_oracle(f, partition):
         m = {}
         for part in combo:
             m.update(part)
-        terms.append(f.rename(m, f.registry))
+        # the normalizing transport, through the public constructor
+        positions = [f.registry.index(m.get(v, v)) for v in f.registry.variables]
+        terms.append(RationalFunction(
+            f.registry, f.unit, [(p._repack(positions, f.registry), e) for p, e in f.factors]
+        ))
     return rat_sum_oracle(terms)
 
 

@@ -197,7 +197,7 @@ def test_symmetrize_output_invariance(xyw):
     reg, x, y, w = xyw
     f = RationalFunction.from_poly(lin(reg, {x: 3, y: 1}, 2))
     s = symmetrize(f, [[[x], [y]]])
-    swapped = s.rename({x: y, y: x}, reg)
+    swapped = s.rename([1, 0, 2], reg)
     assert rat_equal(s, swapped)
 
 
@@ -224,7 +224,7 @@ def test_cancelled_divides_exactly(xyw):
     num = lin(reg, {x: 1}).pow(2) - lin(reg, {y: 1}).pow(2)
     den = lin(reg, {x: 1, y: -1})
     f = RationalFunction(reg, 1, [(num, 1), (den, -1)]).cancelled()
-    assert f.is_polynomial()
+    assert all(e > 0 for _, e in f.factors)
     assert rat_equal(f, RationalFunction.from_poly(lin(reg, {x: 1, y: 1})))
 
 
@@ -410,45 +410,72 @@ def test_primitive_returns_an_already_primitive_polynomial_itself(xyw):
         assert unit == scale and prim == p
 
 
+def normalizing_transport(f, positions, target):
+    """The transport sent through the public constructor: primitive parts,
+    merge and sort all over again.  ``rename`` must agree with it."""
+    return RationalFunction(
+        target, f.unit, [(p._repack(positions, target), e) for p, e in f.factors]
+    )
+
+
+def assert_same_transport(f, positions, target):
+    got = f.rename(positions, target)
+    want = normalizing_transport(f, positions, target)
+    assert got == want and repr(got) == repr(want)
+    assert [p for p, _ in got.factors] == [p for p, _ in want.factors]
+
+
 def test_embed_matches_rename_and_needs_increasing_positions(xyw):
+    # rename takes any distinct in-range positions; increasing ones store
+    # the factors as they come, others fix signs and sort again
     reg, x, y, w = xyw
     a, b = aux_var("a", 1), aux_var("b", 2)
     small = VarRegistry([a, b])
-    f = RationalFunction(small, F(-3, 2), [(lin(small, {a: 1, b: -2}), 2),
-                                           (lin(small, {b: 1}, 1), -1)])
-    embedded = f.embed([0, 2], reg)
-    assert embedded == f.rename({a: x, b: w}, reg)
-    assert repr(embedded) == repr(f.rename({a: x, b: w}, reg))
-    for positions in ([2, 0], [1, 1], [0], [1, 3]):
+    f = RationalFunction(small, F(-3, 2), [(lin(small, {a: 1, b: -2}), 3),
+                                           (lin(small, {b: 1}, 1), -1),
+                                           (lin(small, {a: 1, b: 1}, -1), 1)])
+    for positions in ([0, 2], [2, 0], [1, 0]):
+        assert_same_transport(f, positions, reg)
+    flipped = f.rename([2, 0], reg)  # (2b - a)^3 becomes (2x - w)^3: a sign flips
+    assert flipped.unit == -f.unit
+    for positions in ([1, 1], [0], [1, 3], [-1, 0], [0, 1, 2]):
         with pytest.raises(SymalgError):
-            f.embed(positions, reg)
+            f.rename(positions, reg)
+
+
+def random_function(rng, registry):
+    factors = []
+    for _ in range(rng.randint(0, 4)):
+        terms = {
+            tuple(rng.randint(0, 2) for _ in registry.variables): F(rng.randint(-4, 4),
+                                                                    rng.randint(1, 3))
+            for _ in range(rng.randint(1, 4))
+        }
+        poly = MultiPoly(registry, terms)
+        if not poly.is_zero():
+            factors.append((poly, rng.choice([-2, -1, 1, 2, 3])))
+    return RationalFunction(registry, F(rng.randint(-5, 5), rng.randint(1, 4)), factors)
 
 
 def test_embed_equals_the_merged_and_sorted_transport():
-    # embed stores the transported factors as they come; a merge and a sort
-    # of the same factors must change nothing, not even their order
+    # increasing positions store the transported factors as they come and
+    # other injective positions only fix signs and sort; both must equal
+    # the transport through the public constructor, factor order included
     rng = random.Random(7)
     small = VarRegistry([aux_var(n, i) for i, n in enumerate("abc", start=1)])
     big = VarRegistry([aux_var(f"t{i}", i) for i in range(1, 7)])
-    for _ in range(200):
-        factors = []
-        for _ in range(rng.randint(0, 4)):
-            terms = {
-                tuple(rng.randint(0, 2) for _ in small.variables): F(rng.randint(-4, 4),
-                                                                     rng.randint(1, 3))
-                for _ in range(rng.randint(1, 4))
-            }
-            poly = MultiPoly(small, terms)
-            if not poly.is_zero():
-                factors.append((poly, rng.choice([-2, -1, 1, 2, 3])))
-        f = RationalFunction(small, F(rng.randint(-5, 5), rng.randint(1, 4)), factors)
-        positions = sorted(rng.sample(range(len(big)), len(small)))
-        got = f.embed(positions, big)
-        want = RationalFunction._trusted(
-            big, f.unit, [(p._repack(positions, big), e) for p, e in f.factors]
-        )
-        assert got == want and repr(got) == repr(want)
-        assert [p for p, _ in got.factors] == [p for p, _ in want.factors]
+    increasing = 0
+    for _ in range(400):
+        f = random_function(rng, small)
+        positions = rng.sample(range(len(big)), len(small))
+        if rng.random() < 0.5:
+            positions.sort()
+        increasing += positions == sorted(positions)
+        assert_same_transport(f, positions, big)
+    assert 100 < increasing < 300
+    for _ in range(100):
+        f = random_function(rng, small)
+        assert_same_transport(f, rng.sample(range(len(small)), len(small)), small)
 
 
 def test_first_powers_are_the_operands_themselves(xyw):

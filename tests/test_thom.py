@@ -144,19 +144,13 @@ def test_flag_multiplicativity_regroupings():
         """2-step kernel of (va, vb) renamed onto the 3-step chart, where
         slot 1 spreads over slots_a and slot 2 over slots_b of the big chart."""
         k = ctx.biextension_kernel(va, vb)
-        mapping = {}
-        for vtx in ctx.quiver.vertices:
-            s = 0
-            for g in slots_a:
-                for i in range(1, big_chart.flag[g - 1].get(vtx, 0) + 1):
-                    s += 1
-                    mapping[k.chart.x(1, vtx, s)] = big_chart.x(g, vtx, i)
-            t = 0
-            for g in slots_b:
-                for i in range(1, big_chart.flag[g - 1].get(vtx, 0) + 1):
-                    t += 1
-                    mapping[k.chart.x(2, vtx, t)] = big_chart.x(g, vtx, i)
-        return k.fn.rename(mapping, big_chart.registry)
+        spread = [slots_a, slots_b]
+
+        def place(g, vtx, s):
+            cells = [(h, i) for h in spread[g - 1] for i in range(1, big_chart.dim(h, vtx) + 1)]
+            return cells[s - 1]
+
+        return k.fn.rename(k.chart.embedding(big_chart, place), big_chart.registry)
 
     from quivergrass.quiver import dim_add
 
@@ -182,16 +176,11 @@ def test_bilinearity_in_the_second_argument():
     k1 = ctx.biextension_kernel(v, w1)
     k2 = ctx.biextension_kernel(v, w2)
     reg = lhs.chart.registry
-    m1, m2 = {}, {}
-    for vtx in ctx.quiver.vertices:
-        for s in range(1, v.get(vtx, 0) + 1):
-            m1[k1.chart.x(1, vtx, s)] = lhs.chart.x(1, vtx, s)
-            m2[k2.chart.x(1, vtx, s)] = lhs.chart.x(1, vtx, s)
-        for t in range(1, w1.get(vtx, 0) + 1):
-            m1[k1.chart.x(2, vtx, t)] = lhs.chart.x(2, vtx, t)
-        for t in range(1, w2.get(vtx, 0) + 1):
-            m2[k2.chart.x(2, vtx, t)] = lhs.chart.x(2, vtx, w1.get(vtx, 0) + t)
-    rhs = k1.fn.rename(m1, reg) * k2.fn.rename(m2, reg)
+    p1 = k1.chart.embedding(lhs.chart, lambda g, vtx, s: (g, s))
+    p2 = k2.chart.embedding(
+        lhs.chart, lambda g, vtx, s: (g, s if g == 1 else w1.get(vtx, 0) + s)
+    )
+    rhs = k1.fn.rename(p1, reg) * k2.fn.rename(p2, reg)
     assert rat_equal(lhs.fn, rhs)
 
 
@@ -277,13 +266,13 @@ def test_classical_limit_matches_trivial_torus():
 
     q = stock_quiver("a2")
     ctx = ctx_for("a2")
-    ctx0 = KernelContext(q, default_nakajima(q), DilationTorus.trivial(),
+    ctx0 = KernelContext(q, default_nakajima(q), DilationTorus(0, ((), ())),
                          FormalGroupLaw.additive())
     flag = ({"1": 1, "2": 0}, {"1": 0, "2": 1})
     k = ctx.biextension_kernel(*flag)
     k0 = ctx0.biextension_kernel(*flag)
     specialized = k.fn.substitute({d_var(1): F(0)})
-    lifted = k0.fn.rename({}, k.chart.registry)
+    lifted = k0.fn.rename(k0.chart.embedding(k.chart, lambda g, v, s: (g, s)), k.chart.registry)
     assert rat_equal(specialized, lifted)
 
 
@@ -318,7 +307,7 @@ def test_kernel_fn_is_the_left_fold_of_its_records():
 
 def test_lambda_char_matches_direct_orientation_on_kernel_records():
     # every orientation a kernel asks for, taken through the memo and the
-    # embedding, is the direct computation on the chart's registry
+    # transport, is the direct computation on the chart's registry
     from quivergrass.checks import enumerate_flags
 
     for name in ("a2", "a3"):

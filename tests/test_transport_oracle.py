@@ -1,0 +1,45 @@
+"""``RationalFunction.rename`` against the transport it replaced: every
+transported factor sent through the public constructor again (primitive
+part, merge, sort).  Checked on every transport the bilinearity, shuffle
+and locality suites make: bilinearity, the assoc triples (only three per
+law) and locality under the three standard laws, the ideal suite's
+words under its two exact laws."""
+
+from quivergrass import checks
+from quivergrass.checks import standard_laws
+from quivergrass.symalg import RationalFunction
+
+
+def normalizing_transport(f, positions, target):
+    return RationalFunction(
+        target, f.unit, [(p._repack(positions, target), e) for p, e in f.factors]
+    )
+
+
+def test_rename_equals_the_normalizing_transport_on_every_suite_transport(monkeypatch):
+    rename = RationalFunction.rename
+    counts = {"transports": 0, "flipped": 0, "resorted": 0}
+
+    def checked(f, positions, target):
+        got = rename(f, positions, target)
+        want = normalizing_transport(f, positions, target)
+        assert got == want and repr(got) == repr(want)
+        assert [p for p, _ in got.factors] == [p for p, _ in want.factors]
+        moved = [p._repack(positions, target) for p, _ in f.factors]
+        signed = [-p if p.leading()[1] < 0 else p for p in moved]
+        counts["transports"] += 1
+        counts["flipped"] += signed != moved
+        counts["resorted"] += [p for p, _ in got.factors] != signed
+        return got
+
+    monkeypatch.setattr(RationalFunction, "rename", checked)
+    laws = standard_laws()
+    assert all(r.ok for r in checks.bilinearity_suite(seed=0, max_side=3, laws=laws))
+    # the ideal suite runs the exact laws only: a truncated series law need
+    # not keep generator words polynomial; assoc covers its shuffles
+    assert all(r.ok for r in checks.ideal_suite(seed=0, max_total=4))
+    assert all(r.ok for r in checks.assoc_suite(seed=0, triples=3))
+    assert all(r.ok for r in checks.locality_suite(seed=0, max_total=4, random_configs=0))
+    # both fixes of a non-increasing transport must have been exercised
+    assert counts["transports"] > 10_000, counts
+    assert counts["flipped"] > 100 and counts["resorted"] > 100, counts

@@ -12,11 +12,9 @@ from quivergrass.thom import KernelContext
 from quivergrass.zastava import (
     ColoredDivisor,
     DivisorPoint,
-    FlatLimitReport,
     NonGenericError,
     Poset,
     PosetFormatError,
-    flat_limit_two_points,
     generic_fiber_factorization,
     ind_fiber,
     ind_rank,
@@ -163,15 +161,3 @@ def test_pair_value_matches_direct_formula():
     v = DivisorPoint("b", "1", 1)
     got = pair_value(ctx, u, v, {"a": F(1), "b": F(5)}, tau)
     assert got == (F(5) - F(1) + F(1, 2)) / (F(5) - F(1))
-
-
-def test_flat_limit_report():
-    ctx = ctx_a1()
-    tau = tau_point(ctx, [F(1, 3)])
-    rep = flat_limit_two_points(ctx, tau)
-    assert rep.on_segre_quadric
-    assert rep.off_product_chart
-    assert rep.limit_point[3] != 0
-    # classical parameter: the limit stays on the product chart
-    rep0 = flat_limit_two_points(ctx, tau_point(ctx, [F(0)]))
-    assert rep0.on_segre_quadric and not rep0.off_product_chart
