@@ -48,6 +48,7 @@ from .zastava import (
     ColoredDivisor,
     DivisorPoint,
     Poset,
+    PosetFormatError,
     ind_fiber,
     ind_rank,
 )
@@ -71,16 +72,19 @@ def _load_context(args) -> KernelContext:
     return KernelContext(quiver, weights, torus, law)
 
 
-def _parse_flag(ctx: KernelContext, text: str):
-    slots = []
-    for chunk in text.split("|"):
-        dims = [int(x) for x in chunk.split(",")]
-        if len(dims) != len(ctx.quiver.vertices) or min(dims) < 0:
-            raise QuiverFormatError(
-                f"dimension vector {chunk!r} must list {len(ctx.quiver.vertices)} non-negative entries"
-            )
-        slots.append(dict(zip(ctx.quiver.vertices, dims)))
-    return tuple(slots)
+def _parse_flag(ctx: KernelContext, option: str, text: str, single: bool = False):
+    """The slots "1,0|0,1" given to ``option``; ``single`` allows only one."""
+    n = len(ctx.quiver.vertices)
+    try:
+        slots = [[int(x) for x in chunk.split(",")] for chunk in text.split("|")]
+    except ValueError:
+        slots = [[]]
+    if (single and len(slots) > 1) or any(len(d) != n or min(d) < 0 for d in slots):
+        form = "one dimension vector" if single else "dimension vectors separated by |"
+        raise QuiverFormatError(
+            f"{option} {text!r}: expected {form}, each {n} comma-separated non-negative integers"
+        )
+    return tuple(dict(zip(ctx.quiver.vertices, d)) for d in slots)
 
 
 def _parse_tau(ctx: KernelContext, text: Optional[str]):
@@ -158,7 +162,7 @@ def cmd_kernel(args) -> int:
             )
         )
     if args.classical:
-        rep = ctx.classical_divisor(_parse_flag(ctx, args.flag)[0])
+        rep = ctx.classical_divisor(*_parse_flag(ctx, "--flag (with --classical)", args.flag, True))
         for pair, (got, want) in sorted(rep.incidence_match.items()):
             results.append(
                 _result(
@@ -179,7 +183,7 @@ def cmd_kernel(args) -> int:
             )
         )
     else:
-        flag = _parse_flag(ctx, args.flag)
+        flag = _parse_flag(ctx, "--flag", args.flag)
         kernel = ctx.flag_kernel(flag)
         results.append(_result("kernel", True, repr(kernel.fn), "", "factored form"))
         cross = crosscheck(ctx, flag)
@@ -216,7 +220,7 @@ def cmd_shuffle(args) -> int:
                  "denominator cancellation")
         )
     elif args.dim:
-        (alpha,) = _parse_flag(ctx, args.dim)
+        (alpha,) = _parse_flag(ctx, "--dim", args.dim, single=True)
         echo["dim"] = args.dim
         echo["degree"] = args.degree
         basis = weight_space(ctx, alpha, args.degree, seed=args.seed)
@@ -356,7 +360,10 @@ def cmd_carell(args) -> int:
 
 def cmd_ind_rank(args) -> int:
     poset = Poset.parse(args.poset)
-    divisor = ColoredDivisor.parse(args.divisor)
+    try:
+        divisor = ColoredDivisor.parse(args.divisor)
+    except PosetFormatError as exc:
+        raise PosetFormatError(f"--divisor {args.divisor!r}: {exc}") from None
     rank = ind_rank(poset, divisor)
     results = [
         _result("ind_rank", True, rank, "", "count of monotone subdivisor systems")

@@ -10,10 +10,10 @@ diagonals.  Both orders of each pair are always tested.
 ``verify_trivialization`` evaluates the two-sided pair kernel -- the
 product of every constraint family's orientation factor in both
 directions -- so each violated constraint names the factor that
-vanishes or blows up.  ``verify_m_locality`` checks the exact
-rational-function factorization of a concatenated word's kernel into
-the two word kernels times the one-sided pair kernel, which is the
-kernel-level form of the locality isomorphism.
+vanishes or blows up.  ``verify_m_locality`` checks the factorization
+of a concatenated word's kernel into the two word kernels times the
+one-sided pair kernel, the kernel-level form of the locality isomorphism,
+exactly and on divisors (``thom.divisor_quotient``).
 """
 
 from __future__ import annotations
@@ -24,18 +24,14 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .fgl import Character
 from .quiver import ColorWord, DimVector, abelianization
-from .symalg import (
-    RationalFunction,
-    SymalgError,
-    Variable,
-    d_var,
-    rat_equal,
-)
+from .symalg import SymalgError, Variable, d_var
 from .thom import (
     FactorRecord,
     KernelContext,
+    Place,
     ThomKernel,
     TorusChart,
+    divisor_quotient,
     evaluate_kernel,
 )
 
@@ -98,17 +94,9 @@ class DiagonalDescriptor:
         return f"{self.name}: D1^{self.color2} shifted by {self.shift} against D2^{self.color1}"
 
 
-@dataclass
-class ShiftedDiagonalSet:
-    descriptors: List[DiagonalDescriptor]
-
-    def __iter__(self):
-        return iter(self.descriptors)
-
-
 def shifted_diagonals(
     ctx: KernelContext, v1: DimVector, v2: DimVector, tau: TauPoint
-) -> ShiftedDiagonalSet:
+) -> List[DiagonalDescriptor]:
     """All constraint families between configurations of the two weights."""
     law = ctx.law
     out: List[DiagonalDescriptor] = []
@@ -132,7 +120,7 @@ def shifted_diagonals(
             continue
         out.append(DiagonalDescriptor(f"delta_{v}", v, v, law.point_zero(), "plain"))
         out.append(DiagonalDescriptor(f"delta_{v}(tau)", v, v, omega_shift, "symplectic"))
-    return ShiftedDiagonalSet(out)
+    return out
 
 
 def is_m_tau_disjoint(
@@ -260,10 +248,10 @@ def verify_m_locality(
     """Exact kernel-level factorization for a concatenated word.
 
     The kernel of word1 + word2 must equal the product of the two word
-    kernels and the pair kernel of their weights, transported onto the
-    combined chart.  When point configurations are supplied they must be
-    disjoint in the shifted sense; the identity itself is checked as an
-    exact rational-function equality independent of any points.
+    kernels and the pair kernel of their weights, moved onto the combined
+    chart; the quotient is decided on divisors and must be exactly 1.
+    When point configurations are supplied they must be disjoint in the
+    shifted sense; the identity itself does not depend on any points.
     """
     if d1 is not None and d2 is not None and tau is not None:
         if not d1.is_empty() and not d2.is_empty():
@@ -273,35 +261,25 @@ def verify_m_locality(
     combined: ColorWord = tuple(word1) + tuple(word2)
     if not combined:
         return MLocalityReport(word1, word2, True)
-    big = ctx.word_kernel(combined)
-    reg = big.chart.registry
     n1 = len(word1)
-
-    parts: List[RationalFunction] = []
+    parts: List[Tuple[ThomKernel, Place]] = []
     if word1:
-        k1 = ctx.word_kernel(word1)
-        parts.append(k1.fn.rename(k1.chart.embedding(big.chart, lambda g, v, s: (g, s)), reg))
+        parts.append((ctx.word_kernel(word1), lambda g, v, s: (g, s)))
     if word2:
-        k2 = ctx.word_kernel(word2)
-        parts.append(
-            k2.fn.rename(k2.chart.embedding(big.chart, lambda g, v, s: (n1 + g, s)), reg)
-        )
+        parts.append((ctx.word_kernel(word2), lambda g, v, s: (n1 + g, s)))
     if word1 and word2:
         alpha = abelianization(ctx.quiver, word1)
         beta = abelianization(ctx.quiver, word2)
-        pair = ctx.biextension_kernel(alpha, beta)
         # Pair slot 1 holds word1's letters, slot 2 word2's; the s-th
         # coordinate of a vertex sits at the slot of its s-th occurrence.
+        # Each pair character joins slot 1 to slot 2, so keeps its order.
         slots: List[Dict[str, List[int]]] = [{}, {}]
         for g, letter in enumerate(combined, start=1):
             slots[g > n1].setdefault(letter, []).append(g)
-        positions = pair.chart.embedding(big.chart, lambda g, v, s: (slots[g - 1][v][s - 1], 1))
-        parts.append(pair.fn.rename(positions, reg))
-
-    rhs_fn = parts[0]
-    for p in parts[1:]:
-        rhs_fn = rhs_fn * p
-    return MLocalityReport(word1, word2, rat_equal(big.fn, rhs_fn))
+        parts.append((ctx.biextension_kernel(alpha, beta),
+                      lambda g, v, s: (slots[g - 1][v][s - 1], 1)))
+    quotient = divisor_quotient(ctx.word_kernel(combined), parts)
+    return MLocalityReport(word1, word2, quotient.is_scalar() and quotient.unit == 1)
 
 
 def parse_point_config(data: Mapping) -> Tuple[PointConfig, PointConfig, List[Frac]]:

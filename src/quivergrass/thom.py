@@ -26,21 +26,29 @@ A kernel is held as a divisor: factor records, each a character chi with
 a signed exponent e, standing for the product of the orientations
 lambda(chi)^e (the Euler class of a sum of characters is the product of
 their orientations; Quillen, Bull. AMS 1969).  Assembly orients nothing.
-``crosscheck`` decides on characters: equal characters cancel with unit
-exactly 1, and only the residual divisor is oriented and cancelled.  That
-is the same function as the quotient of the two oriented kernels, since
-a merge of factored functions only sums the exponents of equal factors
-and multiplies units, and a cancelled pair gives exponent 0 and unit 1.
+Every kernel identity (the dual-assembly unit, bilinearity, locality)
+is decided on characters by ``divisor_quotient``: exponents are summed
+per character and only nonzero sums are oriented and cancelled.  That is
+the quotient of the oriented kernels, since a merge of factored functions
+only sums the exponents of equal factors and multiplies units.
+
+A part on another chart is moved variable by variable first.  An
+orientation depends only on the law, the coefficients and the rank order
+of the character's own variables (see ``fgl``), so a move that keeps each
+character's variables in order commutes with orienting under any law,
+commutative and associative or not, whatever it does to the chart's
+order.  A move that reorders a character's variables raises.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction as Frac
 from functools import cached_property
 from itertools import chain
 from math import prod
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .fgl import Character, FormalGroupLaw
 from .quiver import DilationTorus, DimVector, NakajimaWeights, QuiverSpec, incidence_form
@@ -48,6 +56,7 @@ from .symalg import (
     ROLE_TORUS,
     PoleError,
     RationalFunction,
+    SymalgError,
     Variable,
     VarRegistry,
     d_var,
@@ -55,6 +64,8 @@ from .symalg import (
 )
 
 FlagType = Tuple[DimVector, ...]
+# (slot, vertex, index) of a coordinate -> its (slot, index) on another chart.
+Place = Callable[[int, str, int], Tuple[int, int]]
 
 
 class TorusChart:
@@ -82,10 +93,8 @@ class TorusChart:
     def x(self, g: int, vertex: str, s: int) -> Variable:
         return x_var(g, self.quiver.vpos[vertex], vertex, s)
 
-    def embedding(
-        self, target: "TorusChart", place: Callable[[int, str, int], Tuple[int, int]]
-    ) -> List[int]:
-        """Positions in ``target`` for ``RationalFunction.rename``: x[g, i, s]
+    def embedding(self, target: "TorusChart", place: Place) -> List[int]:
+        """Positions in ``target`` of this chart's variables: x[g, i, s]
         goes to x[g', i, s'] with (g', s') = place(g, i, s), and each
         dilation axis to itself."""
         index = target.registry.index
@@ -172,21 +181,23 @@ class KernelContext:
         self.weights = dict(weights)
         self.dilation = dilation
         self.law = law
+        self._dchars: Dict[Tuple[int, int], Character] = {}
 
     # -- dilation characters (the d-axes are shared across all charts) --------
 
-    def _dchar(self, rest: Sequence[int]) -> Character:
-        return Character.make({d_var(k + 1): c for k, c in enumerate(rest)})
+    def _dchar(self, ambient: Tuple[int, int]) -> Character:
+        """The restriction of t1^a t2^b, built once per context."""
+        if ambient not in self._dchars:
+            rest = self.dilation.restrict(*ambient)
+            self._dchars[ambient] = Character.make({d_var(k + 1): c for k, c in enumerate(rest)})
+        return self._dchars[ambient]
 
     def mu(self, aid: str) -> Character:
-        if aid.endswith("*"):
-            ambient = (0, self.weights[aid])
-        else:
-            ambient = (self.weights[aid], 0)
-        return self._dchar(self.dilation.restrict(*ambient))
+        w = self.weights[aid]
+        return self._dchar((0, w) if aid.endswith("*") else (w, 0))
 
     def omega(self) -> Character:
-        return self._dchar(self.dilation.restrict(1, 1))
+        return self._dchar((1, 1))
 
     def chart(self, flag: FlagType) -> TorusChart:
         return TorusChart(self.quiver, flag, self.dilation.rank)
@@ -233,17 +244,6 @@ class KernelContext:
                 self._emit(kernel, rec)
 
     # -- public operators ------------------------------------------------------
-
-    def kernel_of_module(
-        self,
-        chart: TorusChart,
-        blocks: Iterable[Tuple[Tuple[int, str], Tuple[int, str], Character, int]],
-    ) -> ThomKernel:
-        """Product over Hom blocks ((g, i), (g', j), twist, multiplicity)."""
-        kernel = ThomKernel(chart, self.law)
-        for source, target, twist, mult in blocks:
-            self._hom_block(kernel, "module", source, target, twist, mult)
-        return kernel
 
     def kernel_dstar_p(self, flag: FlagType, chart: Optional[TorusChart] = None) -> ThomKernel:
         """Twisted conormal factors plus the filtration-lowering doubled blocks."""
@@ -395,24 +395,40 @@ def crosscheck(ctx: KernelContext, flag: FlagType) -> CrossPathReport:
 
 
 def compare_kernels(flag: FlagType, main: ThomKernel, alt: ThomKernel) -> CrossPathReport:
-    """The unit alt / main, decided on the two divisors: exponents summed per
-    character, + for ``alt`` and - for ``main``, and only nonzero sums
-    oriented.  The cancelled product is ``(alt.fn / main.fn).cancelled()``
-    (see the module docstring); with no residual it is the scalar 1.  No
-    kernel is 0: a nonzero character has a nonzero orientation."""
-    registry = main.chart.registry
-    if alt.chart.registry != registry or alt.law != main.law:
-        raise ValueError("compared kernels must share a chart registry and a law")
-    residual: Dict[Character, int] = {}
-    for rec in alt.divisor:
-        residual[rec.char] = residual.get(rec.char, 0) + rec.exponent
-    for rec in main.divisor:
-        residual[rec.char] = residual.get(rec.char, 0) - rec.exponent
-    parts = [main.law.lambda_char(registry, chi).pow(e) for chi, e in residual.items() if e]
-    unit = _product(registry, parts)
-    if parts:
-        unit = unit.cancelled()
+    """The unit alt / main; no kernel is 0, as no nonzero character orients to 0."""
+    unit = divisor_quotient(alt, [(main, None)])
     return CrossPathReport(flag, unit, unit.is_scalar() or unit.is_monomial_unit())
+
+
+def divisor_quotient(
+    main: ThomKernel, parts: Sequence[Tuple[ThomKernel, Optional[Place]]]
+) -> RationalFunction:
+    """main / (product of the parts), decided on divisors and cancelled: +
+    for ``main``, - for each part, per character.  A part with a ``place``
+    is moved onto ``main``'s chart along ``embedding``; a part with ``None``
+    must live there already.  With no residual the result is the scalar 1."""
+    registry = main.chart.registry
+    exponents: Counter = Counter()
+    for rec in main.divisor:
+        exponents[rec.char] += rec.exponent
+    for part, place in parts:
+        if part.law != main.law or (place is None and part.chart.registry != registry):
+            raise ValueError("compared kernels must share a chart registry and a law")
+        if place is not None:
+            positions = part.chart.embedding(main.chart, place)
+            moved = dict(zip(part.chart.registry.variables, positions))
+        for rec in part.divisor:
+            chi = rec.char
+            if place is not None:  # keeping the order of chi's variables, so no sort
+                ps = [moved[v] for v, _ in chi.coeffs]
+                if any(a >= b for a, b in zip(ps, ps[1:])):
+                    raise SymalgError(f"moving {chi} reorders its variables")
+                chi = Character(tuple((registry.variables[p], c)
+                                      for p, (_, c) in zip(ps, chi.coeffs)))
+            exponents[chi] -= rec.exponent
+    residual = [main.law.lambda_char(registry, chi).pow(e) for chi, e in exponents.items() if e]
+    quotient = _product(registry, residual)
+    return quotient.cancelled() if residual else quotient
 
 
 def evaluate_kernel(

@@ -134,8 +134,11 @@ class ColoredDivisor:
         pts = []
         if spec.strip():
             for chunk in spec.split(","):
-                pid, color, mult = chunk.strip().split(":")
-                pts.append(DivisorPoint(pid, color, int(mult)))
+                try:
+                    pid, color, mult = chunk.strip().split(":")
+                    pts.append(DivisorPoint(pid, color, int(mult)))
+                except ValueError:
+                    raise PosetFormatError(f"{chunk!r} is not id:color:multiplicity") from None
         return ColoredDivisor(pts)
 
     def weight(self) -> Dict[str, int]:

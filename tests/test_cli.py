@@ -298,9 +298,21 @@ def test_malformed_fiber_config_exits_2(quiver_files, tmp_path, capsys, config):
         ["shuffle", "--dim", "1,1"],  # a1 has one vertex
         ["kernel", "--quiver", "{a2}", "--flag=-1,0"],
         ["kernel", "--quiver", "{a2}", "--flag", "1", "--classical"],
+        ["shuffle", "--dim", "1|1"],
+        ["ind-rank", "--poset", "chain:2", "--divisor", "a:i"],
+        ["kernel", "--quiver", "{a2}", "--flag", "2,1|0,1", "--classical"],
     ],
 )
 def test_negative_and_malformed_arguments_exit_2(tmp_path, argv):
+    # these rows' messages must name the option they reject
+    option = {
+        "shuffle --dim 1,1": "--dim",
+        "kernel --quiver {a2} --flag=-1,0": "--flag",
+        "kernel --quiver {a2} --flag 1 --classical": "--flag",
+        "shuffle --dim 1|1": "--dim",
+        "ind-rank --poset chain:2 --divisor a:i": "--divisor",
+        "kernel --quiver {a2} --flag 2,1|0,1 --classical": "--classical",
+    }.get(" ".join(argv))
     files = {"list_poset": [1, 2], "bad_relations": {"elements": ["a"], "relations": 3}, "a2": A2}
     for name, data in files.items():
         (tmp_path / f"{name}.json").write_text(json.dumps(data))
@@ -312,3 +324,4 @@ def test_negative_and_malformed_arguments_exit_2(tmp_path, argv):
     )
     assert proc.returncode == EXIT_PARSE_ERROR
     assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
+    assert option is None or option in proc.stderr, proc.stderr
