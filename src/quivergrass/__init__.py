@@ -40,9 +40,7 @@ from .locality import (
 )
 from .fixedpoints import (
     carell_chart,
-    carell_dim,
     gaussian_binomial,
-    hilbert_colored,
     quiver_grass_poincare,
     sl2_enumerate,
 )

@@ -62,6 +62,15 @@ def _parse_fraction(text: str) -> Frac:
     return Frac(text.strip())
 
 
+def _parsed(option: str, text: str, parse, form: str):
+    """``parse(text)`` for the value of ``option``; a malformed value is
+    reported with the option's name and the expected form."""
+    try:
+        return parse(text)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"{option} {text!r}: expected {form}") from None
+
+
 def _load_context(args) -> KernelContext:
     if args.quiver:
         quiver, weights, torus = load_quiver(args.quiver)
@@ -90,7 +99,8 @@ def _parse_flag(ctx: KernelContext, option: str, text: str, single: bool = False
 def _parse_tau(ctx: KernelContext, text: Optional[str]):
     if text is None:
         return None
-    values = [_parse_fraction(v) for v in text.split(",")]
+    values = _parsed("--tau", text, lambda t: [_parse_fraction(v) for v in t.split(",")],
+                     "comma-separated rationals")
     if len(values) == 1 and ctx.dilation.rank > 1:
         values = values * ctx.dilation.rank
     return tau_point(ctx, values)
@@ -320,7 +330,8 @@ def cmd_sl2(args) -> int:
 
 
 def cmd_poincare(args) -> int:
-    dims = [int(x) for x in args.alpha.split(",")]
+    dims = _parsed("--alpha", args.alpha, lambda t: [int(x) for x in t.split(",")],
+                   "comma-separated integers")
     alpha = {str(i + 1): d for i, d in enumerate(dims)}
     poly = quiver_grass_poincare(alpha)
     total = qpoly_eval(poly, 1)
@@ -359,7 +370,8 @@ def cmd_carell(args) -> int:
 
 
 def cmd_ind_rank(args) -> int:
-    poset = Poset.parse(args.poset)
+    poset = _parsed("--poset", args.poset, Poset.parse,
+                    "chain:<m>, antichain:<k> or a poset JSON file")
     try:
         divisor = ColoredDivisor.parse(args.divisor)
     except PosetFormatError as exc:
@@ -383,10 +395,9 @@ def cmd_zastava_fiber(args) -> int:
     ):
         raise ValueError('a fiber config is {"tau": [..], "poset": .., "points": [{..}, ..]}')
     ctx = _load_context(args)
-    tau_values = [_parse_fraction(str(v)) for v in data.get("tau", [])]
-    if args.tau is not None:
-        tau_values = [_parse_fraction(v) for v in args.tau.split(",")]
-    tau = tau_point(ctx, tau_values)
+    tau = _parse_tau(ctx, args.tau)
+    if tau is None:
+        tau = tau_point(ctx, [_parse_fraction(str(v)) for v in data.get("tau", [])])
     poset = Poset.parse(str(data.get("poset", "chain:1")))
     points = [
         DivisorPoint(str(p["id"]), str(p["color"]), json_int(p.get("multiplicity", 1)))
@@ -471,7 +482,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_carell)
 
     p = sub.add_parser("ind-rank", parents=[common], help="rank of a poset-induced fiber")
-    p.add_argument("--poset", required=True, help="chain:m | antichain:k | file.json")
+    p.add_argument("--poset", required=True, help="chain:<m>, antichain:<k> or a poset JSON file")
     p.add_argument("--divisor", required=True, help='e.g. "a:i:2,b:j:1"')
     p.set_defaults(func=cmd_ind_rank)
 

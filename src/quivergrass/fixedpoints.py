@@ -1,5 +1,5 @@
-"""Lattice-model enumeration, colored subscheme counts, and the
-Grassmannian fixed-scheme oracle.
+"""Lattice-model enumeration, graded counts, and the Grassmannian
+fixed-scheme oracle.
 
 Three mechanical layers cross-validate each other:
 
@@ -9,7 +9,7 @@ Three mechanical layers cross-validate each other:
   monic polynomials with nilpotent coefficients;
 * ``gaussian_binomial`` / ``quiver_grass_poincare`` give the closed-form
   graded counts;
-* ``carell_dim`` presents the fixed scheme of a principal nilpotent on a
+* ``carell_chart`` presents the fixed scheme of a principal nilpotent on a
   Grassmannian by explicit chart equations and counts standard
   monomials with a small Buchberger engine.
 """
@@ -298,29 +298,6 @@ def sl2_enumerate(
 
 
 # ---------------------------------------------------------------------------
-# Colored subscheme lattices
-# ---------------------------------------------------------------------------
-
-@dataclass
-class ColoredSubschemeLattice:
-    """Product of chains {0..alpha_i}, graded by the sub-dimension vector."""
-
-    alpha: Dict[str, int]
-    elements: List[Dict[str, int]]
-
-    @property
-    def total(self) -> int:
-        return len(self.elements)
-
-
-def hilbert_colored(alpha: Mapping[str, int]) -> ColoredSubschemeLattice:
-    colors = sorted(alpha)
-    ranges = [range(alpha[c] + 1) for c in colors]
-    elements = [dict(zip(colors, combo)) for combo in itertools.product(*ranges)]
-    return ColoredSubschemeLattice(dict(alpha), elements)
-
-
-# ---------------------------------------------------------------------------
 # q-polynomials
 # ---------------------------------------------------------------------------
 
@@ -586,7 +563,3 @@ def carell_chart(n: int, p: int) -> CarellChart:
         var_of[s]: sum(i - 1 for i in top) - sum(i - 1 for i in s) for s in others
     }
     return CarellChart(n, p, variables, weights, equations, std)
-
-
-def carell_dim(n: int, p: int) -> int:
-    return carell_chart(n, p).dimension

@@ -1,19 +1,28 @@
 """Shifted diagonals, the disjointness predicate, and factorization checks.
 
 Configurations are colored tuples of exact curve coordinates together
-with a rational point of the dilation base.  Disjointness is checked
-against three families of constraints between two configurations: the
-arrow-shifted diagonals (one per arrow of the double), the plain
-same-color diagonals, and the symplectically shifted same-color
-diagonals.  Both orders of each pair are always tested.
+with a rational point of the dilation base.  ``shifted_diagonals`` is
+the one list of constraints between two configurations D1, D2; each
+descriptor matches one factor family of the two-sided pair kernel:
 
-``verify_trivialization`` evaluates the two-sided pair kernel -- the
-product of every constraint family's orientation factor in both
-directions -- so each violated constraint names the factor that
-vanishes or blows up.  ``verify_m_locality`` checks the factorization
-of a concatenated word's kernel into the two word kernels times the
-one-sided pair kernel, the kernel-level form of the locality isomorphism,
-exactly and on divisors (``thom.divisor_quotient``).
+* arrow k of the double, order "12": D2^head + mu(k) against D1^tail
+  (the ``rep_raise`` factors);
+* arrow k, order "21": D1^head + mu(k) against D2^tail (``rep_lower``);
+* each common color v: the plain diagonal D2^v against D1^v
+  (``gp_inv``, symmetric, so one order);
+* each common color v: the symplectic diagonal in both orders, D2^v +
+  omega against D1^v ("12") and D1^v + omega against D2^v ("21")
+  (``gp_omega`` 1->2 and 2->1).
+
+``is_m_tau_disjoint`` reads only that list: two configurations are
+disjoint when no descriptor's shifted points land on the other side.
+
+``verify_trivialization`` evaluates the two-sided pair kernel, assembled
+independently of the list, so each violated constraint names the factor
+that vanishes or blows up.  ``verify_m_locality`` checks the
+factorization of a concatenated word's kernel into the two word kernels
+times the one-sided pair kernel, the kernel-level form of the locality
+isomorphism, exactly and on divisors (``thom.divisor_quotient``).
 """
 
 from __future__ import annotations
@@ -34,10 +43,6 @@ from .thom import (
     divisor_quotient,
     evaluate_kernel,
 )
-
-
-class DisjointnessError(SymalgError):
-    """A check that requires disjoint configurations got a colliding one."""
 
 
 TauPoint = Dict[Variable, Frac]
@@ -72,13 +77,16 @@ class PointConfig:
 
 @dataclass(frozen=True)
 class DiagonalDescriptor:
-    """One constraint family between two configurations.
+    """One constraint between two configurations, matching one pair-kernel
+    factor family.
 
     ``order`` records which configuration receives the shift: "12" means
     the second configuration's ``color2`` points, shifted, are tested
     against the first configuration's ``color1`` points; "21" swaps the
-    roles.  Both orders of every family are always part of the
-    disjointness predicate.
+    roles.  Arrow descriptors come in both orders, as ``rep_raise`` (12)
+    and ``rep_lower`` (21); symplectic ones in both orders, as
+    ``gp_omega`` 1->2 (12) and 2->1 (21); the plain diagonal (``gp_inv``)
+    is symmetric and is listed once.
     """
 
     name: str
@@ -88,76 +96,44 @@ class DiagonalDescriptor:
     source: str  # "arrow:<id>" | "plain" | "symplectic"
     order: str = "12"
 
-    def describe(self) -> str:
-        if self.order == "12":
-            return f"{self.name}: D2^{self.color2} shifted by {self.shift} against D1^{self.color1}"
-        return f"{self.name}: D1^{self.color2} shifted by {self.shift} against D2^{self.color1}"
-
 
 def shifted_diagonals(
     ctx: KernelContext, v1: DimVector, v2: DimVector, tau: TauPoint
 ) -> List[DiagonalDescriptor]:
-    """All constraint families between configurations of the two weights."""
+    """All constraints between configurations of the two weights."""
     law = ctx.law
     out: List[DiagonalDescriptor] = []
     for k in ctx.quiver.double:
         shift = law.char_value(ctx.mu(k.aid), tau)
-        if v1.get(k.tail, 0) and v2.get(k.head, 0):
-            out.append(
-                DiagonalDescriptor(
-                    f"delta_{k.aid}(tau)", k.tail, k.head, shift, f"arrow:{k.aid}", "12"
-                )
-            )
-        if v2.get(k.tail, 0) and v1.get(k.head, 0):
-            out.append(
-                DiagonalDescriptor(
-                    f"delta_{k.aid}(tau)", k.tail, k.head, shift, f"arrow:{k.aid}", "21"
-                )
-            )
+        for order, w1, w2 in (("12", v1, v2), ("21", v2, v1)):
+            if w1.get(k.tail, 0) and w2.get(k.head, 0):
+                out.append(DiagonalDescriptor(
+                    f"delta_{k.aid}(tau)", k.tail, k.head, shift, f"arrow:{k.aid}", order
+                ))
     omega_shift = law.char_value(ctx.omega(), tau)
     for v in ctx.quiver.vertices:
         if v1.get(v, 0) == 0 or v2.get(v, 0) == 0:
             continue
         out.append(DiagonalDescriptor(f"delta_{v}", v, v, law.point_zero(), "plain"))
-        out.append(DiagonalDescriptor(f"delta_{v}(tau)", v, v, omega_shift, "symplectic"))
+        for order in ("12", "21"):
+            out.append(DiagonalDescriptor(
+                f"delta_{v}(tau)", v, v, omega_shift, "symplectic", order
+            ))
     return out
 
 
 def is_m_tau_disjoint(
     ctx: KernelContext, d1: PointConfig, d2: PointConfig, tau: TauPoint
 ) -> bool:
-    """Both orders of every constraint family must miss.
-
-    For each common color i the sets D1^i (+/- the symplectic shift) and
-    D2^i must be disjoint and D1^i, D2^i themselves disjoint; for each
-    arrow k of the double, D2^{head} (+/- the arrow shift) must miss
-    D1^{tail}.
-    """
+    """No shifted diagonal of ``shifted_diagonals`` may meet: for each
+    descriptor, no shifted point of one configuration lands on a point
+    of the other."""
     law = ctx.law
-    omega_shift = law.char_value(ctx.omega(), tau)
-    for v in ctx.quiver.vertices:
-        a = d1.coords.get(v, [])
-        b = d2.coords.get(v, [])
-        if not a or not b:
-            continue
-        for x in a:
-            for y in b:
-                if x == y:
-                    return False
-                for s in (omega_shift, law.point_neg(omega_shift)):
-                    if law.point_add(x, s) == y:
-                        return False
-    for k in ctx.quiver.double:
-        a = d1.coords.get(k.tail, [])
-        b = d2.coords.get(k.head, [])
-        if not a or not b:
-            continue
-        shift = law.char_value(ctx.mu(k.aid), tau)
-        for y in b:
-            for x in a:
-                for s in (shift, law.point_neg(shift)):
-                    if law.point_add(y, s) == x:
-                        return False
+    for d in shifted_diagonals(ctx, d1.weight(ctx), d2.weight(ctx), tau):
+        shifted, fixed = (d2, d1) if d.order == "12" else (d1, d2)
+        targets = set(fixed.coords[d.color1])
+        if any(law.point_add(y, d.shift) in targets for y in shifted.coords[d.color2]):
+            return False
     return True
 
 
@@ -238,26 +214,15 @@ class MLocalityReport:
 
 
 def verify_m_locality(
-    ctx: KernelContext,
-    word1: ColorWord,
-    word2: ColorWord,
-    d1: Optional[PointConfig] = None,
-    d2: Optional[PointConfig] = None,
-    tau: Optional[TauPoint] = None,
+    ctx: KernelContext, word1: ColorWord, word2: ColorWord
 ) -> MLocalityReport:
     """Exact kernel-level factorization for a concatenated word.
 
     The kernel of word1 + word2 must equal the product of the two word
     kernels and the pair kernel of their weights, moved onto the combined
     chart; the quotient is decided on divisors and must be exactly 1.
-    When point configurations are supplied they must be disjoint in the
-    shifted sense; the identity itself does not depend on any points.
+    The identity does not depend on any points.
     """
-    if d1 is not None and d2 is not None and tau is not None:
-        if not d1.is_empty() and not d2.is_empty():
-            if not is_m_tau_disjoint(ctx, d1, d2, tau):
-                raise DisjointnessError("configurations collide under the shifts")
-
     combined: ColorWord = tuple(word1) + tuple(word2)
     if not combined:
         return MLocalityReport(word1, word2, True)

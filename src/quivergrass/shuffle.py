@@ -15,7 +15,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction as Frac
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .quiver import ColorWord, DimVector, dim_add, dim_total, dim_zero
 from .symalg import (
@@ -26,10 +26,6 @@ from .symalg import (
     symmetrize,
 )
 from .thom import KernelContext, TorusChart
-
-
-class PoleOnDiagonalError(SymalgError):
-    """A product failed to cancel its kernel denominators."""
 
 
 @dataclass
@@ -75,12 +71,7 @@ def _blocks(chart: TorusChart, alpha: DimVector, beta: DimVector):
     return partition
 
 
-def shuffle_product(
-    ctx: KernelContext,
-    a: ShuffleElement,
-    b: ShuffleElement,
-    require_polynomial: bool = False,
-) -> ShuffleElement:
+def shuffle_product(ctx: KernelContext, a: ShuffleElement, b: ShuffleElement) -> ShuffleElement:
     gamma = dim_add(a.weight, b.weight)
     chart = element_chart(ctx, gamma)
     reg = chart.registry
@@ -98,10 +89,7 @@ def shuffle_product(
     product = fa * fb * fk
     partition = _blocks(chart, a.weight, b.weight)
     result = symmetrize(product, partition) if partition else product.cancelled()
-    polynomial = result.is_regular()
-    if require_polynomial and not polynomial:
-        raise PoleOnDiagonalError(f"product is not polynomial: {result}")
-    return ShuffleElement(gamma, result, polynomial)
+    return ShuffleElement(gamma, result, result.is_regular())
 
 
 def word_product(ctx: KernelContext, word: ColorWord) -> ShuffleElement:
@@ -109,13 +97,6 @@ def word_product(ctx: KernelContext, word: ColorWord) -> ShuffleElement:
     for letter in word:
         out = shuffle_product(ctx, out, generator(ctx, letter))
     return out
-
-
-def verify_ideal(ctx: KernelContext, a: ShuffleElement, b: ShuffleElement) -> bool:
-    """True iff the product of two polynomial elements is polynomial."""
-    if not (a.polynomial and b.polynomial):
-        raise SymalgError("verify_ideal expects polynomial inputs")
-    return shuffle_product(ctx, a, b).polynomial
 
 
 def monomial_element(
@@ -193,7 +174,6 @@ def weight_space(
     ctx: KernelContext,
     alpha: DimVector,
     degree_bound: int,
-    tau: Optional[Dict[Variable, Frac]] = None,
     seed: int = 7,
 ) -> WeightSpaceBasis:
     """Span of all generator-order products times bounded-degree monomials.
@@ -207,7 +187,7 @@ def weight_space(
     if degree_bound < 0:
         raise SymalgError("the degree bound must be non-negative")
     rng = random.Random(seed)
-    taus = [tau or _random_tau(ctx, rng), _random_tau(ctx, rng)]
+    taus = [_random_tau(ctx, rng), _random_tau(ctx, rng)]
     chart = element_chart(ctx, alpha)
     xvars = [v for v in chart.registry.variables if v.role == "x"]
     words = _all_words(ctx.quiver, alpha)

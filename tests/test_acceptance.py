@@ -14,7 +14,7 @@ from quivergrass import checks
 from quivergrass.checks import make_context
 from quivergrass.fgl import FormalGroupLaw, fgl_verify
 from quivergrass.fixedpoints import (
-    carell_dim,
+    carell_chart,
     gaussian_binomial,
     qpoly_eval,
     quiver_grass_poincare,
@@ -101,7 +101,7 @@ def test_ac6_fixed_points():
             detail.append(f"membership routes at (n={n}, m={m})")
     for n in range(0, 5):
         for p in range(0, n + 1):
-            if carell_dim(n, p) != comb(n, p):
+            if carell_chart(n, p).dimension != comb(n, p):
                 ok = False
                 detail.append(f"carell({n},{p})")
     alphas = [{"1": k} for k in range(1, 5)]

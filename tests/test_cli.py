@@ -121,6 +121,16 @@ def test_verify_locality_config(quiver_files, tmp_path, capsys):
     assert "locality.config" in out
 
 
+def test_verify_locality_config_with_a_reversed_arrow_shift(capsys):
+    # rank-2 a2 with mu(h1) = d1, mu(h1*) = d2 and tau = (1, 2): D1^2 + mu(h1)
+    # = 0 + 1 lands on D2^1, the zero of a rep_lower factor
+    data = Path(__file__).resolve().parent / "data"
+    code, out = run(capsys, ["verify", "locality", "--quiver", str(data / "a2_rank2.json"),
+                             "--config", str(data / "a2_rank2_config.json")])
+    assert code == EXIT_OK
+    assert "locality.config: not disjoint; zero at rep_lower[h1;" in out
+
+
 def test_verify_crosscheck_single_quiver_lists_units(quiver_files, capsys):
     a1, _ = quiver_files
     code, out = run(capsys, ["verify", "--suite", "crosscheck", "--quiver", a1])
@@ -301,6 +311,12 @@ def test_malformed_fiber_config_exits_2(quiver_files, tmp_path, capsys, config):
         ["shuffle", "--dim", "1|1"],
         ["ind-rank", "--poset", "chain:2", "--divisor", "a:i"],
         ["kernel", "--quiver", "{a2}", "--flag", "2,1|0,1", "--classical"],
+        ["poincare", "--alpha", "x"],
+        ["poincare", "--alpha", "1,,2"],
+        ["ind-rank", "--poset", "chain:x", "--divisor", "a:i:1"],
+        ["shuffle", "--word", "1", "--tau", "x"],
+        ["shuffle", "--word", "1", "--tau", "1/0"],  # raised ZeroDivisionError
+        ["zastava-fiber", "--config", "{fiber}", "--tau", "x"],
     ],
 )
 def test_negative_and_malformed_arguments_exit_2(tmp_path, argv):
@@ -312,8 +328,16 @@ def test_negative_and_malformed_arguments_exit_2(tmp_path, argv):
         "shuffle --dim 1|1": "--dim",
         "ind-rank --poset chain:2 --divisor a:i": "--divisor",
         "kernel --quiver {a2} --flag 2,1|0,1 --classical": "--classical",
+        "poincare --alpha x": "--alpha",
+        "poincare --alpha 1,,2": "--alpha",
+        "ind-rank --poset chain:x --divisor a:i:1": "--poset",
+        "shuffle --word 1 --tau x": "--tau",
+        "shuffle --word 1 --tau 1/0": "--tau",
+        "zastava-fiber --config {fiber} --tau x": "--tau",
     }.get(" ".join(argv))
-    files = {"list_poset": [1, 2], "bad_relations": {"elements": ["a"], "relations": 3}, "a2": A2}
+    fiber = {"tau": ["1/3"], "points": [{"id": "a", "color": "1", "coord": 0}]}
+    files = {"list_poset": [1, 2], "bad_relations": {"elements": ["a"], "relations": 3}, "a2": A2,
+             "fiber": fiber}
     for name, data in files.items():
         (tmp_path / f"{name}.json").write_text(json.dumps(data))
     argv = [a.format(**{n: tmp_path / f"{n}.json" for n in files}) for a in argv]

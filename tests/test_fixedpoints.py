@@ -12,10 +12,8 @@ from quivergrass.fixedpoints import (
     ZWindow,
     buchberger,
     carell_chart,
-    carell_dim,
     comonic_inverse,
     gaussian_binomial,
-    hilbert_colored,
     qpoly_eval,
     qpoly_str,
     quiver_grass_poincare,
@@ -23,6 +21,7 @@ from quivergrass.fixedpoints import (
     standard_monomials,
 )
 from quivergrass.symalg import MultiPoly, SymalgError, VarRegistry, aux_var
+from quivergrass.zastava import ColoredDivisor, subscheme_lattice
 
 
 def test_truncated_ring_axioms():
@@ -135,11 +134,10 @@ def test_sl2_divisor_counts_match_chart_points():
 
 
 def test_hilbert_colored():
-    lat = hilbert_colored({"i": 2})
-    assert lat.total == 3
-    assert sorted(sum(e.values()) for e in lat.elements) == [0, 1, 2]
-    assert hilbert_colored({"i": 1, "j": 1}).total == 4
-    assert hilbert_colored({}).total == 1
+    lat = subscheme_lattice(ColoredDivisor.parse("a:i:2"))
+    assert sorted(sum(k for _, k in e) for e in lat) == [0, 1, 2]
+    assert len(subscheme_lattice(ColoredDivisor.parse("a:i:1,b:j:1"))) == 4
+    assert len(subscheme_lattice(ColoredDivisor.parse(""))) == 1
 
 
 def test_gaussian_binomials():
@@ -174,7 +172,7 @@ def test_poincare_total_identity():
         for beta in itertools.product(*(range(a + 1) for a in alpha.values())):
             prod = 1
             for a, b in zip(alpha.values(), beta):
-                prod *= carell_dim(a, b)
+                prod *= carell_chart(a, b).dimension
             summed += prod
         assert summed == expect
 
@@ -182,7 +180,7 @@ def test_poincare_total_identity():
 def test_carell_dims_match_binomials():
     for n in range(0, 5):
         for p in range(0, n + 1):
-            assert carell_dim(n, p) == comb(n, p)
+            assert carell_chart(n, p).dimension == comb(n, p)
 
 
 def test_carell_weight_series_is_gaussian():
@@ -193,7 +191,7 @@ def test_carell_weight_series_is_gaussian():
 
 def test_carell_overflow():
     with pytest.raises(DegreeOverflowError):
-        carell_dim(5, 2)
+        carell_chart(5, 2)
 
 
 def test_buchberger_small_ideal():

@@ -3,9 +3,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from quivergrass.fgl import FormalGroupLaw
+from quivergrass.fgl import Character, FormalGroupLaw
 from quivergrass.locality import (
-    DisjointnessError,
     PointConfig,
     is_m_tau_disjoint,
     pair_check_kernel,
@@ -16,6 +15,7 @@ from quivergrass.locality import (
     verify_trivialization,
 )
 from quivergrass.quiver import DilationTorus, default_nakajima, stock_quiver
+from quivergrass.symalg import ROLE_TORUS
 from quivergrass.thom import KernelContext
 
 # Single-color contexts here use the dilation torus along the first weight
@@ -24,10 +24,22 @@ from quivergrass.thom import KernelContext
 AXIS = DilationTorus(1, ((1,), (0,)))
 
 
-def ctx_for(name, torus=None, law=None):
+def ctx_for(name, torus=None, law=None, weights=None):
     q = stock_quiver(name)
-    return KernelContext(q, default_nakajima(q), torus or AXIS,
+    return KernelContext(q, weights or default_nakajima(q), torus or AXIS,
                          law or FormalGroupLaw.additive())
+
+
+# Contexts where mu(k) != mu(k*) for some arrow k: the full weight torus,
+# and the diagonal torus with unequal arrow weights 3 and -1.
+LAWS = {"additive": FormalGroupLaw.additive(), "multiplicative": FormalGroupLaw.multiplicative()}
+TWISTED = {
+    **{f"{name}-full-{lname}": ctx_for(name, DilationTorus.full(), law)
+       for name in ("a2", "kronecker2", "cyclic3") for lname, law in LAWS.items()},
+    **{f"a2-weights-3,-1-{lname}": ctx_for("a2", DilationTorus.diagonal(), law,
+                                           {"h1": 3, "h1*": -1})
+       for lname, law in LAWS.items()},
+}
 
 
 def test_shifted_diagonal_families():
@@ -118,16 +130,6 @@ def test_m_locality_identity_words():
         assert verify_m_locality(ctx2, ("1", "2"), ()).identity_holds
 
 
-def test_m_locality_requires_disjoint_configs():
-    ctx = ctx_for("a1")
-    tau = tau_point(ctx, [F(1)])
-    with pytest.raises(DisjointnessError):
-        verify_m_locality(
-            ctx, ("1",), ("1",),
-            PointConfig({"1": [F(0)]}), PointConfig({"1": [F(1)]}), tau,
-        )
-
-
 def test_pair_check_kernel_covers_every_family():
     ctx = ctx_for("a2", torus=DilationTorus.diagonal())
     k = pair_check_kernel(ctx, {"1": 1, "2": 1}, {"1": 1, "2": 1})
@@ -152,3 +154,67 @@ def test_multiplicative_backend_disjointness():
     d1 = PointConfig({"1": [F(2)]})
     assert not is_m_tau_disjoint(ctx, d1, PointConfig({"1": [F(6)]}), tau)  # 2 * 3 = 6
     assert is_m_tau_disjoint(ctx, d1, PointConfig({"1": [F(5)]}), tau)
+
+
+@pytest.mark.parametrize("name", TWISTED)
+def test_each_kernel_family_has_its_descriptor(name):
+    ctx = TWISTED[name]
+    # descriptor order "12" tests D2 + shift against D1: the factors of
+    # slots (1, 2); "21" those of slots (2, 1); the plain diagonal is symmetric
+    full = {v: 1 for v in ctx.quiver.vertices}
+    tau = tau_point(ctx, [F(2)] * ctx.dilation.rank)
+    listed = {(d.source, d.order) for d in shifted_diagonals(ctx, full, full, tau)}
+    kinds = {"rep_raise": "arrow:", "rep_lower": "arrow:", "gp_omega": "symplectic"}
+    families = set()
+    for rec, _ in pair_check_kernel(ctx, full, full).records:
+        if rec.family == "gp_inv":
+            families.add(("plain", "12"))
+        else:
+            source = kinds[rec.family] + (rec.arrow or "")
+            families.add((source, "12" if rec.slots == (1, 2) else "21"))
+    assert listed == families
+
+
+def _twisted_draw(ctx, rng):
+    """Two random configurations; half of them get one pair-kernel factor
+    planted to vanish, chosen among the kernel's own records."""
+    additive = ctx.law.point_zero() == 0
+
+    def coord():
+        # 0 is not a point of the multiplicative group
+        while True:
+            x = F(rng.randint(-12, 12), rng.randint(1, 3))
+            if additive or x:
+                return x
+
+    tau = tau_point(ctx, [F(rng.randint(1, 6), rng.randint(1, 2))
+                          for _ in range(ctx.dilation.rank)])
+    d1, d2 = (PointConfig({v: [coord() for _ in range(rng.randint(0, 2))]
+                           for v in ctx.quiver.vertices}) for _ in range(2))
+    if d1.is_empty() or d2.is_empty() or rng.random() < 0.5:
+        return d1, d2, tau
+    kernel = pair_check_kernel(ctx, d1.weight(ctx), d2.weight(ctx))
+    rec, _ = rng.choice(kernel.records)
+    src, tgt = (v for c in (-1, 1) for v, e in rec.char.coeffs
+                if e == c and v.role == ROLE_TORUS)
+    twist = Character.make({v: c for v, c in rec.char.coeffs if v.role != ROLE_TORUS})
+    configs = {1: d1, 2: d2}
+    x = configs[src.slot].coords[src.vname][src.index - 1]
+    configs[tgt.slot].coords[tgt.vname][tgt.index - 1] = ctx.law.point_add(
+        x, ctx.law.point_neg(ctx.law.char_value(twist, tau))
+    )
+    return d1, d2, tau
+
+
+@pytest.mark.parametrize("name", TWISTED)
+def test_disjointness_agrees_with_the_pair_kernel(name):
+    ctx = TWISTED[name]
+    rng = random.Random(13)
+    verdicts = set()
+    for _ in range(60):
+        d1, d2, tau = _twisted_draw(ctx, rng)
+        rep = verify_trivialization(ctx, d1, d2, tau)
+        assert is_m_tau_disjoint(ctx, d1, d2, tau) == rep.trivializes, (d1, d2, tau)
+        assert rep.ok
+        verdicts.add(rep.disjoint)
+    assert verdicts == {True, False}

@@ -2,12 +2,13 @@ import itertools
 import random
 from fractions import Fraction as F
 from math import comb
+from pathlib import Path
 
 import pytest
 
 from quivergrass.fgl import FormalGroupLaw
 from quivergrass.locality import tau_point
-from quivergrass.quiver import DilationTorus, default_nakajima, stock_quiver
+from quivergrass.quiver import DilationTorus, default_nakajima, load_quiver, stock_quiver
 from quivergrass.thom import KernelContext
 from quivergrass.zastava import (
     ColoredDivisor,
@@ -116,6 +117,15 @@ def test_ind_fiber_rejects_collisions_and_multiplicity():
         ind_fiber(ctx, Poset.chain(1), bad, tau)
     with pytest.raises(NonGenericError):
         ind_fiber(ctx, Poset.chain(1), ColoredDivisor.parse("a:i:2"), tau)
+    # two colors on the rank-2 a2 torus: b = a + mu(h1) with mu(h1) = d1 = 1
+    data = Path(__file__).resolve().parent / "data"
+    q, weights, torus = load_quiver(str(data / "a2_rank2.json"))
+    ctx2 = KernelContext(q, weights, torus, FormalGroupLaw.additive())
+    bad2 = ColoredDivisor(
+        [DivisorPoint("a", "2", 1), DivisorPoint("b", "1", 1)], {"a": F(0), "b": F(1)}
+    )
+    with pytest.raises(NonGenericError):
+        ind_fiber(ctx2, Poset.chain(1), bad2, tau_point(ctx2, [F(1), F(2)]))
 
 
 def test_factorization_same_color_points():
