@@ -14,7 +14,6 @@ import argparse
 import json
 import sys
 import time
-from fractions import Fraction as Frac
 from typing import Dict, List, Optional, Sequence
 
 from . import checks as checksmod
@@ -30,6 +29,7 @@ from .quiver import (
     QuiverFormatError,
     default_nakajima,
     json_int,
+    json_rational,
     load_quiver,
     stock_quiver,
 )
@@ -58,16 +58,12 @@ EXIT_CHECK_FAILED = 1
 EXIT_PARSE_ERROR = 2
 
 
-def _parse_fraction(text: str) -> Frac:
-    return Frac(text.strip())
-
-
 def _parsed(option: str, text: str, parse, form: str):
     """``parse(text)`` for the value of ``option``; a malformed value is
     reported with the option's name and the expected form."""
     try:
         return parse(text)
-    except (ValueError, ZeroDivisionError):
+    except ValueError:
         raise ValueError(f"{option} {text!r}: expected {form}") from None
 
 
@@ -99,7 +95,7 @@ def _parse_flag(ctx: KernelContext, option: str, text: str, single: bool = False
 def _parse_tau(ctx: KernelContext, text: Optional[str]):
     if text is None:
         return None
-    values = _parsed("--tau", text, lambda t: [_parse_fraction(v) for v in t.split(",")],
+    values = _parsed("--tau", text, lambda t: [json_rational(v, "--tau") for v in t.split(",")],
                      "comma-separated rationals")
     if len(values) == 1 and ctx.dilation.rank > 1:
         values = values * ctx.dilation.rank
@@ -394,16 +390,22 @@ def cmd_zastava_fiber(args) -> int:
         and all(isinstance(p, dict) for p in data["points"])
     ):
         raise ValueError('a fiber config is {"tau": [..], "poset": .., "points": [{..}, ..]}')
+    for p in data["points"]:
+        for key in ("id", "color", "coord"):
+            if key not in p:
+                raise ValueError(f"fiber point {p!r} has no {key!r}")
     ctx = _load_context(args)
     tau = _parse_tau(ctx, args.tau)
     if tau is None:
-        tau = tau_point(ctx, [_parse_fraction(str(v)) for v in data.get("tau", [])])
-    poset = Poset.parse(str(data.get("poset", "chain:1")))
+        tau = tau_point(ctx, [json_rational(v, "tau") for v in data.get("tau", [])])
+    poset = _parsed("poset", str(data.get("poset", "chain:1")), Poset.parse,
+                    "chain:<m>, antichain:<k> or a poset JSON file")
     points = [
         DivisorPoint(str(p["id"]), str(p["color"]), json_int(p.get("multiplicity", 1)))
         for p in data["points"]
     ]
-    coords = {str(p["id"]): _parse_fraction(str(p["coord"])) for p in data["points"]}
+    coords = {str(p["id"]): json_rational(p["coord"], f"coord of point {p['id']}")
+              for p in data["points"]}
     divisor = ColoredDivisor(points, coords)
     fiber = ind_fiber(ctx, poset, divisor, tau)
     results = [

@@ -29,9 +29,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction as Frac
-from typing import Dict, Mapping, Tuple
+from typing import Dict, Mapping, NamedTuple, Tuple
 
-from .quiver import json_int
+from .quiver import json_int, json_rational
 from .symalg import (
     MultiPoly,
     RationalFunction,
@@ -55,19 +55,18 @@ _ORIENTATIONS_SIZE = 256
 _ORIENTATIONS: Dict[tuple, RationalFunction] = {}
 
 
-@dataclass(frozen=True)
-class Character:
-    """Integer combination of torus coordinates and dilation coordinates."""
+class Character(NamedTuple):
+    """Integer combination of torus coordinates and dilation coordinates.
+
+    ``coeffs`` holds (variable, nonzero coefficient) pairs in canonical
+    variable order, so equal characters are equal tuples.
+    """
 
     coeffs: Tuple[Tuple[Variable, int], ...]
 
     @staticmethod
     def make(coeffs: Mapping[Variable, int]) -> "Character":
-        items = tuple(
-            sorted(((v, int(c)) for v, c in coeffs.items() if c != 0),
-                   key=lambda it: it[0].sort_key())
-        )
-        return Character(items)
+        return Character(tuple(sorted((v, int(c)) for v, c in coeffs.items() if c != 0)))
 
     @staticmethod
     def zero() -> "Character":
@@ -81,18 +80,6 @@ class Character:
         for v, _ in self.coeffs:
             if v not in registry:
                 raise SymalgError(f"character uses {v.name} outside the registry")
-
-    def neg(self) -> "Character":
-        return Character(tuple((v, -c) for v, c in self.coeffs))
-
-    def add(self, other: "Character") -> "Character":
-        d: Dict[Variable, int] = dict(self.coeffs)
-        for v, c in other.coeffs:
-            d[v] = d.get(v, 0) + c
-        return Character.make(d)
-
-    def as_dict(self) -> Dict[Variable, int]:
-        return dict(self.coeffs)
 
     def __repr__(self) -> str:
         if not self.coeffs:
@@ -195,7 +182,7 @@ class FormalGroupLaw:
     def _orient(self, registry: VarRegistry, chi: Character) -> RationalFunction:
         """The orientation of a nonzero ``chi``, computed on ``registry``."""
         if self.backend == ADDITIVE:
-            form = MultiPoly.linear(registry, chi.as_dict())
+            form = MultiPoly.linear(registry, dict(chi.coeffs))
             return RationalFunction.from_poly(form)
         if self.backend == MULTIPLICATIVE:
             # 1 - prod X_v^(-n_v)  =  (P - N) / P  with
@@ -239,11 +226,16 @@ class FormalGroupLaw:
             return a + b
         raise SymalgError("series backend has no exact point group")
 
-    def point_neg(self, a: Frac) -> Frac:
+    def point(self, a) -> Frac:
+        """``a`` as a point of the group: 0 is no point of the multiplicative one."""
         a = Frac(a)
+        if self.backend == MULTIPLICATIVE and a == 0:
+            raise SymalgError("0 is not a point of the multiplicative group")
+        return a
+
+    def point_neg(self, a: Frac) -> Frac:
+        a = self.point(a)
         if self.backend == MULTIPLICATIVE:
-            if a == 0:
-                raise SymalgError("0 is not a point of the multiplicative group")
             return Frac(1) / a
         if self.backend == ADDITIVE:
             return -a
@@ -321,8 +313,11 @@ def parse_series_file(text: str) -> FormalGroupLaw:
     order = json_int(data["N"])
     coeffs: Dict[Tuple[int, int], Frac] = {}
     for key, val in data.get("coeffs", {}).items():
-        i, j = (int(t) for t in key.split(","))
-        coeffs[(i, j)] = Frac(str(val))
+        try:
+            i, j = (int(t) for t in key.split(","))
+        except ValueError:
+            raise SymalgError(f'series law key {key!r}: expected "i,j" with integers') from None
+        coeffs[(i, j)] = json_rational(val, f"series law coefficient {key!r}")
     return FormalGroupLaw.series(coeffs, order)
 
 

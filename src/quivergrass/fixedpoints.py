@@ -82,23 +82,6 @@ class TruncatedRing:
     def is_nilpotent(self, a) -> bool:
         return a[0] == 0
 
-    def is_unit(self, a) -> bool:
-        return a[0] != 0
-
-    def inverse(self, a) -> Tuple[int, ...]:
-        if not self.is_unit(a):
-            raise ZeroDivisionError("not a unit in the truncated ring")
-        c0_inv = pow(a[0], -1, self.p)
-        # Geometric series against the nilpotent tail.
-        tail = tuple((-(x * c0_inv)) % self.p for x in a)
-        tail = (0,) + tail[1:]
-        inv = self.one()
-        power = self.one()
-        for _ in range(1, self.e):
-            power = self.mul(power, tail)
-            inv = self.add(inv, power)
-        return tuple((x * c0_inv) % self.p for x in inv)
-
     def elements(self) -> List[Tuple[int, ...]]:
         return [tuple(t) for t in itertools.product(range(self.p), repeat=self.e)]
 
@@ -451,9 +434,12 @@ def buchberger(gens: Sequence[MultiPoly]) -> List[MultiPoly]:
     return basis
 
 
-def standard_monomials(
-    basis: Sequence[MultiPoly], nvars: int, cap: int = 4096
-) -> List[Tuple[int, ...]]:
+# The most standard monomials a chart may have before the staircase is
+# taken to be infinite.
+STAIRCASE_CAP = 4096
+
+
+def standard_monomials(basis: Sequence[MultiPoly], nvars: int) -> List[Tuple[int, ...]]:
     """Monomials outside the leading-term ideal, by breadth-first degree."""
     leads = [_unpacked_leading(g)[0] for g in basis if not g.is_zero()]
 
@@ -469,7 +455,7 @@ def standard_monomials(
             if divisible(e):
                 continue
             out.append(e)
-            if len(out) > cap:
+            if len(out) > STAIRCASE_CAP:
                 raise DegreeOverflowError("standard-monomial staircase exceeds the cap")
             for k in range(nvars):
                 ne = tuple(x + (1 if i == k else 0) for i, x in enumerate(e))

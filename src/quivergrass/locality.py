@@ -29,10 +29,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction as Frac
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from itertools import chain
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from .fgl import Character
-from .quiver import ColorWord, DimVector, abelianization
+from .fgl import Character, FormalGroupLaw
+from .quiver import ColorWord, DimVector, abelianization, json_rational
 from .symalg import SymalgError, Variable, d_var
 from .thom import (
     FactorRecord,
@@ -66,7 +67,10 @@ class PointConfig:
     def from_mapping(data: Mapping[str, Sequence]) -> "PointConfig":
         if not isinstance(data, dict) or not all(isinstance(v, list) for v in data.values()):
             raise ValueError(f"a point configuration maps colors to lists, got {data!r}")
-        return PointConfig({str(c): [Frac(str(v)) for v in vals] for c, vals in data.items()})
+        return PointConfig({
+            str(c): [json_rational(v, f"coordinate of color {c}") for v in vals]
+            for c, vals in data.items()
+        })
 
     def weight(self, ctx: KernelContext) -> DimVector:
         return {v: len(self.coords.get(v, [])) for v in ctx.quiver.vertices}
@@ -159,13 +163,21 @@ def pair_check_kernel(ctx: KernelContext, v1: DimVector, v2: DimVector) -> ThomK
 def config_assignment(
     chart: TorusChart, d1: PointConfig, d2: PointConfig, tau: TauPoint
 ) -> Dict[Variable, Frac]:
+    """tau, D1 on slot 1 and D2 on slot 2 of the pair chart of their weights."""
     assignment: Dict[Variable, Frac] = dict(tau)
-    for v in chart.quiver.vertices:
-        for s, val in enumerate(d1.coords.get(v, []), start=1):
-            assignment[chart.x(1, v, s)] = Frac(val)
-        for t, val in enumerate(d2.coords.get(v, []), start=1):
-            assignment[chart.x(2, v, t)] = Frac(val)
+    for (g, v), xs in chart.blocks.items():
+        assignment.update(zip(xs, (d1 if g == 1 else d2).coords[v]))
     return assignment
+
+
+def check_points(law: FormalGroupLaw, tau: TauPoint, coords: Iterable[Tuple[str, Frac]]) -> None:
+    """Raise ``SymalgError`` naming the first tau value or named coordinate
+    that is no point of the law's group (0 under the multiplicative law)."""
+    for name, value in chain(((f"tau value {v.name}", t) for v, t in tau.items()), coords):
+        try:
+            law.point(value)
+        except SymalgError as exc:
+            raise SymalgError(f"{name} = {value}: {exc}") from None
 
 
 @dataclass
@@ -196,6 +208,9 @@ class TrivializationReport:
 def verify_trivialization(
     ctx: KernelContext, d1: PointConfig, d2: PointConfig, tau: TauPoint
 ) -> TrivializationReport:
+    check_points(ctx.law, tau, ((f"{name} coordinate of color {c}", x)
+                                for name, d in (("D1", d1), ("D2", d2))
+                                for c, xs in d.coords.items() for x in xs))
     if d2.is_empty() or d1.is_empty():
         return TrivializationReport(True, Frac(1), [])
     v1, v2 = d1.weight(ctx), d2.weight(ctx)
@@ -251,7 +266,6 @@ def parse_point_config(data: Mapping) -> Tuple[PointConfig, PointConfig, List[Fr
     """JSON form: {"tau": [..], "D1": {"1": [0]}, "D2": {"1": [5]}}."""
     if not isinstance(data, dict) or not isinstance(data.get("tau", []), list):
         raise ValueError('a point configuration file is {"tau": [..], "D1": {..}, "D2": {..}}')
-    tau = [Frac(str(v)) for v in data.get("tau", [])]
-    d1 = PointConfig.from_mapping(data.get("D1", {}))
-    d2 = PointConfig.from_mapping(data.get("D2", {}))
+    tau = [json_rational(v, "tau") for v in data.get("tau", [])]
+    d1, d2 = (PointConfig.from_mapping(data.get(name, {})) for name in ("D1", "D2"))
     return d1, d2, tau

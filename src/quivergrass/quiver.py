@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Dict, List, Mapping, Sequence, Tuple
 
 
@@ -207,6 +208,18 @@ def json_int(x) -> int:
     if type(x) is not int:
         raise ValueError(f"expected an integer, got {x!r}")
     return x
+
+
+def json_rational(x, where: str) -> Fraction:
+    """An exact rational from a JSON number or a string such as "2/3",
+    read from its decimal text; anything else, or a zero denominator, is
+    malformed input at ``where``."""
+    if type(x) in (int, float, str):
+        try:
+            return Fraction(str(x))
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise ValueError(f"{where}: expected a rational number, got {x!r}")
 
 
 def parse_quiver(data: Mapping) -> Tuple[QuiverSpec, NakajimaWeights, DilationTorus]:

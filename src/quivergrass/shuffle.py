@@ -57,17 +57,13 @@ def generator(ctx: KernelContext, vertex: str) -> ShuffleElement:
     return ShuffleElement(weight, RationalFunction.one(chart.registry), True)
 
 
-def _blocks(chart: TorusChart, alpha: DimVector, beta: DimVector):
-    """Per-vertex variable blocks: the first alpha_i slots vs the next beta_i."""
+def _blocks(chart: TorusChart, alpha: DimVector):
+    """Per-vertex variable blocks of the chart of alpha + beta: the first
+    alpha_i coordinates vs the rest."""
     partition = []
-    for v in chart.quiver.vertices:
-        a, b = alpha.get(v, 0), beta.get(v, 0)
-        if a + b == 0:
-            continue
-        block1 = [chart.x(1, v, s) for s in range(1, a + 1)]
-        block2 = [chart.x(1, v, a + t) for t in range(1, b + 1)]
-        blocks = [blk for blk in (block1, block2) if blk]
-        partition.append(blocks)
+    for (_, v), xs in chart.blocks.items():
+        a = alpha.get(v, 0)
+        partition.append([blk for blk in (xs[:a], xs[a:]) if blk])
     return partition
 
 
@@ -87,7 +83,7 @@ def shuffle_product(ctx: KernelContext, a: ShuffleElement, b: ShuffleElement) ->
     fk = pair.fn.rename(pair.chart.embedding(chart, place), reg)
 
     product = fa * fb * fk
-    partition = _blocks(chart, a.weight, b.weight)
+    partition = _blocks(chart, a.weight)
     result = symmetrize(product, partition) if partition else product.cancelled()
     return ShuffleElement(gamma, result, result.is_regular())
 
@@ -125,18 +121,11 @@ def monomial_element(
     fn = kernel.fn.rename(
         kernel.chart.embedding(chart, lambda g, v, s: (1, occurrence[g - 1])), reg
     )
-    xvars = [v for v in reg.variables if v.role == "x"]
+    xvars = [x for xs in chart.blocks.values() for x in xs]
     if len(exponents) != len(xvars):
         raise SymalgError("exponent list does not match the weight chart")
-    mono = MultiPoly(reg, {tuple(
-        exponents[xvars.index(v)] if v in xvars else 0 for v in reg.variables
-    ): Frac(1)}) if xvars else MultiPoly.const(reg, 1)
-    fn = fn * RationalFunction.from_poly(mono)
-    partition = [
-        [[chart.x(1, v, s)] for s in range(1, weight.get(v, 0) + 1)]
-        for v in ctx.quiver.vertices
-        if weight.get(v, 0)
-    ]
+    fn = fn * RationalFunction.from_poly(MultiPoly.monomial(reg, dict(zip(xvars, exponents))))
+    partition = [[[x] for x in xs] for xs in chart.blocks.values()]
     result = symmetrize(fn, partition) if partition else fn.cancelled()
     return ShuffleElement(weight, result, result.is_regular())
 
@@ -188,8 +177,7 @@ def weight_space(
         raise SymalgError("the degree bound must be non-negative")
     rng = random.Random(seed)
     taus = [_random_tau(ctx, rng), _random_tau(ctx, rng)]
-    chart = element_chart(ctx, alpha)
-    xvars = [v for v in chart.registry.variables if v.role == "x"]
+    nx = sum(map(len, element_chart(ctx, alpha).blocks.values()))
     words = _all_words(ctx.quiver, alpha)
 
     raw: List[ShuffleElement] = []
@@ -197,7 +185,7 @@ def weight_space(
         raw.append(unit_element(ctx))
     else:
         for word in words:
-            for exps in _bounded_exponents(len(xvars), degree_bound):
+            for exps in _bounded_exponents(nx, degree_bound):
                 elt = monomial_element(ctx, word, exps)
                 if elt.polynomial and elt.fn.numerator().degree() <= degree_bound:
                     raw.append(elt)

@@ -59,6 +59,12 @@ factor's leading term may change: a factor whose new leading
 coefficient is negative is negated, (-1)^e goes into the unit, and the
 factors are sorted again through ``_trusted``.
 
+Canonical variable order: the canonical order is the tuple order of
+``Variable`` = (role, slot, vpos, index, vname), the roles being their
+ranks (torus, dilation, aux), so ``VarRegistry``, ``Character.make`` and
+``block_shuffles`` sort with no key.  Aux variables with equal ``index``
+tie-break on their name.
+
 Canonical monomial order: graded, ties broken with the *last* registry
 variable most significant (that is exactly the packed-integer order).
 Factors are sorted by degree, term count, then their terms keyed by the
@@ -75,18 +81,16 @@ sequential canonical-order sum bit for bit.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from fractions import Fraction
 from math import gcd
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 Frac = Fraction
 
-ROLE_TORUS = "x"
-ROLE_DILATION = "d"
-ROLE_AUX = "aux"
-_ROLE_RANK = {ROLE_TORUS: 0, ROLE_DILATION: 1, ROLE_AUX: 2}
+ROLE_TORUS = 0
+ROLE_DILATION = 1
+ROLE_AUX = 2
 
 _BITS = 16
 _MASK = (1 << _BITS) - 1
@@ -118,23 +122,20 @@ class PoleError(SymalgError):
         self.factor_repr = factor_repr
 
 
-@dataclass(frozen=True)
-class Variable:
-    """A named coordinate with a role in the canonical ordering.
+class Variable(NamedTuple):
+    """A named coordinate; its tuple order is the canonical order.
 
-    role "x": torus coordinate x[slot, vertex, index]; "d": dilation
-    coordinate; "aux": free symbol.  ``vpos`` is the vertex position in
-    the quiver's declared vertex order (0 for non-torus roles).
+    ``role`` is ROLE_TORUS for a torus coordinate x[slot, vertex, index],
+    ROLE_DILATION for a dilation coordinate, ROLE_AUX for a free symbol.
+    ``vpos`` is the vertex position in the quiver's declared vertex order
+    (0 for a dilation coordinate, the index for an aux symbol).
     """
 
-    role: str
+    role: int
     slot: int
     vpos: int
-    vname: str
     index: int
-
-    def sort_key(self) -> Tuple[int, int, int, int]:
-        return (_ROLE_RANK[self.role], self.slot, self.vpos, self.index)
+    vname: str
 
     @property
     def name(self) -> str:
@@ -149,24 +150,24 @@ class Variable:
 
 
 def x_var(slot: int, vpos: int, vname: str, index: int) -> Variable:
-    return Variable(ROLE_TORUS, slot, vpos, vname, index)
+    return Variable(ROLE_TORUS, slot, vpos, index, vname)
 
 
 def d_var(index: int) -> Variable:
-    return Variable(ROLE_DILATION, 0, 0, "", index)
+    return Variable(ROLE_DILATION, 0, 0, index, "")
 
 
 def aux_var(name: str, index: int = 0) -> Variable:
-    return Variable(ROLE_AUX, 0, index, name, index)
+    return Variable(ROLE_AUX, 0, index, index, name)
 
 
 class VarRegistry:
-    """An ordered set of variables; the ordering is canonical and total."""
+    """An ordered set of variables, in canonical order unless ``keep_order``."""
 
     def __init__(self, variables: Iterable[Variable], *, keep_order: bool = False):
         vs = list(variables)
         if not keep_order:
-            vs.sort(key=Variable.sort_key)
+            vs.sort()
         if len(set(vs)) != len(vs):
             raise SymalgError("duplicate variables in registry")
         self.variables: Tuple[Variable, ...] = tuple(vs)
@@ -572,7 +573,7 @@ class MultiPoly:
         return " + ".join(bits).replace("+ -", "- ")
 
 
-def _factor_sort_key(item: Tuple[MultiPoly, int]):
+def _factor_order(item: Tuple[MultiPoly, int]):
     p, e = item
     low = p.registry.low_mask
     return (
@@ -619,7 +620,7 @@ class RationalFunction:
             return
         self.unit = unit
         self.factors = tuple(
-            sorted(((p, e) for p, e in merged.items() if e != 0), key=_factor_sort_key)
+            sorted(((p, e) for p, e in merged.items() if e != 0), key=_factor_order)
         )
 
     @classmethod
@@ -643,7 +644,7 @@ class RationalFunction:
             merged[p] = merged.get(p, 0) + e
         self.unit = unit
         self.factors = tuple(
-            sorted(((p, e) for p, e in merged.items() if e != 0), key=_factor_sort_key)
+            sorted(((p, e) for p, e in merged.items() if e != 0), key=_factor_order)
         )
         return self
 
@@ -660,10 +661,6 @@ class RationalFunction:
     @staticmethod
     def from_poly(p: MultiPoly) -> "RationalFunction":
         return RationalFunction(p.registry, 1, [(p, 1)])
-
-    @staticmethod
-    def constant(registry: VarRegistry, c) -> "RationalFunction":
-        return RationalFunction(registry, c)
 
     # -- structure ---------------------------------------------------------
 
@@ -910,21 +907,13 @@ def rat_equal(a: RationalFunction, b: RationalFunction) -> bool:
         raise RegistryMismatchError("comparison over different registries")
     if a.unit == 0 or b.unit == 0:
         return a.unit == b.unit
-    if a.unit == b.unit and a.factors == b.factors:
-        return True
-    # Fast path: the quotient often cancels syntactically to a scalar.
-    q = a / b
-    if q.is_scalar():
-        return q.scalar_value() == 1
+    if a.factors == b.factors:
+        return a.unit == b.unit
     if a.denominator_factors() == b.denominator_factors():
         return a.numerator() == b.numerator()
     left = a.numerator() * b.denominator()
     right = b.numerator() * a.denominator()
     return left == right
-
-
-def _color_key(v: Variable) -> Tuple[int, int, int]:
-    return (_ROLE_RANK[v.role], v.slot, v.vpos)
 
 
 def block_shuffles(blocks: Sequence[Sequence[Variable]]) -> List[Dict[Variable, Variable]]:
@@ -940,10 +929,9 @@ def block_shuffles(blocks: Sequence[Sequence[Variable]]) -> List[Dict[Variable, 
         allv.extend(b)
     if len(set(allv)) != len(allv):
         raise SymalgError("blocks overlap")
-    colors = {_color_key(v) for v in allv}
-    if len(colors) > 1:
+    if len({(v.role, v.slot, v.vpos) for v in allv}) > 1:
         raise SymalgError("blocks span more than one color")
-    union = sorted(allv, key=Variable.sort_key)
+    union = sorted(allv)
     n = len(union)
     sizes = [len(b) for b in blocks]
     reps: List[Dict[Variable, Variable]] = []

@@ -48,12 +48,11 @@ from fractions import Fraction as Frac
 from functools import cached_property
 from itertools import chain
 from math import prod
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .fgl import Character, FormalGroupLaw
 from .quiver import DilationTorus, DimVector, NakajimaWeights, QuiverSpec, incidence_form
 from .symalg import (
-    ROLE_TORUS,
     PoleError,
     RationalFunction,
     SymalgError,
@@ -69,29 +68,47 @@ Place = Callable[[int, str, int], Tuple[int, int]]
 
 
 class TorusChart:
-    """Coordinates of a flag type: x[g, i, s] blocks plus dilation axes."""
+    """Coordinates of a flag type: x[g, i, s] blocks plus dilation axes.
+
+    Each nonempty (slot, vertex) block of coordinates is built once, in
+    ``blocks``: slot by slot, vertex by vertex in the quiver's order, so
+    the blocks chained and then the dilation axes ``dvars`` are exactly
+    the canonical registry order.  ``x``, ``dim`` and ``block`` read that
+    table and raise ``SymalgError`` outside the chart.
+    """
 
     def __init__(self, quiver: QuiverSpec, flag: FlagType, dil_rank: int):
         self.quiver = quiver
         self.flag = tuple(dict(v) for v in flag)
         self.dil_rank = dil_rank
-        xs: List[Variable] = []
-        for g, block in enumerate(self.flag, start=1):
+        self.blocks: Dict[Tuple[int, str], Tuple[Variable, ...]] = {}
+        for g, dims in enumerate(self.flag, start=1):
             for v in quiver.vertices:
-                for s in range(1, block.get(v, 0) + 1):
-                    xs.append(x_var(g, quiver.vpos[v], v, s))
+                if dims.get(v, 0) > 0:
+                    self.blocks[g, v] = tuple(
+                        x_var(g, quiver.vpos[v], v, s) for s in range(1, dims[v] + 1)
+                    )
         self.dvars: Tuple[Variable, ...] = tuple(d_var(k) for k in range(1, dil_rank + 1))
-        self.registry = VarRegistry(xs + list(self.dvars))
+        self.registry = VarRegistry([*chain.from_iterable(self.blocks.values()), *self.dvars])
 
     @property
     def slots(self) -> int:
         return len(self.flag)
 
+    def block(self, g: int, vertex: str) -> Tuple[Variable, ...]:
+        """The coordinates x[g, vertex, 1..], empty for an empty block."""
+        if not 1 <= g <= len(self.flag) or vertex not in self.quiver.vpos:
+            raise SymalgError(f"block ({g}, {vertex}) is outside the chart")
+        return self.blocks.get((g, vertex), ())
+
     def dim(self, g: int, vertex: str) -> int:
-        return self.flag[g - 1].get(vertex, 0)
+        return len(self.block(g, vertex))
 
     def x(self, g: int, vertex: str, s: int) -> Variable:
-        return x_var(g, self.quiver.vpos[vertex], vertex, s)
+        block = self.block(g, vertex)
+        if not 1 <= s <= len(block):
+            raise SymalgError(f"x[{g},{vertex},{s}] is outside the chart")
+        return block[s - 1]
 
     def embedding(self, target: "TorusChart", place: Place) -> List[int]:
         """Positions in ``target`` of this chart's variables: x[g, i, s]
@@ -99,17 +116,16 @@ class TorusChart:
         dilation axis to itself."""
         index = target.registry.index
         out: List[int] = []
-        for v in self.registry.variables:
-            if v.role == ROLE_TORUS:
-                g, s = place(v.slot, v.vname, v.index)
-                v = target.x(g, v.vname, s)
-            out.append(index(v))
-        return out
+        for (g, v), block in self.blocks.items():
+            for s in range(1, len(block) + 1):
+                gp, sp = place(g, v, s)
+                out.append(index(target.x(gp, v, sp)))
+        return out + [index(d) for d in self.dvars]
 
 
-@dataclass(frozen=True)
-class FactorRecord:
-    """One orientation factor with enough metadata to name it in reports."""
+class FactorRecord(NamedTuple):
+    """One orientation factor with enough metadata to name it in reports;
+    records compare and hash as plain tuples."""
 
     family: str
     arrow: Optional[str]
@@ -229,12 +245,8 @@ class KernelContext:
         """
         chart = kernel.chart
         (g, i), (gp, j) = source, target
-        n, m = chart.dim(g, i), chart.dim(gp, j)
-        if not n or not m:
-            return
-        targets = [chart.x(gp, j, t) for t in range(1, m + 1)]
-        for s in range(1, n + 1):
-            src = chart.x(g, i, s)
+        sources, targets = chart.block(g, i), chart.block(gp, j)
+        for s, src in enumerate(sources, start=1):
             for t, tgt in enumerate(targets, start=1):
                 coeffs: Dict[Variable, int] = dict(twist.coeffs)
                 coeffs[tgt] = coeffs.get(tgt, 0) + 1

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction as Frac
 from typing import Dict, FrozenSet, List, Mapping, Sequence, Tuple
 
-from .locality import TauPoint, is_m_tau_disjoint, PointConfig
+from .locality import PointConfig, TauPoint, check_points, is_m_tau_disjoint
 from .symalg import SymalgError, Variable
 from .thom import KernelContext
 
@@ -141,12 +141,6 @@ class ColoredDivisor:
                     raise PosetFormatError(f"{chunk!r} is not id:color:multiplicity") from None
         return ColoredDivisor(pts)
 
-    def weight(self) -> Dict[str, int]:
-        out: Dict[str, int] = {}
-        for pt in self.points:
-            out[pt.color] = out.get(pt.color, 0) + pt.multiplicity
-        return out
-
 
 SubMultiplicity = Tuple[Tuple[str, int], ...]  # ((pid, k), ...) sorted by pid
 
@@ -250,6 +244,7 @@ def ind_fiber(
     missing = [pt.pid for pt in divisor.points if pt.pid not in divisor.coords]
     if missing:
         raise NonGenericError(f"points without coordinates: {missing}")
+    check_points(ctx.law, tau, ((f"coord of point {pid}", x) for pid, x in divisor.coords.items()))
     pts = divisor.points
     for a, b in itertools.combinations(pts, 2):
         cfg_a = PointConfig({a.color: [divisor.coords[a.pid]]})

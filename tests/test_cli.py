@@ -349,3 +349,88 @@ def test_negative_and_malformed_arguments_exit_2(tmp_path, argv):
     assert proc.returncode == EXIT_PARSE_ERROR
     assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
     assert option is None or option in proc.stderr, proc.stderr
+
+
+DATA = Path(__file__).resolve().parent / "data"
+GOOD = {"quiver": DATA / "a2_rank2.json", "points": DATA / "a2_rank2_config.json",
+        "fiber": DATA / "a2_rank2_fiber.json"}
+
+# Every subcommand that reads a file of each kind; {file} is the bad file.
+FILE_READERS = {
+    "quiver": [
+        ["kernel", "--quiver", "{file}", "--flag", "1,0|0,1"],
+        ["shuffle", "--quiver", "{file}", "--word", "1"],
+        ["verify", "fgl", "--quiver", "{file}", "--config", "{points}"],
+        ["zastava-fiber", "--quiver", "{file}", "--config", "{fiber}"],
+    ],
+    "series law": [
+        ["kernel", "--quiver", "{quiver}", "--flag", "1,0|0,1", "--fgl", "series:{file}"],
+        ["shuffle", "--quiver", "{quiver}", "--word", "1", "--fgl", "series:{file}"],
+        ["verify", "fgl", "--quiver", "{quiver}", "--config", "{points}",
+         "--fgl", "series:{file}"],
+        ["zastava-fiber", "--quiver", "{quiver}", "--config", "{fiber}",
+         "--fgl", "series:{file}"],
+    ],
+    "point config": [["verify", "fgl", "--quiver", "{quiver}", "--config", "{file}"]],
+    "fiber config": [["zastava-fiber", "--quiver", "{quiver}", "--config", "{file}"]],
+    "poset": [
+        ["ind-rank", "--poset", "{file}", "--divisor", "a:1:1"],
+        ["zastava-fiber", "--quiver", "{quiver}", "--config", "{fiber_with_poset}"],
+    ],
+}
+
+# Bad files of each kind: (file, extra arguments, what the message must name).
+BAD_FILES = {
+    "quiver": [("quiver_zero_denominator.json", [], "weights")],
+    "series law": [
+        ("series_zero_denominator.json", [], "series law coefficient '1,1'"),
+        ("series_bad_key.json", [], "series law key '1;1'"),
+        ("series_list_coefficient.json", [], "series law coefficient '1,1'"),
+    ],
+    "point config": [
+        ("points_zero_denominator.json", [], "coordinate of color 2"),
+        ("points_tau_zero_denominator.json", [], "tau"),
+        # 0 is a point of the additive group but not of the multiplicative one
+        ("a2_rank2_config.json", ["--fgl", "multiplicative"], "D1 coordinate of color 2 = 0"),
+        ("points_tau_zero.json", ["--fgl", "multiplicative"], "tau value d1 = 0"),
+    ],
+    "fiber config": [
+        ("fiber_zero_denominator.json", [], "coord of point a"),
+        ("fiber_tau_zero_denominator.json", [], "tau"),
+        ("fiber_missing_coord.json", [], "has no 'coord'"),
+        ("fiber_tau_zero.json", ["--fgl", "multiplicative"], "tau value d1 = 0"),
+        ("a2_rank2_fiber.json", ["--fgl", "multiplicative"], "coord of point a = 0"),
+    ],
+    "poset": [("poset_unknown_element.json", [], "unknown element")],
+}
+
+
+@pytest.mark.parametrize(
+    "argv, bad, extra, named",
+    [
+        pytest.param(argv, bad, extra, named, id=f"{argv[0]}-{kind}-{bad}")
+        for kind, readers in FILE_READERS.items()
+        for argv in readers
+        for bad, extra, named in BAD_FILES[kind]
+    ],
+)
+def test_every_file_reader_rejects_every_bad_file_kind(tmp_path, capsys, argv, bad, extra, named):
+    fiber_with_poset = tmp_path / "fiber.json"
+    fiber_with_poset.write_text(json.dumps(
+        {**json.loads(GOOD["fiber"].read_text()), "poset": str(DATA / bad)}
+    ))
+    paths = {**GOOD, "file": DATA / bad, "fiber_with_poset": fiber_with_poset}
+    code = main([a.format(**paths) for a in argv] + extra)
+    err = capsys.readouterr().err
+    assert code == EXIT_PARSE_ERROR, err
+    assert err.startswith("error:") and named in err, err
+
+
+def test_zero_coordinates_stay_points_of_the_additive_group(capsys):
+    quiver = str(GOOD["quiver"])
+    for argv in (["verify", "fgl", "--quiver", quiver, "--config", str(GOOD["points"])],
+                 ["zastava-fiber", "--quiver", quiver, "--config", str(GOOD["fiber"])],
+                 ["verify", "fgl", "--quiver", quiver,
+                  "--config", str(DATA / "points_tau_zero.json")]):
+        code, _ = run(capsys, argv)
+        assert code == EXIT_OK

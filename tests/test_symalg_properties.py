@@ -147,3 +147,34 @@ def test_cancelled_is_idempotent(data):
     twice = once.cancelled()
     assert twice == once and repr(twice) == repr(once)
     assert rat_equal(once, f)
+
+
+@settings(max_examples=100, deadline=None)
+@given(registry_and_polys(3))
+def test_polynomials_form_a_commutative_ring(data):
+    reg, (a, b, c) = data
+    zero, one = MultiPoly.zero(reg), MultiPoly.const(reg, 1)
+    assert (a + b) + c == a + (b + c) and a + b == b + a and a + zero == a
+    assert (a * b) * c == a * (b * c) and a * b == b * a and a * one == a
+    assert a * (b + c) == a * b + a * c
+    assert (a - a).is_zero()
+
+
+@st.composite
+def factor_lists_and_permutations(draw):
+    reg, pool = draw(registry_and_polys(4))
+    factors = list(zip(pool, draw(st.lists(st.integers(-2, 2), min_size=4, max_size=4))))
+    return reg, draw(coefficients), factors, draw(st.permutations(factors))
+
+
+@settings(max_examples=100, deadline=None)
+@given(factor_lists_and_permutations())
+def test_the_normal_form_does_not_depend_on_factor_order(data):
+    reg, unit, factors, permuted = data
+    f = RationalFunction(reg, unit, factors)
+    g = RationalFunction(reg, unit, permuted)
+    assert f == g and repr(f) == repr(g)
+    # merged one factor at a time, in the permuted order
+    one_by_one = (RationalFunction(reg, 1, [pe]) for pe in permuted)
+    h = functools.reduce(operator.mul, one_by_one, RationalFunction(reg, unit))
+    assert h == f and repr(h) == repr(f)
