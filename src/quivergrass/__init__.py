@@ -33,7 +33,7 @@ from .shuffle import (
 from .locality import (
     PointConfig,
     is_m_tau_disjoint,
-    shifted_diagonals,
+    pair_blocks,
     tau_point,
     verify_m_locality,
     verify_trivialization,

@@ -12,15 +12,15 @@ drives every kernel factor:
   a character maps to the F-combination of its coordinates truncated at
   total degree N.
 
-An orientation depends only on the law and on the character's signature:
-its coefficients, in order, and the rank order of its variables'
-positions in the registry.  ``lambda_char`` computes it once per
-signature on aux variables y1..yk, keeps it in a memo shared by every
-chart and bounded by ``_ORIENTATIONS_SIZE`` (the oldest entry goes
-first), and transports it into each chart with ``RationalFunction.rename``
-along the increasing positions of the character's variables.
-So ``f_add`` and ``f_inverse_series`` run once per signature, not once
-per factor.
+An orientation depends only on the law and on the character's
+coefficients, in order: every registry is in canonical order, so the
+positions of a character's variables always increase.  ``lambda_char``
+computes it once per (law, coefficients) on the canonical aux registry
+y1..yk, keeps it in a memo shared by every chart and bounded by
+``_ORIENTATIONS_SIZE`` (the oldest entry goes first), and transports it
+into each chart with ``RationalFunction.rename`` along those positions.
+So ``f_add`` and ``f_inverse_series`` run once per coefficient tuple,
+not once per factor.
 
 Values are immutable; a law can be shared freely.
 """
@@ -50,7 +50,7 @@ class TruncationOverflowError(SymalgError):
     """Raised when a series-backend computation exceeds safe bounds."""
 
 
-# Canonical orientations by (law, coefficients, rank order of positions).
+# Canonical orientations by (law, coefficients).
 _ORIENTATIONS_SIZE = 256
 _ORIENTATIONS: Dict[tuple, RationalFunction] = {}
 
@@ -158,26 +158,23 @@ class FormalGroupLaw:
     def lambda_char(self, registry: VarRegistry, chi: Character) -> RationalFunction:
         """The orientation of ``chi`` on the chart of ``registry``.
 
-        Computed once per (law, signature) on canonical aux variables,
+        Computed once per (law, coefficients) on canonical aux variables,
         memoized, and transported into ``registry`` (see the module docstring).
         """
         chi.check_in(registry)
         if chi.is_zero():
             return RationalFunction.zero(registry)
-        positions = [registry.index(v) for v, _ in chi.coeffs]
-        ranks = tuple(sorted(range(len(positions)), key=positions.__getitem__))
-        key = (self, tuple(c for _, c in chi.coeffs), ranks)
+        key = (self, tuple(c for _, c in chi.coeffs))
         canonical = _ORIENTATIONS.get(key)
         if canonical is None:
-            aux = [aux_var(f"y{i + 1}", i + 1) for i in range(len(positions))]
+            aux = [aux_var(f"y{i + 1}", i + 1) for i in range(len(chi.coeffs))]
             canonical = self._orient(
-                VarRegistry([aux[i] for i in ranks], keep_order=True),
-                Character(tuple((y, c) for y, (_, c) in zip(aux, chi.coeffs))),
+                VarRegistry(aux), Character(tuple((y, c) for y, (_, c) in zip(aux, chi.coeffs)))
             )
             if len(_ORIENTATIONS) >= _ORIENTATIONS_SIZE:
                 del _ORIENTATIONS[next(iter(_ORIENTATIONS))]
             _ORIENTATIONS[key] = canonical
-        return canonical.rename(sorted(positions), registry)
+        return canonical.rename([registry.index(v) for v, _ in chi.coeffs], registry)
 
     def _orient(self, registry: VarRegistry, chi: Character) -> RationalFunction:
         """The orientation of a nonzero ``chi``, computed on ``registry``."""

@@ -523,7 +523,7 @@ def carell_chart(n: int, p: int) -> CarellChart:
         return CarellChart(n, p, [], {}, [], [()])
     variables = [aux_var("w" + "".join(map(str, s)), i + 1) for i, s in enumerate(others)]
     var_of = dict(zip(others, variables))
-    reg = VarRegistry(variables, keep_order=True)
+    reg = VarRegistry(variables)
 
     def w(subset: Tuple[int, ...]) -> MultiPoly:
         if subset == top:

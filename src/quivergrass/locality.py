@@ -1,28 +1,25 @@
 """Shifted diagonals, the disjointness predicate, and factorization checks.
 
 Configurations are colored tuples of exact curve coordinates together
-with a rational point of the dilation base.  ``shifted_diagonals`` is
-the one list of constraints between two configurations D1, D2; each
-descriptor matches one factor family of the two-sided pair kernel:
+with a rational point of the dilation base.  The shifted diagonals
+between two configurations D1, D2 are the Hom blocks of the two-sided
+pair kernel, listed once by ``pair_blocks``.  A block from (g, i) to
+(g', j) with twist chi vanishes where a point of D_g'^j, shifted by
+chi(tau), meets a point of D_g^i:
 
-* arrow k of the double, order "12": D2^head + mu(k) against D1^tail
-  (the ``rep_raise`` factors);
-* arrow k, order "21": D1^head + mu(k) against D2^tail (``rep_lower``);
-* each common color v: the plain diagonal D2^v against D1^v
-  (``gp_inv``, symmetric, so one order);
-* each common color v: the symplectic diagonal in both orders, D2^v +
-  omega against D1^v ("12") and D1^v + omega against D2^v ("21")
-  (``gp_omega`` 1->2 and 2->1).
+* arrow k of the double: D2^head + mu(k) against D1^tail
+  (``rep_raise``) and D1^head + mu(k) against D2^tail (``rep_lower``);
+* each common color v: D2^v + omega against D1^v and D1^v + omega
+  against D2^v (``gp_omega``), and the plain diagonal both ways
+  (``gp_inv``, the denominators).
 
-``is_m_tau_disjoint`` reads only that list: two configurations are
-disjoint when no descriptor's shifted points land on the other side.
-
-``verify_trivialization`` evaluates the two-sided pair kernel, assembled
-independently of the list, so each violated constraint names the factor
-that vanishes or blows up.  ``verify_m_locality`` checks the
-factorization of a concatenated word's kernel into the two word kernels
-times the one-sided pair kernel, the kernel-level form of the locality
-isomorphism, exactly and on divisors (``thom.divisor_quotient``).
+``pair_check_kernel`` assembles that list and ``is_m_tau_disjoint``
+reads it, so the predicate and the factors that ``verify_trivialization``
+names when a constraint is violated cannot disagree.
+``verify_m_locality`` checks the factorization of a concatenated word's
+kernel into the two word kernels times the one-sided pair kernel, the
+kernel-level form of the locality isomorphism, exactly and on divisors
+(``thom.divisor_quotient``).
 """
 
 from __future__ import annotations
@@ -33,10 +30,11 @@ from itertools import chain
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .fgl import Character, FormalGroupLaw
-from .quiver import ColorWord, DimVector, abelianization, json_rational
+from .quiver import ColorWord, DimVector, QuiverSpec, abelianization, json_rational
 from .symalg import SymalgError, Variable, d_var
 from .thom import (
     FactorRecord,
+    HomBlock,
     KernelContext,
     Place,
     ThomKernel,
@@ -79,85 +77,49 @@ class PointConfig:
         return all(not vals for vals in self.coords.values())
 
 
-@dataclass(frozen=True)
-class DiagonalDescriptor:
-    """One constraint between two configurations, matching one pair-kernel
-    factor family.
-
-    ``order`` records which configuration receives the shift: "12" means
-    the second configuration's ``color2`` points, shifted, are tested
-    against the first configuration's ``color1`` points; "21" swaps the
-    roles.  Arrow descriptors come in both orders, as ``rep_raise`` (12)
-    and ``rep_lower`` (21); symplectic ones in both orders, as
-    ``gp_omega`` 1->2 (12) and 2->1 (21); the plain diagonal (``gp_inv``)
-    is symmetric and is listed once.
-    """
-
-    name: str
-    color1: str
-    color2: str
-    shift: Frac  # group-law point shift applied per the order
-    source: str  # "arrow:<id>" | "plain" | "symplectic"
-    order: str = "12"
-
-
-def shifted_diagonals(
-    ctx: KernelContext, v1: DimVector, v2: DimVector, tau: TauPoint
-) -> List[DiagonalDescriptor]:
-    """All constraints between configurations of the two weights."""
-    law = ctx.law
-    out: List[DiagonalDescriptor] = []
+def pair_blocks(ctx: KernelContext, v1: DimVector, v2: DimVector) -> List[HomBlock]:
+    """The Hom blocks of the two-sided pair kernel of weights (v1, v2),
+    nonempty blocks only: each arrow k of the double both ways (1 -> 2 as
+    ``rep_raise``, 2 -> 1 as ``rep_lower``), then each common color both
+    ways, symplectic (``gp_omega``) and plain (``gp_inv``, a denominator)."""
+    dims = {1: v1, 2: v2}
+    out: List[HomBlock] = []
     for k in ctx.quiver.double:
-        shift = law.char_value(ctx.mu(k.aid), tau)
-        for order, w1, w2 in (("12", v1, v2), ("21", v2, v1)):
-            if w1.get(k.tail, 0) and w2.get(k.head, 0):
-                out.append(DiagonalDescriptor(
-                    f"delta_{k.aid}(tau)", k.tail, k.head, shift, f"arrow:{k.aid}", order
-                ))
-    omega_shift = law.char_value(ctx.omega(), tau)
+        for family, g, gp in (("rep_raise", 1, 2), ("rep_lower", 2, 1)):
+            if dims[g].get(k.tail, 0) and dims[gp].get(k.head, 0):
+                out.append(HomBlock(family, k.aid, None, (g, k.tail), (gp, k.head),
+                                    ctx.mu(k.aid), +1))
     for v in ctx.quiver.vertices:
-        if v1.get(v, 0) == 0 or v2.get(v, 0) == 0:
-            continue
-        out.append(DiagonalDescriptor(f"delta_{v}", v, v, law.point_zero(), "plain"))
-        for order in ("12", "21"):
-            out.append(DiagonalDescriptor(
-                f"delta_{v}(tau)", v, v, omega_shift, "symplectic", order
-            ))
+        if v1.get(v, 0) and v2.get(v, 0):
+            for family, twist, e in (("gp_omega", ctx.omega(), +1),
+                                     ("gp_inv", Character.zero(), -1)):
+                out += [HomBlock(family, None, v, (1, v), (2, v), twist, e),
+                        HomBlock(family, None, v, (2, v), (1, v), twist, e)]
     return out
 
 
 def is_m_tau_disjoint(
     ctx: KernelContext, d1: PointConfig, d2: PointConfig, tau: TauPoint
 ) -> bool:
-    """No shifted diagonal of ``shifted_diagonals`` may meet: for each
-    descriptor, no shifted point of one configuration lands on a point
-    of the other."""
+    """No shifted diagonal meets: for no block of ``pair_blocks`` does a
+    target point, shifted by the twist at tau, land on a source point."""
     law = ctx.law
-    for d in shifted_diagonals(ctx, d1.weight(ctx), d2.weight(ctx), tau):
-        shifted, fixed = (d2, d1) if d.order == "12" else (d1, d2)
-        targets = set(fixed.coords[d.color1])
-        if any(law.point_add(y, d.shift) in targets for y in shifted.coords[d.color2]):
+    configs = {1: d1, 2: d2}
+    shifts: Dict[Character, Frac] = {}
+    for b in pair_blocks(ctx, d1.weight(ctx), d2.weight(ctx)):
+        shift = shifts.get(b.twist)
+        if shift is None:
+            shift = shifts[b.twist] = law.char_value(b.twist, tau)
+        (g, i), (gp, j) = b.source, b.target
+        sources = set(configs[g].coords[i])
+        if any(law.point_add(y, shift) in sources for y in configs[gp].coords[j]):
             return False
     return True
 
 
 def pair_check_kernel(ctx: KernelContext, v1: DimVector, v2: DimVector) -> ThomKernel:
-    """Two-sided evaluation kernel: one orientation factor per constraint
-    family and direction (arrow factors both ways, symplectic factors both
-    ways, plain diagonals as denominators both ways)."""
-    chart = ctx.chart((v1, v2))
-    kernel = ThomKernel(chart, ctx.law)
-    omega = ctx.omega()
-    for k in ctx.quiver.double:
-        mu = ctx.mu(k.aid)
-        ctx._hom_block(kernel, "rep_raise", (1, k.tail), (2, k.head), mu, +1, arrow=k.aid)
-        ctx._hom_block(kernel, "rep_lower", (2, k.tail), (1, k.head), mu, +1, arrow=k.aid)
-    for v in ctx.quiver.vertices:
-        ctx._hom_block(kernel, "gp_omega", (1, v), (2, v), omega, +1, vertex=v)
-        ctx._hom_block(kernel, "gp_omega", (2, v), (1, v), omega, +1, vertex=v)
-        ctx._hom_block(kernel, "gp_inv", (1, v), (2, v), Character.zero(), -1, vertex=v)
-        ctx._hom_block(kernel, "gp_inv", (2, v), (1, v), Character.zero(), -1, vertex=v)
-    return kernel
+    """The two-sided evaluation kernel: the product over ``pair_blocks``."""
+    return ctx.assemble(ctx.chart((v1, v2)), pair_blocks(ctx, v1, v2))
 
 
 def config_assignment(
@@ -178,6 +140,14 @@ def check_points(law: FormalGroupLaw, tau: TauPoint, coords: Iterable[Tuple[str,
             law.point(value)
         except SymalgError as exc:
             raise SymalgError(f"{name} = {value}: {exc}") from None
+
+
+def check_colors(quiver: QuiverSpec, colors: Iterable[Tuple[str, str]]) -> None:
+    """Raise ``SymalgError`` naming the first (name, color) whose color is
+    no vertex of the quiver."""
+    for name, color in colors:
+        if color not in quiver.vpos:
+            raise SymalgError(f"{name}: color {color!r} is not a vertex of the quiver")
 
 
 @dataclass
@@ -208,6 +178,7 @@ class TrivializationReport:
 def verify_trivialization(
     ctx: KernelContext, d1: PointConfig, d2: PointConfig, tau: TauPoint
 ) -> TrivializationReport:
+    check_colors(ctx.quiver, ((name, c) for name, d in (("D1", d1), ("D2", d2)) for c in d.coords))
     check_points(ctx.law, tau, ((f"{name} coordinate of color {c}", x)
                                 for name, d in (("D1", d1), ("D2", d2))
                                 for c, xs in d.coords.items() for x in xs))

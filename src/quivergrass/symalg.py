@@ -162,12 +162,10 @@ def aux_var(name: str, index: int = 0) -> Variable:
 
 
 class VarRegistry:
-    """An ordered set of variables, in canonical order unless ``keep_order``."""
+    """A set of variables in canonical order."""
 
-    def __init__(self, variables: Iterable[Variable], *, keep_order: bool = False):
-        vs = list(variables)
-        if not keep_order:
-            vs.sort()
+    def __init__(self, variables: Iterable[Variable]):
+        vs = sorted(variables)
         if len(set(vs)) != len(vs):
             raise SymalgError("duplicate variables in registry")
         self.variables: Tuple[Variable, ...] = tuple(vs)

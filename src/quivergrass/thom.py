@@ -7,16 +7,19 @@ orientation factors of characters
 
     x[g', j, t] - x[g, i, s] + (dilation character),
 
-assembled along one of two independent decompositions of the same
-correspondence:
+one per coordinate pair of a Hom block between two (slot, vertex)
+blocks.  A kernel is a list of ``HomBlock`` values and
+``KernelContext.assemble`` is the one place that turns such a list into
+factor records.  Two lists, built over the nonempty blocks only, give
+two independent decompositions of the same correspondence:
 
-* the two-operator path: ``kernel_dstar_p`` (Levi-conormal factors with
-  the symplectic twist, plus the filtration-lowering part of the doubled
-  representation space) times ``kernel_tilde_q`` (the filtration-raising
-  part, divided by the untwisted Levi factors);
-* the one-pass path: ``appendix_b_kernel`` (conormal factors in their
+* the two-operator path, ``flag_kernel``: D*P (Levi-conormal factors
+  with the symplectic twist, plus the filtration-lowering part of the
+  doubled representation space) times Q~ (the filtration-raising part,
+  divided by the untwisted Levi factors);
+* the one-pass path, ``appendix_b_kernel``: conormal factors in their
   dual-resolved presentation, the full off-diagonal doubled block sweep,
-  and the same inverse Levi factors).
+  and the same inverse Levi factors.
 
 The two paths must agree up to a unit, which ``crosscheck`` extracts and
 reports.  Weight-zero characters (loops on a single slot) never divide:
@@ -33,11 +36,11 @@ the quotient of the oriented kernels, since a merge of factored functions
 only sums the exponents of equal factors and multiplies units.
 
 A part on another chart is moved variable by variable first.  An
-orientation depends only on the law, the coefficients and the rank order
-of the character's own variables (see ``fgl``), so a move that keeps each
-character's variables in order commutes with orienting under any law,
-commutative and associative or not, whatever it does to the chart's
-order.  A move that reorders a character's variables raises.
+orientation depends only on the law and the coefficients of the
+character, read in the canonical order of its variables (see ``fgl``),
+so a move that keeps each character's variables in order commutes with
+orienting under any law, commutative and associative or not.  A move
+that reorders a character's variables raises.
 """
 
 from __future__ import annotations
@@ -140,6 +143,21 @@ class FactorRecord(NamedTuple):
         return f"{self.family}[{carrier}; slots {self.slots}; ({self.char})^{self.exponent}]"
 
 
+class HomBlock(NamedTuple):
+    """Hom(block ``source``, block ``target``) of (slot, vertex) blocks,
+    twisted by a dilation character: one factor lambda(x[g', j, t] -
+    x[g, i, s] + twist)^exponent per coordinate pair.  ``arrow`` or
+    ``vertex`` names the carrier in the records."""
+
+    family: str
+    arrow: Optional[str]
+    vertex: Optional[str]
+    source: Tuple[int, str]
+    target: Tuple[int, str]
+    twist: Character
+    exponent: int
+
+
 @dataclass
 class ThomKernel:
     """A kernel as a divisor, oriented on first use.
@@ -220,89 +238,62 @@ class KernelContext:
 
     # -- factor assembly ------------------------------------------------------
 
-    def _emit(self, kernel: ThomKernel, rec: FactorRecord) -> None:
-        if rec.char.is_zero():
-            kernel.zero_records.append(rec)
-            return
-        rec.char.check_in(kernel.chart.registry)
-        kernel.divisor.append(rec)
+    def assemble(self, chart: TorusChart, blocks: Sequence[HomBlock]) -> ThomKernel:
+        """The kernel of ``blocks``: one record per coordinate pair of each
+        block, in list order, weight-zero records aside.  Raises
+        ``SymalgError`` for a twist or a block outside the chart."""
+        for twist in {b.twist for b in blocks}:
+            twist.check_in(chart.registry)
+        kernel = ThomKernel(chart, self.law)
+        for b in blocks:
+            (g, i), (gp, j) = b.source, b.target
+            targets = chart.block(gp, j)
+            for s, src in enumerate(chart.block(g, i), start=1):
+                for t, tgt in enumerate(targets, start=1):
+                    coeffs: Dict[Variable, int] = dict(b.twist.coeffs)
+                    coeffs[tgt] = coeffs.get(tgt, 0) + 1
+                    coeffs[src] = coeffs.get(src, 0) - 1
+                    char = Character.make(coeffs)
+                    (kernel.divisor if char.coeffs else kernel.zero_records).append(
+                        FactorRecord(b.family, b.arrow, b.vertex, (g, gp), (s, t), char,
+                                     b.exponent))
+        return kernel
 
-    def _hom_block(
-        self,
-        kernel: ThomKernel,
-        family: str,
-        source: Tuple[int, str],
-        target: Tuple[int, str],
-        twist: Character,
-        exponent: int,
-        arrow: Optional[str] = None,
-        vertex: Optional[str] = None,
-    ) -> None:
-        """Factors of Hom(block (g, i), block (g', j)), one per coordinate pair.
+    def _vertex_blocks(self, chart: TorusChart, family: str, twist: Character,
+                       exponent: int) -> List[HomBlock]:
+        """Hom((g, v), (g', v)) for g < g', vertex by vertex, over the
+        vertices nonempty in both slots."""
+        m, blocks = chart.slots, chart.blocks
+        return [HomBlock(family, None, v, (g, v), (gp, v), twist, exponent)
+                for g in range(1, m + 1) for gp in range(g + 1, m + 1)
+                for v in self.quiver.vertices if (g, v) in blocks and (gp, v) in blocks]
 
-        ``source`` = (g, i) and ``target`` = (g', j) are (slot, vertex)
-        blocks; ``arrow`` or ``vertex`` names the carrier in the records.
-        """
-        chart = kernel.chart
-        (g, i), (gp, j) = source, target
-        sources, targets = chart.block(g, i), chart.block(gp, j)
-        for s, src in enumerate(sources, start=1):
-            for t, tgt in enumerate(targets, start=1):
-                coeffs: Dict[Variable, int] = dict(twist.coeffs)
-                coeffs[tgt] = coeffs.get(tgt, 0) + 1
-                coeffs[src] = coeffs.get(src, 0) - 1
-                rec = FactorRecord(family, arrow, vertex, (g, gp), (s, t),
-                                   Character.make(coeffs), exponent)
-                self._emit(kernel, rec)
+    def _arrow_blocks(self, chart: TorusChart, family: str,
+                      keep: Callable[[int, int], bool]) -> List[HomBlock]:
+        """Hom((g, tail), (g', head)) twisted by mu(k) for each arrow k of the
+        double and each nonempty slot pair with ``keep(g, g')``."""
+        slots: Dict[str, List[int]] = {}
+        for g, v in chart.blocks:
+            slots.setdefault(v, []).append(g)
+        return [HomBlock(family, k.aid, None, (g, k.tail), (gp, k.head), self.mu(k.aid), +1)
+                for k in self.quiver.double
+                for g in slots.get(k.tail, ()) for gp in slots.get(k.head, ()) if keep(g, gp)]
 
     # -- public operators ------------------------------------------------------
 
-    def kernel_dstar_p(self, flag: FlagType, chart: Optional[TorusChart] = None) -> ThomKernel:
-        """Twisted conormal factors plus the filtration-lowering doubled blocks."""
-        if not flag:
-            raise ValueError("flag type must be nonempty")
-        chart = chart or self.chart(flag)
-        kernel = ThomKernel(chart, self.law)
-        omega = self.omega()
-        m = chart.slots
-        for g in range(1, m + 1):
-            for gp in range(g + 1, m + 1):
-                for v in self.quiver.vertices:
-                    self._hom_block(kernel, "gp_omega", (g, v), (gp, v), omega, +1, vertex=v)
-        for k in self.quiver.double:
-            mu = self.mu(k.aid)
-            for g in range(1, m + 1):
-                for gp in range(1, g):
-                    self._hom_block(kernel, "rep_lower", (g, k.tail), (gp, k.head), mu, +1,
-                                    arrow=k.aid)
-        return kernel
-
-    def kernel_tilde_q(self, flag: FlagType, chart: Optional[TorusChart] = None) -> ThomKernel:
-        """Filtration-raising doubled blocks over the untwisted conormal factors."""
-        if not flag:
-            raise ValueError("flag type must be nonempty")
-        chart = chart or self.chart(flag)
-        kernel = ThomKernel(chart, self.law)
-        m = chart.slots
-        for k in self.quiver.double:
-            mu = self.mu(k.aid)
-            for g in range(1, m + 1):
-                for gp in range(g + 1, m + 1):
-                    self._hom_block(kernel, "rep_raise", (g, k.tail), (gp, k.head), mu, +1,
-                                    arrow=k.aid)
-        zero = Character.zero()
-        for g in range(1, m + 1):
-            for gp in range(g + 1, m + 1):
-                for v in self.quiver.vertices:
-                    self._hom_block(kernel, "gp_inv", (g, v), (gp, v), zero, -1, vertex=v)
-        return kernel
-
     def flag_kernel(self, flag: FlagType, chart: Optional[TorusChart] = None) -> ThomKernel:
-        """The full kernel of a flag type: both operators multiplied."""
+        """The two-operator path: D*P (twisted conormal factors, then the
+        filtration-lowering doubled blocks) times Q~ (the filtration-raising
+        doubled blocks over the untwisted conormal factors)."""
+        if not flag:
+            raise ValueError("flag type must be nonempty")
         chart = chart or self.chart(flag)
-        a = self.kernel_dstar_p(flag, chart)
-        b = self.kernel_tilde_q(flag, chart)
-        return ThomKernel(chart, self.law, a.divisor + b.divisor, a.zero_records + b.zero_records)
+        return self.assemble(chart, [
+            *self._vertex_blocks(chart, "gp_omega", self.omega(), +1),
+            *self._arrow_blocks(chart, "rep_lower", lambda g, gp: gp < g),
+            *self._arrow_blocks(chart, "rep_raise", lambda g, gp: gp > g),
+            *self._vertex_blocks(chart, "gp_inv", Character.zero(), -1),
+        ])
 
     def biextension_kernel(self, v1: DimVector, v2: DimVector) -> ThomKernel:
         return self.flag_kernel((v1, v2))
@@ -326,31 +317,15 @@ class KernelContext:
         if not flag:
             raise ValueError("flag type must be nonempty")
         chart = chart or self.chart(flag)
-        kernel = ThomKernel(chart, self.law)
-        omega = self.omega()
-        m = chart.slots
-        # Conormal directions of the partial-flag base, symplectic twist,
-        # written in the dual-resolved (raising) presentation.
-        for g in range(1, m + 1):
-            for gp in range(g + 1, m + 1):
-                for v in self.quiver.vertices:
-                    self._hom_block(kernel, "iota_gp_omega", (g, v), (gp, v), omega, +1, vertex=v)
-        # All off-diagonal blocks of the doubled representation space in a
-        # single sweep over ordered slot pairs.
-        for k in self.quiver.double:
-            mu = self.mu(k.aid)
-            for g in range(1, m + 1):
-                for gp in range(1, m + 1):
-                    if g == gp:
-                        continue
-                    self._hom_block(kernel, "psi_offdiag", (g, k.tail), (gp, k.head), mu, +1,
-                                    arrow=k.aid)
-        zero = Character.zero()
-        for g in range(1, m + 1):
-            for gp in range(g + 1, m + 1):
-                for v in self.quiver.vertices:
-                    self._hom_block(kernel, "psi_gp_inv", (g, v), (gp, v), zero, -1, vertex=v)
-        return kernel
+        # Conormal directions of the partial-flag base with the symplectic
+        # twist, in the dual-resolved (raising) presentation; all
+        # off-diagonal blocks of the doubled representation space in a
+        # single sweep over ordered slot pairs; the inverse Levi factors.
+        return self.assemble(chart, [
+            *self._vertex_blocks(chart, "iota_gp_omega", self.omega(), +1),
+            *self._arrow_blocks(chart, "psi_offdiag", lambda g, gp: g != gp),
+            *self._vertex_blocks(chart, "psi_gp_inv", Character.zero(), -1),
+        ])
 
     # -- classical layer -----------------------------------------------------
 
@@ -358,15 +333,13 @@ class KernelContext:
         """Diagonal multiplicities of the plain representation-space kernel
         with the dilation coordinates at zero."""
         chart = self.chart((v,))
-        kernel = ThomKernel(chart, self.law)
         zero = Character.zero()
-        for h in self.quiver.arrows:
-            self._hom_block(kernel, "classical", (1, h.tail), (1, h.head), zero, +1, arrow=h.aid)
+        blocks = [HomBlock("classical", h.aid, None, (1, h.tail), (1, h.head), zero, +1)
+                  for h in self.quiver.arrows if (1, h.tail) in chart.blocks
+                  and (1, h.head) in chart.blocks]
         counts: Dict[Tuple[str, str], int] = {}
-        for h in self.quiver.arrows:
-            i, j = h.tail, h.head
-            if v.get(i, 0) == 0 or v.get(j, 0) == 0:
-                continue
+        for b in blocks:
+            i, j = b.source[1], b.target[1]
             key = (i, j) if self.quiver.vpos[i] <= self.quiver.vpos[j] else (j, i)
             counts[key] = counts.get(key, 0) + 1
         form = incidence_form(self.quiver)
@@ -375,7 +348,7 @@ class KernelContext:
             for pair in form
             if v.get(pair[0], 0) and v.get(pair[1], 0)
         }
-        return ClassicalDivisorReport(kernel, counts, matches)
+        return ClassicalDivisorReport(self.assemble(chart, blocks), counts, matches)
 
 
 @dataclass

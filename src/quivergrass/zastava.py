@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction as Frac
 from typing import Dict, FrozenSet, List, Mapping, Sequence, Tuple
 
-from .locality import PointConfig, TauPoint, check_points, is_m_tau_disjoint
+from .locality import PointConfig, TauPoint, check_colors, check_points, is_m_tau_disjoint
 from .symalg import SymalgError, Variable
 from .thom import KernelContext
 
@@ -244,6 +244,7 @@ def ind_fiber(
     missing = [pt.pid for pt in divisor.points if pt.pid not in divisor.coords]
     if missing:
         raise NonGenericError(f"points without coordinates: {missing}")
+    check_colors(ctx.quiver, ((f"point {pt.pid}", pt.color) for pt in divisor.points))
     check_points(ctx.law, tau, ((f"coord of point {pid}", x) for pid, x in divisor.coords.items()))
     pts = divisor.points
     for a, b in itertools.combinations(pts, 2):

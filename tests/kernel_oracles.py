@@ -1,17 +1,27 @@
-"""Function-level oracles for the kernel identities that
-``thom.divisor_quotient`` decides on divisors.  Each orients the kernels,
-renames the parts onto the main chart, multiplies them and compares with
-``rat_equal``, as the bilinearity and locality checks once did.  Also the
-module kernel (a product over Hom blocks) that several tests build.  This
-file is a helper, not a test module; the tests import it by name."""
+"""Oracles kept beside the code they check.  This file is a helper, not a
+test module; the tests import it by name.
+
+* Function-level oracles for the kernel identities that
+  ``thom.divisor_quotient`` decides on divisors.  Each orients the
+  kernels, renames the parts onto the main chart, multiplies them and
+  compares with ``rat_equal``, as the bilinearity and locality checks
+  once did.
+* The kernel assemblies as they were before kernels became lists of
+  ``HomBlock`` values: nested loops over every slot pair and vertex or
+  arrow, and a generator that builds one record per coordinate pair.
+* The disjointness predicate as it was before it read the pair kernel's
+  blocks: a hand-kept list of shifted-diagonal descriptors.
+* The module kernel (a product over Hom blocks) that several tests build.
+"""
 
 from fractions import Fraction as F
+from typing import NamedTuple
 
 from quivergrass import checks
-from quivergrass.fgl import FormalGroupLaw
+from quivergrass.fgl import Character, FormalGroupLaw
 from quivergrass.quiver import abelianization, stock_quiver
 from quivergrass.symalg import RationalFunction, rat_equal
-from quivergrass.thom import ThomKernel
+from quivergrass.thom import FactorRecord, HomBlock, ThomKernel
 
 # A truncated series law that is neither commutative nor associative.
 NON_SYMMETRIC = FormalGroupLaw.series({(1, 2): F(1), (1, 1): F(-1, 2)}, 4)
@@ -19,10 +29,161 @@ NON_SYMMETRIC = FormalGroupLaw.series({(1, 2): F(1), (1, 1): F(-1, 2)}, 4)
 
 def kernel_of_module(ctx, chart, blocks):
     """Product over Hom blocks ((g, i), (g', j), twist, multiplicity)."""
+    return ctx.assemble(chart, [HomBlock("module", None, None, source, target, twist, mult)
+                                for source, target, twist, mult in blocks])
+
+
+def flag_blocks(ctx, flag):
+    """(chart, blocks) that ``ctx.flag_kernel(flag)`` hands to ``assemble``."""
+    seen = []
+    assemble = ctx.assemble
+    ctx.assemble = lambda chart, blocks: seen.append((chart, blocks)) or assemble(chart, blocks)
+    try:
+        ctx.flag_kernel(flag)
+    finally:
+        del ctx.assemble
+    return seen[0]
+
+
+# -- the nested-loop assemblies ---------------------------------------------------
+
+
+def emit(kernel, rec):
+    if rec.char.is_zero():
+        kernel.zero_records.append(rec)
+        return
+    rec.char.check_in(kernel.chart.registry)
+    kernel.divisor.append(rec)
+
+
+def hom_block_by_pairs(kernel, family, source, target, twist, exponent, arrow=None, vertex=None):
+    """One character per coordinate pair, block sizes read for every pair,
+    the twist added afterwards."""
+    chart = kernel.chart
+    (g, i), (gp, j) = source, target
+    for s in range(1, chart.dim(g, i) + 1):
+        for t in range(1, chart.dim(gp, j) + 1):
+            coeffs = {chart.x(gp, j, t): 1}
+            src = chart.x(g, i, s)
+            coeffs[src] = coeffs.get(src, 0) - 1
+            for v, c in twist.coeffs:
+                coeffs[v] = coeffs.get(v, 0) + c
+            char = Character.make(coeffs)
+            emit(kernel, FactorRecord(family, arrow, vertex, (g, gp), (s, t), char, exponent))
+
+
+def nested_flag_kernel(ctx, chart):
+    """D*P, then Q~, over every slot pair whether its blocks are empty or not."""
     kernel = ThomKernel(chart, ctx.law)
-    for source, target, twist, mult in blocks:
-        ctx._hom_block(kernel, "module", source, target, twist, mult)
+    m, omega, zero = chart.slots, ctx.omega(), Character.zero()
+    for g in range(1, m + 1):
+        for gp in range(g + 1, m + 1):
+            for v in ctx.quiver.vertices:
+                hom_block_by_pairs(kernel, "gp_omega", (g, v), (gp, v), omega, +1, vertex=v)
+    for k in ctx.quiver.double:
+        for g in range(1, m + 1):
+            for gp in range(1, g):
+                hom_block_by_pairs(kernel, "rep_lower", (g, k.tail), (gp, k.head),
+                                   ctx.mu(k.aid), +1, arrow=k.aid)
+    for k in ctx.quiver.double:
+        for g in range(1, m + 1):
+            for gp in range(g + 1, m + 1):
+                hom_block_by_pairs(kernel, "rep_raise", (g, k.tail), (gp, k.head),
+                                   ctx.mu(k.aid), +1, arrow=k.aid)
+    for g in range(1, m + 1):
+        for gp in range(g + 1, m + 1):
+            for v in ctx.quiver.vertices:
+                hom_block_by_pairs(kernel, "gp_inv", (g, v), (gp, v), zero, -1, vertex=v)
     return kernel
+
+
+def nested_appendix_b_kernel(ctx, chart):
+    kernel = ThomKernel(chart, ctx.law)
+    m, omega, zero = chart.slots, ctx.omega(), Character.zero()
+    for g in range(1, m + 1):
+        for gp in range(g + 1, m + 1):
+            for v in ctx.quiver.vertices:
+                hom_block_by_pairs(kernel, "iota_gp_omega", (g, v), (gp, v), omega, +1, vertex=v)
+    for k in ctx.quiver.double:
+        for g in range(1, m + 1):
+            for gp in range(1, m + 1):
+                if g != gp:
+                    hom_block_by_pairs(kernel, "psi_offdiag", (g, k.tail), (gp, k.head),
+                                       ctx.mu(k.aid), +1, arrow=k.aid)
+    for g in range(1, m + 1):
+        for gp in range(g + 1, m + 1):
+            for v in ctx.quiver.vertices:
+                hom_block_by_pairs(kernel, "psi_gp_inv", (g, v), (gp, v), zero, -1, vertex=v)
+    return kernel
+
+
+def nested_classical_kernel(ctx, v):
+    kernel = ThomKernel(ctx.chart((v,)), ctx.law)
+    for h in ctx.quiver.arrows:
+        hom_block_by_pairs(kernel, "classical", (1, h.tail), (1, h.head), Character.zero(), +1,
+                           arrow=h.aid)
+    return kernel
+
+
+def nested_pair_check_kernel(ctx, v1, v2):
+    kernel = ThomKernel(ctx.chart((v1, v2)), ctx.law)
+    omega, zero = ctx.omega(), Character.zero()
+    for k in ctx.quiver.double:
+        mu = ctx.mu(k.aid)
+        hom_block_by_pairs(kernel, "rep_raise", (1, k.tail), (2, k.head), mu, +1, arrow=k.aid)
+        hom_block_by_pairs(kernel, "rep_lower", (2, k.tail), (1, k.head), mu, +1, arrow=k.aid)
+    for v in ctx.quiver.vertices:
+        hom_block_by_pairs(kernel, "gp_omega", (1, v), (2, v), omega, +1, vertex=v)
+        hom_block_by_pairs(kernel, "gp_omega", (2, v), (1, v), omega, +1, vertex=v)
+        hom_block_by_pairs(kernel, "gp_inv", (1, v), (2, v), zero, -1, vertex=v)
+        hom_block_by_pairs(kernel, "gp_inv", (2, v), (1, v), zero, -1, vertex=v)
+    return kernel
+
+
+# -- the descriptor list of shifted diagonals ---------------------------------------
+
+
+class Descriptor(NamedTuple):
+    """One constraint between two configurations.  Order "12" tests the
+    second configuration's ``color2`` points, shifted, against the first
+    one's ``color1`` points; "21" swaps the roles."""
+
+    name: str
+    color1: str
+    color2: str
+    shift: F
+    source: str  # "arrow:<id>" | "plain" | "symplectic"
+    order: str = "12"
+
+
+def shifted_diagonals(ctx, v1, v2, tau):
+    law = ctx.law
+    out = []
+    for k in ctx.quiver.double:
+        shift = law.char_value(ctx.mu(k.aid), tau)
+        for order, w1, w2 in (("12", v1, v2), ("21", v2, v1)):
+            if w1.get(k.tail, 0) and w2.get(k.head, 0):
+                out.append(Descriptor(f"delta_{k.aid}(tau)", k.tail, k.head, shift,
+                                      f"arrow:{k.aid}", order))
+    omega_shift = law.char_value(ctx.omega(), tau)
+    for v in ctx.quiver.vertices:
+        if v1.get(v, 0) == 0 or v2.get(v, 0) == 0:
+            continue
+        out.append(Descriptor(f"delta_{v}", v, v, law.point_zero(), "plain"))
+        for order in ("12", "21"):
+            out.append(Descriptor(f"delta_{v}(tau)", v, v, omega_shift, "symplectic", order))
+    return out
+
+
+def descriptor_disjoint(ctx, d1, d2, tau):
+    """No descriptor's shifted points land on the other configuration."""
+    law = ctx.law
+    for d in shifted_diagonals(ctx, d1.weight(ctx), d2.weight(ctx), tau):
+        shifted, fixed = (d2, d1) if d.order == "12" else (d1, d2)
+        targets = set(fixed.coords[d.color1])
+        if any(law.point_add(y, d.shift) in targets for y in shifted.coords[d.color2]):
+            return False
+    return True
 
 
 def renamed_product(main, parts):

@@ -393,6 +393,7 @@ BAD_FILES = {
         # 0 is a point of the additive group but not of the multiplicative one
         ("a2_rank2_config.json", ["--fgl", "multiplicative"], "D1 coordinate of color 2 = 0"),
         ("points_tau_zero.json", ["--fgl", "multiplicative"], "tau value d1 = 0"),
+        ("points_unknown_color.json", [], "D1: color '9'"),
     ],
     "fiber config": [
         ("fiber_zero_denominator.json", [], "coord of point a"),
@@ -400,6 +401,7 @@ BAD_FILES = {
         ("fiber_missing_coord.json", [], "has no 'coord'"),
         ("fiber_tau_zero.json", ["--fgl", "multiplicative"], "tau value d1 = 0"),
         ("a2_rank2_fiber.json", ["--fgl", "multiplicative"], "coord of point a = 0"),
+        ("fiber_unknown_color.json", [], "point b: color '9'"),
     ],
     "poset": [("poset_unknown_element.json", [], "unknown element")],
 }

@@ -1,16 +1,31 @@
 """The dual-assembly crosscheck, decided on divisors, against the oriented
 comparison it replaced: both kernels multiplied out into factored
-functions, divided and cancelled.  The oracle lives only here."""
+functions, divided and cancelled.  The oracle lives only here.  Also the
+kernels assembled from block lists against the nested-loop assemblies
+they replaced (``kernel_oracles``)."""
 
 import pytest
 
-from quivergrass.checks import CROSSCHECK_QUIVERS, enumerate_flags, make_context, standard_laws
+from quivergrass.checks import (
+    CROSSCHECK_QUIVERS,
+    enumerate_dimvectors,
+    enumerate_flags,
+    make_context,
+    standard_laws,
+)
 from quivergrass.fgl import Character, FormalGroupLaw
+from quivergrass.locality import pair_check_kernel
 from quivergrass.quiver import DilationTorus, default_nakajima, stock_quiver
 from quivergrass.symalg import SymalgError, d_var
-from quivergrass.thom import FactorRecord, KernelContext, compare_kernels, crosscheck
+from quivergrass.thom import HomBlock, KernelContext, compare_kernels, crosscheck
 
-from kernel_oracles import kernel_of_module
+from kernel_oracles import (
+    kernel_of_module,
+    nested_appendix_b_kernel,
+    nested_classical_kernel,
+    nested_flag_kernel,
+    nested_pair_check_kernel,
+)
 
 LAWS = [law for _, law in standard_laws()]
 
@@ -136,49 +151,43 @@ def test_a_character_outside_the_chart_fails_during_assembly():
     # slot 0 is no slot of the chart
     with pytest.raises(SymalgError):
         kernel_of_module(ctx, chart, [((0, "2"), (1, "1"), Character.zero(), 1)])
-    # a record that would cancel against its twin is still checked
-    kernel = kernel_of_module(ctx, chart, [])
-    rec = FactorRecord("module", None, None, (1, 2), (1, 1), outside, 1)
+    # one outside twist fails the whole assembly, twice listed or not
+    blocks = [HomBlock("module", None, None, (1, "1"), (2, "2"), twist, 1)
+              for twist in (Character.zero(), outside, outside)]
     with pytest.raises(SymalgError):
-        ctx._emit(kernel, rec)
-    assert not kernel.divisor
+        ctx.assemble(chart, blocks)
+    with pytest.raises(SymalgError):
+        ctx.assemble(chart, [HomBlock("module", None, None, (1, "1"), (3, "2"),
+                                      Character.zero(), 1)])
 
 
-def hom_block_by_pairs(self, kernel, family, source, target, twist, exponent,
-                       arrow=None, vertex=None):
-    """The record generator as it was: one character per coordinate pair,
-    block sizes read for every pair, the twist added afterwards."""
-    chart = kernel.chart
-    (g, i), (gp, j) = source, target
-    for s in range(1, chart.dim(g, i) + 1):
-        for t in range(1, chart.dim(gp, j) + 1):
-            coeffs = {chart.x(gp, j, t): 1}
-            src = chart.x(g, i, s)
-            coeffs[src] = coeffs.get(src, 0) - 1
-            for v, c in twist.coeffs:
-                coeffs[v] = coeffs.get(v, 0) + c
-            char = Character.make(coeffs)
-            rec = FactorRecord(family, arrow, vertex, (g, gp), (s, t), char, exponent)
-            self._emit(kernel, rec)
+def kernel_records(kernel):
+    return [r.label() for r in kernel.divisor], kernel.divisor, kernel.zero_records
 
 
-def test_records_are_generated_in_the_same_order_as_pair_by_pair(monkeypatch):
-    def records(ctx, flag):
-        chart = ctx.chart(flag)
-        out = []
-        kernels = [ctx.flag_kernel(flag, chart), ctx.appendix_b_kernel(flag, chart)]
-        kernels += [ctx.classical_divisor(v).kernel for v in flag]
-        for kernel in kernels:
-            out.append(([r.label() for r in kernel.divisor], kernel.divisor,
-                        kernel.zero_records))
-        return out
-
+def test_kernels_match_the_nested_loop_assemblies():
     for name in ("a2", "jordan", "kronecker2"):
         quiver = stock_quiver(name)
         ctx = make_context(quiver, FormalGroupLaw.additive())
-        flags = enumerate_flags(quiver, 3)
-        fast = [records(ctx, flag) for flag in flags]
-        with monkeypatch.context() as m:
-            m.setattr(KernelContext, "_hom_block", hom_block_by_pairs)
-            slow = [records(ctx, flag) for flag in flags]
-        assert fast == slow
+        for flag in enumerate_flags(quiver, 3):
+            chart = ctx.chart(flag)
+            assert (kernel_records(ctx.flag_kernel(flag, chart))
+                    == kernel_records(nested_flag_kernel(ctx, chart)))
+            assert (kernel_records(ctx.appendix_b_kernel(flag, chart))
+                    == kernel_records(nested_appendix_b_kernel(ctx, chart)))
+            for v in flag:
+                assert (kernel_records(ctx.classical_divisor(v).kernel)
+                        == kernel_records(nested_classical_kernel(ctx, v)))
+
+
+def test_pair_check_kernels_match_the_nested_loop_assembly():
+    for name in ("a2", "kronecker2"):
+        quiver = stock_quiver(name)
+        weights = [v for total in range(1, 4) for v in enumerate_dimvectors(quiver, total)]
+        weights.append({v: 0 for v in quiver.vertices})
+        for torus in (DilationTorus.diagonal(), DilationTorus.full()):
+            ctx = make_context(quiver, FormalGroupLaw.additive(), torus)
+            for v1 in weights:
+                for v2 in weights:
+                    assert (kernel_records(pair_check_kernel(ctx, v1, v2))
+                            == kernel_records(nested_pair_check_kernel(ctx, v1, v2)))

@@ -152,21 +152,25 @@ NON_SYMMETRIC = FormalGroupLaw.series({(1, 2): F(1), (1, 1): F(-1, 2)}, 4)
 
 
 def test_lambda_char_matches_direct_orientation_on_shuffled_registries():
-    # the memoized orientation, transported into a keep_order registry whose
-    # positions disagree with the canonical order, must be the direct computation
+    # the orientation memoized per coefficient tuple, transported into
+    # registries of random variable subsets (so a character's positions are
+    # increasing but not contiguous), must be the direct computation
     rng = random.Random(41)
     laws = [FormalGroupLaw.additive(), FormalGroupLaw.multiplicative(), NON_SYMMETRIC]
-    variables = [x_var(s, p, f"v{p}", i) for s in (1, 2) for p in (0, 1) for i in (1, 2)]
-    variables += [d_var(1), d_var(2)]  # a rank-2 dilation
+    pool = [x_var(s, p, f"v{p}", i) for s in (1, 2, 3) for p in (0, 1) for i in (1, 2)]
+    pool += [d_var(1), d_var(2)]  # a rank-2 dilation
+    gaps = 0
     for _ in range(300):
-        rng.shuffle(variables)
-        reg = VarRegistry(variables, keep_order=True)
+        reg = VarRegistry(rng.sample(pool, rng.randint(3, len(pool))))
         chi = Character.make(
-            {v: rng.choice([-2, -1, 1, 2]) for v in rng.sample(variables, rng.randint(1, 3))}
+            {v: rng.choice([-2, -1, 1, 2]) for v in rng.sample(reg.variables, rng.randint(1, 3))}
         )
+        positions = [reg.index(v) for v, _ in chi.coeffs]
+        gaps += positions[-1] - positions[0] >= len(positions)
         for law in laws:
             got, want = law.lambda_char(reg, chi), law._orient(reg, chi)
             assert got == want and repr(got) == repr(want)
+    assert gaps > 100
 
 
 def test_truncation_overflow_is_not_cached(reg):

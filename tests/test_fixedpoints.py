@@ -189,7 +189,7 @@ def test_carell_overflow():
 
 def test_buchberger_small_ideal():
     x, y = aux_var("x", 1), aux_var("y", 2)
-    reg = VarRegistry([x, y], keep_order=True)
+    reg = VarRegistry([x, y])
     px, py = MultiPoly.var(reg, x), MultiPoly.var(reg, y)
     basis = buchberger([px * py, px - py * py])
     std = standard_monomials(basis, 2)

@@ -3,13 +3,14 @@ from fractions import Fraction as F
 
 import pytest
 
+from quivergrass import checks
 from quivergrass.fgl import Character, FormalGroupLaw
 from quivergrass.locality import (
     PointConfig,
     is_m_tau_disjoint,
+    pair_blocks,
     pair_check_kernel,
     parse_point_config,
-    shifted_diagonals,
     tau_point,
     verify_m_locality,
     verify_trivialization,
@@ -17,6 +18,8 @@ from quivergrass.locality import (
 from quivergrass.quiver import DilationTorus, default_nakajima, stock_quiver
 from quivergrass.symalg import ROLE_TORUS
 from quivergrass.thom import KernelContext
+
+from kernel_oracles import descriptor_disjoint, shifted_diagonals
 
 # Single-color contexts here use the dilation torus along the first weight
 # axis, so the symplectic shift equals the tau coordinate itself and the
@@ -43,25 +46,36 @@ TWISTED = {
 
 
 def test_shifted_diagonal_families():
+    # the shifted diagonals are the pair kernel's blocks
     ctx = ctx_for("a1")
-    tau = tau_point(ctx, [F(1)])
-    ds = list(shifted_diagonals(ctx, {"1": 1}, {"1": 1}, tau))
-    names = {d.name for d in ds}
-    assert names == {"delta_1", "delta_1(tau)"}
+    blocks = pair_blocks(ctx, {"1": 1}, {"1": 1})
+    assert [(b.family, b.source, b.target, b.exponent) for b in blocks] == [
+        ("gp_omega", (1, "1"), (2, "1"), 1), ("gp_omega", (2, "1"), (1, "1"), 1),
+        ("gp_inv", (1, "1"), (2, "1"), -1), ("gp_inv", (2, "1"), (1, "1"), -1),
+    ]
     ctx2 = ctx_for("a2", torus=DilationTorus.diagonal())
+    blocks2 = pair_blocks(ctx2, {"1": 1, "2": 0}, {"1": 0, "2": 1})
+    assert [(b.family, b.arrow, b.source, b.target) for b in blocks2] == [
+        ("rep_raise", "h1", (1, "1"), (2, "2")), ("rep_lower", "h1*", (2, "2"), (1, "1")),
+    ]
     tau2 = tau_point(ctx2, [F(1)])
-    ds2 = list(shifted_diagonals(ctx2, {"1": 1, "2": 0}, {"1": 0, "2": 1}, tau2))
-    names2 = {d.name for d in ds2}
-    assert names2 == {"delta_h1(tau)", "delta_h1*(tau)"}
-    shifts = {d.name: d.shift for d in ds2}
-    assert shifts["delta_h1(tau)"] == 1 and shifts["delta_h1*(tau)"] == 1
+    assert all(ctx2.law.char_value(b.twist, tau2) == 1 for b in blocks2)
+    # x[1, 1] = 0 meets x[2, 2] = -1 shifted by mu(h1) = 1 (rep_raise), and
+    # x[2, 2] = 0 meets x[1, 1] = -1 shifted by mu(h1*) = 1 (rep_lower)
+    assert not is_m_tau_disjoint(ctx2, PointConfig({"1": [F(0)]}),
+                                 PointConfig({"2": [F(-1)]}), tau2)
+    assert not is_m_tau_disjoint(ctx2, PointConfig({"1": [F(-1)]}),
+                                 PointConfig({"2": [F(0)]}), tau2)
+    assert is_m_tau_disjoint(ctx2, PointConfig({"1": [F(0)]}), PointConfig({"2": [F(0)]}), tau2)
+    # no block without points on both ends
+    assert pair_blocks(ctx2, {"1": 1, "2": 0}, {"1": 0, "2": 0}) == []
 
 
 def test_tau_zero_degenerates_to_plain_diagonals():
     ctx = ctx_for("a1")
     tau = tau_point(ctx, [F(0)])
-    ds = list(shifted_diagonals(ctx, {"1": 1}, {"1": 1}, tau))
-    assert all(d.shift == 0 for d in ds)
+    blocks = pair_blocks(ctx, {"1": 1}, {"1": 1})
+    assert all(ctx.law.char_value(b.twist, tau) == 0 for b in blocks)
     d1 = PointConfig({"1": [F(0)]})
     d2 = PointConfig({"1": [F(3)]})
     assert is_m_tau_disjoint(ctx, d1, d2, tau)
@@ -158,9 +172,10 @@ def test_multiplicative_backend_disjointness():
 
 @pytest.mark.parametrize("name", TWISTED)
 def test_each_kernel_family_has_its_descriptor(name):
+    # the descriptor list of the oracle covers the pair kernel's families:
+    # order "12" tests D2 + shift against D1, the factors of slots (1, 2);
+    # "21" those of slots (2, 1); the plain diagonal is symmetric
     ctx = TWISTED[name]
-    # descriptor order "12" tests D2 + shift against D1: the factors of
-    # slots (1, 2); "21" those of slots (2, 1); the plain diagonal is symmetric
     full = {v: 1 for v in ctx.quiver.vertices}
     tau = tau_point(ctx, [F(2)] * ctx.dilation.rank)
     listed = {(d.source, d.order) for d in shifted_diagonals(ctx, full, full, tau)}
@@ -218,3 +233,31 @@ def test_disjointness_agrees_with_the_pair_kernel(name):
         assert rep.ok
         verdicts.add(rep.disjoint)
     assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("name", TWISTED)
+def test_disjointness_matches_the_descriptor_oracle(name):
+    ctx = TWISTED[name]
+    rng = random.Random(29)
+    verdicts = set()
+    for _ in range(400):
+        d1, d2, tau = _twisted_draw(ctx, rng)
+        verdict = is_m_tau_disjoint(ctx, d1, d2, tau)
+        assert verdict == descriptor_disjoint(ctx, d1, d2, tau), (d1, d2, tau)
+        verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
+def test_disjointness_matches_the_descriptor_oracle_on_every_ac5_draw(monkeypatch):
+    # every configuration AC5 draws, kept or rejected, passes through checks
+    calls = []
+
+    def both(ctx, d1, d2, tau):
+        verdict = is_m_tau_disjoint(ctx, d1, d2, tau)
+        calls.append(verdict)
+        assert verdict == descriptor_disjoint(ctx, d1, d2, tau), (d1, d2, tau)
+        return verdict
+
+    monkeypatch.setattr(checks, "is_m_tau_disjoint", both)
+    assert all(r.ok for r in checks.locality_suite(max_total=0))
+    assert len(calls) >= 400 and set(calls) == {True, False}
