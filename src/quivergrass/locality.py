@@ -102,7 +102,9 @@ def is_m_tau_disjoint(
     ctx: KernelContext, d1: PointConfig, d2: PointConfig, tau: TauPoint
 ) -> bool:
     """No shifted diagonal meets: for no block of ``pair_blocks`` does a
-    target point, shifted by the twist at tau, land on a source point."""
+    target point, shifted by the twist at tau, land on a source point.
+    A color that is no vertex of the quiver raises ``SymalgError``."""
+    _check_config_colors(ctx.quiver, d1, d2)
     law = ctx.law
     configs = {1: d1, 2: d2}
     shifts: Dict[Character, Frac] = {}
@@ -150,6 +152,11 @@ def check_colors(quiver: QuiverSpec, colors: Iterable[Tuple[str, str]]) -> None:
             raise SymalgError(f"{name}: color {color!r} is not a vertex of the quiver")
 
 
+def _check_config_colors(quiver: QuiverSpec, d1: PointConfig, d2: PointConfig) -> None:
+    """``check_colors`` on the colors of the pair (D1, D2)."""
+    check_colors(quiver, ((name, c) for name, d in (("D1", d1), ("D2", d2)) for c in d.coords))
+
+
 @dataclass
 class TrivializationReport:
     disjoint: bool
@@ -178,7 +185,7 @@ class TrivializationReport:
 def verify_trivialization(
     ctx: KernelContext, d1: PointConfig, d2: PointConfig, tau: TauPoint
 ) -> TrivializationReport:
-    check_colors(ctx.quiver, ((name, c) for name, d in (("D1", d1), ("D2", d2)) for c in d.coords))
+    _check_config_colors(ctx.quiver, d1, d2)
     check_points(ctx.law, tau, ((f"{name} coordinate of color {c}", x)
                                 for name, d in (("D1", d1), ("D2", d2))
                                 for c, xs in d.coords.items() for x in xs))

@@ -59,6 +59,24 @@ factor's leading term may change: a factor whose new leading
 coefficient is negative is negated, (-1)^e goes into the unit, and the
 factors are sorted again through ``_trusted``.
 
+``symmetrize`` sums f over its shuffle representatives sigma, each a
+``rename`` within the registry.  ``rat_sum`` of the renamed copies t_sigma
+would form the common denominator C of their denominators and expand
+N_sigma * C / D_sigma once per sigma.  The orbit path expands only once:
+when every sigma maps the factor multiset of C to itself up to a sign
+eps_sigma, sigma(C) = eps_sigma * C as polynomials, and C contains D_f,
+then P = N_f * C / D_f is a polynomial and t_sigma * C = eps_sigma * u *
+sigma(P), u the unit of f.  So the numerator ``rat_sum`` would add up is
+u.numerator * sum eps_sigma sigma(P), over u.denominator, the same
+integers key by key, and the result goes through the same final
+construction and ``cancelled``: identical, not just equal.  P is expanded
+once; each sigma(P) is moved key by key (``_moved_keys``, the loop of
+``_repack``) straight into the running total, the identity keeps P's own
+keys, and P is dropped before the cancellation, so no permuted copy of P
+is ever held beside P and the total.  When the check fails (the coset
+representatives are no group, so C need not be closed), ``symmetrize``
+falls back to ``rat_sum`` of the renamed copies.
+
 Canonical variable order: the canonical order is the tuple order of
 ``Variable`` = (role, slot, vpos, index, vname), the roles being their
 ranks (torus, dilation, aux), so ``VarRegistry``, ``Character.make`` and
@@ -466,18 +484,9 @@ class MultiPoly:
         """Move exponent field i into field ``positions[i]`` of ``target``.
         The positions are distinct, so distinct keys stay distinct and the
         degree field moves unchanged."""
-        shifts = [_BITS * p for p in positions]
-        src, dst = self.registry.shift, target.shift
-        out: Dict[int, Frac] = {}
-        for k, c in self.terms.items():
-            key = (k >> src) << dst
-            for sh in shifts:
-                e = k & _MASK
-                if e:
-                    key += e << sh
-                k >>= _BITS
-            out[key] = c
-        return MultiPoly(target, _packed=out)
+        terms = self.terms
+        moved = _moved_keys(terms, positions, self.registry.shift, target.shift)
+        return MultiPoly(target, _packed=dict(zip(moved, terms.values())))
 
     # -- normal forms ----------------------------------------------------
 
@@ -569,6 +578,21 @@ class MultiPoly:
             else:
                 bits.append(f"{c}*{mono}")
         return " + ".join(bits).replace("+ -", "- ")
+
+
+def _moved_keys(keys: Iterable[int], positions: Sequence[int], src: int, dst: int):
+    """Each packed key of ``keys`` with exponent field i moved into field
+    ``positions[i]`` and its degree field moved from bit ``src`` to bit
+    ``dst``, one key at a time."""
+    shifts = [_BITS * p for p in positions]
+    for k in keys:
+        key = (k >> src) << dst
+        for sh in shifts:
+            e = k & _MASK
+            if e:
+                key += e << sh
+            k >>= _BITS
+        yield key
 
 
 def _factor_order(item: Tuple[MultiPoly, int]):
@@ -778,20 +802,14 @@ class RationalFunction:
             or not all(0 <= p < size for p in positions)
         ):
             raise SymalgError("a transport needs distinct positions in the target")
-        factors = [(p._repack(positions, target), e) for p, e in self.factors]
         if all(a < b for a, b in zip(positions, positions[1:])):
             out = RationalFunction.__new__(RationalFunction)
             out.registry = target
             out.unit = self.unit
-            out.factors = tuple(factors)
+            out.factors = tuple((p._repack(positions, target), e) for p, e in self.factors)
             return out
-        unit = self.unit
-        for i, (p, e) in enumerate(factors):
-            if p.leading()[1] < 0:
-                factors[i] = (-p, e)
-                if e % 2:
-                    unit = -unit
-        return RationalFunction._trusted(target, unit, factors)
+        sign, factors = _moved_factors(self.factors, positions, target)
+        return RationalFunction._trusted(target, -self.unit if sign < 0 else self.unit, factors)
 
     def substitute(self, assignment: Mapping[Variable, Frac]) -> "RationalFunction":
         out: List[Tuple[MultiPoly, int]] = []
@@ -834,6 +852,24 @@ class RationalFunction:
         return " * ".join(bits)
 
 
+def _moved_factors(
+    factors: Iterable[Tuple[MultiPoly, int]], positions: Sequence[int], target: VarRegistry
+) -> Tuple[int, List[Tuple[MultiPoly, int]]]:
+    """Each factor ``_repack``ed, and negated where its new leading
+    coefficient is negative; with the sign, +-1, that the product of their
+    powers changed by."""
+    sign = 1
+    out: List[Tuple[MultiPoly, int]] = []
+    for p, e in factors:
+        q = p._repack(positions, target)
+        if q.leading()[1] < 0:
+            q = -q
+            if e % 2:
+                sign = -sign
+        out.append((q, e))
+    return sign, out
+
+
 def _expand(registry: VarRegistry, powers: Iterable[Tuple[MultiPoly, int]]) -> MultiPoly:
     """The expanded product of ``p ** e`` over ``powers``, all e > 0,
     started from the first power; 1 for no powers."""
@@ -872,25 +908,45 @@ def rat_sum(terms: Sequence[RationalFunction]) -> RationalFunction:
         d = t.unit.denominator
         lcm = lcm * d // gcd(lcm, d)
     total: Dict[int, int] = {}
-    get = total.get
     for t in terms:
-        dens = {p: -e for p, e in t.factors if e < 0}
-        powers = [(p, e) for p, e in t.factors if e > 0]
-        for p, need in common.items():
-            deficit = need - dens.get(p, 0)
-            if deficit:
-                powers.append((p, deficit))
         scale = t.unit.numerator * (lcm // t.unit.denominator)
-        for k, c in _expand(registry, powers).terms.items():
-            s = get(k)
-            if s is None:
-                total[k] = scale * c
+        poly = _expand(registry, _over_common(t, common)).terms
+        _add_scaled(total, poly, poly.values(), scale)
+    return _cancelled_sum(registry, total, lcm, common)
+
+
+def _over_common(f: RationalFunction, common: Mapping[MultiPoly, int]) -> List[Tuple[MultiPoly, int]]:
+    """The powers whose product is f's numerator times ``common`` over f's
+    denominator (N_f * C / D_f); f's denominator must divide ``common``."""
+    dens = {p: -e for p, e in f.factors if e < 0}
+    powers = [(p, e) for p, e in f.factors if e > 0]
+    for p, need in common.items():
+        deficit = need - dens.get(p, 0)
+        if deficit:
+            powers.append((p, deficit))
+    return powers
+
+
+def _add_scaled(total: Dict[int, int], keys: Iterable[int], coeffs: Iterable[int], scale: int) -> None:
+    """Add ``scale`` times the terms (``keys``, ``coeffs``) into ``total`` in
+    place, dropping the keys whose sum cancels."""
+    get = total.get
+    for k, c in zip(keys, coeffs):
+        s = get(k)
+        if s is None:
+            total[k] = scale * c
+        else:
+            s += scale * c
+            if s:
+                total[k] = s
             else:
-                s += scale * c
-                if s:
-                    total[k] = s
-                else:
-                    del total[k]
+                del total[k]
+
+
+def _cancelled_sum(
+    registry: VarRegistry, total: Dict[int, int], lcm: int, common: Mapping[MultiPoly, int]
+) -> RationalFunction:
+    """The cancelled sum (total / lcm) / ``common``, as every sum ends."""
     result = RationalFunction(
         registry,
         Frac(1, lcm),
@@ -972,15 +1028,64 @@ def symmetrize(
     order (deterministic, so a parallel reduction must reproduce it), and
     it is cancelled, also when there is only one representative.
     """
-    per_color = [block_shuffles(blocks) for blocks in partition]
     registry = f.registry
-    terms: List[RationalFunction] = []
+    reps = _representatives(registry, partition)
+    if len(reps) == 1:
+        return f.rename(reps[0], registry).cancelled()
+    orbit = _orbit_sum(f, reps)
+    if orbit is not None:
+        return orbit
+    return rat_sum([f.rename(positions, registry) for positions in reps])
+
+
+def _representatives(
+    registry: VarRegistry, partition: Sequence[Sequence[Sequence[Variable]]]
+) -> List[List[int]]:
+    """The shuffle representatives of ``symmetrize`` as ``rename`` position
+    lists, in canonical order: the product of every color's
+    ``block_shuffles``."""
+    per_color = [block_shuffles(blocks) for blocks in partition]
+    reps: List[List[int]] = []
     for combo in itertools.product(*per_color):
         m: Dict[Variable, Variable] = {}
         for part in combo:
             m.update(part)
-        positions = [registry.index(m.get(v, v)) for v in registry.variables]
-        terms.append(f.rename(positions, registry))
-    if len(terms) == 1:
-        return terms[0].cancelled()
-    return rat_sum(terms)
+        reps.append([registry.index(m.get(v, v)) for v in registry.variables])
+    return reps
+
+
+def _orbit_sum(f: RationalFunction, reps: Sequence[Sequence[int]]) -> Optional[RationalFunction]:
+    """The orbit path of ``symmetrize`` (module docstring): equal to
+    ``rat_sum`` of f renamed by every position list in ``reps``, or None
+    when some representative does not map the common denominator to +-
+    itself."""
+    registry = f.registry
+    if f.unit == 0:
+        return None
+    dens = [(p, -e) for p, e in f.factors if e < 0]
+    # The common denominator rat_sum would form: every denominator factor
+    # moved as ``rename`` moves it, at its largest power.
+    common: Dict[MultiPoly, int] = {}
+    for positions in reps:
+        for q, e in _moved_factors(dens, positions, registry)[1]:
+            if common.get(q, 0) < e:
+                common[q] = e
+    signs: List[int] = []
+    for positions in reps:
+        sign, image = _moved_factors(common.items(), positions, registry)
+        if dict(image) != common:
+            return None
+        signs.append(sign)
+    if any(common.get(p, 0) < e for p, e in dens):
+        return None
+    terms = _expand(registry, _over_common(f, common)).terms
+    identity = list(range(len(registry)))
+    shift = registry.shift
+    total: Dict[int, int] = {}
+    for positions, sign in zip(reps, signs):
+        # sigma(P), streamed key by key into the total; the identity keeps
+        # P's own keys.
+        keys = terms if positions == identity else _moved_keys(terms, positions, shift, shift)
+        _add_scaled(total, keys, terms.values(), sign * f.unit.numerator)
+    del terms, keys  # P goes before the cancellation
+    return _cancelled_sum(registry, total, f.unit.denominator, common)

@@ -16,7 +16,7 @@ from quivergrass.locality import (
     verify_trivialization,
 )
 from quivergrass.quiver import DilationTorus, default_nakajima, stock_quiver
-from quivergrass.symalg import ROLE_TORUS
+from quivergrass.symalg import ROLE_TORUS, SymalgError
 from quivergrass.thom import KernelContext
 
 from kernel_oracles import descriptor_disjoint, shifted_diagonals
@@ -89,6 +89,16 @@ def test_disjointness_examples():
     # 0 + 1 = 1 lands on the shifted diagonal
     assert not is_m_tau_disjoint(ctx, PointConfig({"1": [F(0)]}), PointConfig({"1": [F(1)]}), tau)
     assert not is_m_tau_disjoint(ctx, PointConfig({"1": [F(0)]}), PointConfig({"1": [F(0)]}), tau)
+
+
+def test_disjointness_rejects_a_color_outside_the_quiver():
+    # Points of a color the quiver lacks would otherwise be ignored.
+    ctx = ctx_for("a2", torus=DilationTorus.diagonal())
+    tau = tau_point(ctx, [F(1)])
+    with pytest.raises(SymalgError, match="D1: color '9' is not a vertex"):
+        is_m_tau_disjoint(ctx, PointConfig({"9": [F(0)]}), PointConfig({"1": [F(0)]}), tau)
+    with pytest.raises(SymalgError, match="D2: color '9' is not a vertex"):
+        is_m_tau_disjoint(ctx, PointConfig({"1": [F(0)]}), PointConfig({"9": []}), tau)
 
 
 def test_disjointness_is_two_sided():

@@ -15,8 +15,8 @@ from math import gcd
 
 import pytest
 
-from quivergrass import shuffle
-from quivergrass.checks import _words_up_to
+from quivergrass import shuffle, symalg
+from quivergrass.checks import _words_up_to, make_context, shuffle_constants_suite, standard_laws
 from quivergrass.fgl import FormalGroupLaw
 from quivergrass.quiver import DilationTorus, default_nakajima, stock_quiver
 from quivergrass.symalg import (
@@ -24,10 +24,14 @@ from quivergrass.symalg import (
     RationalFunction,
     VarRegistry,
     _coeff,
+    _representatives,
     aux_var,
     block_shuffles,
+    d_var,
+    rat_equal,
     rat_sum,
     symmetrize,
+    x_var,
 )
 from quivergrass.thom import KernelContext
 
@@ -113,20 +117,31 @@ def rat_sum_oracle(terms):
     return cancelled_oracle(result)
 
 
-def symmetrize_oracle(f, partition):
-    """The sum over shuffle representatives, as ``rat_sum_oracle`` forms it."""
+def renamed_terms(f, partition, transport):
+    """``transport(f, positions)`` for every shuffle representative."""
     per_color = [block_shuffles(blocks) for blocks in partition]
     terms = []
     for combo in itertools.product(*per_color):
         m = {}
         for part in combo:
             m.update(part)
-        # the normalizing transport, through the public constructor
-        positions = [f.registry.index(m.get(v, v)) for v in f.registry.variables]
-        terms.append(RationalFunction(
-            f.registry, f.unit, [(p._repack(positions, f.registry), e) for p, e in f.factors]
-        ))
-    return rat_sum_oracle(terms)
+        terms.append(transport(f, [f.registry.index(m.get(v, v)) for v in f.registry.variables]))
+    return terms
+
+
+def symmetrize_oracle(f, partition):
+    """The sum over shuffle representatives, as ``rat_sum_oracle`` forms it."""
+    # the normalizing transport, through the public constructor
+    return rat_sum_oracle(renamed_terms(f, partition, lambda f, positions: RationalFunction(
+        f.registry, f.unit, [(p._repack(positions, f.registry), e) for p, e in f.factors]
+    )))
+
+
+def symmetrize_by_rat_sum(f, partition):
+    """The flow the orbit path replaced: every representative renamed, then
+    one ``rat_sum`` of them all."""
+    terms = renamed_terms(f, partition, lambda f, positions: f.rename(positions, f.registry))
+    return terms[0].cancelled() if len(terms) == 1 else rat_sum(terms)
 
 
 def same(a, b):
@@ -250,3 +265,140 @@ def test_generator_word_products_match_the_old_sum_and_cancel(monkeypatch, qname
     for word in _words_up_to(q, 4):
         assert shuffle.word_product(ctx, word).polynomial
     assert 1 in calls and max(calls) > 1
+
+
+# -- the orbit path of symmetrize --------------------------------------------
+
+
+@pytest.fixture
+def sum_paths(monkeypatch):
+    """``symmetrize`` and a count of its multi-representative sums by path:
+    the orbit path, or the fallback, which is a call of ``rat_sum``."""
+    fallbacks = []
+    real = symalg.rat_sum
+
+    def spy(terms):
+        fallbacks.append(len(terms))
+        return real(terms)
+
+    monkeypatch.setattr(symalg, "rat_sum", spy)
+    paths = {"orbit": 0, "fallback": 0}
+
+    def summed(f, partition):
+        before = len(fallbacks)
+        got = symmetrize(f, partition)
+        if len(_representatives(f.registry, partition)) > 1:
+            paths["fallback" if len(fallbacks) > before else "orbit"] += 1
+        return got
+
+    return summed, paths
+
+
+def ac4_triple(qname, weight, degree):
+    """One AC4 associativity triple of the stratum (quiver, total weight,
+    monomial degree): words of lengths 1, 1, 1 or 1, 2, 1; on a2 the
+    letters 1, 2, 1, the series-law division triple (1, 22, 1) for weight
+    4 and degree 0, and (2, 11, 1) for weight 4 and degree 1; for degree 1
+    the exponent 1 on the first letter."""
+    lengths = (1, 1, 1) if weight == 3 else (1, 2, 1)
+    if qname == "a1":
+        letters = "1" * weight
+    else:
+        letters = "121" if weight == 3 else "1221" if degree == 0 else "2111"
+    exps = (1,) * degree + (0,) * (weight - degree)
+    triple, at = [], 0
+    for n in lengths:
+        triple.append((tuple(letters[at:at + n]), exps[at:at + n]))
+        at += n
+    return triple
+
+
+@pytest.mark.parametrize("lname", ["additive", "multiplicative", "series4"])
+def test_orbit_path_matches_the_rename_and_sum_flow(monkeypatch, sum_paths, lname):
+    """Every symmetrized sum of AC4's generator words, of the shuffle
+    constants and of one associativity triple per (quiver, weight, degree)
+    stratum, against renaming every representative and one ``rat_sum``.
+    Under the series law the a2 words stop at weight 3: the sixteen of
+    weight 4 take about 18 s with the oracle; its a2 sums of weight 4 are
+    the two triples of weight 4."""
+    summed, paths = sum_paths
+
+    def checked(f, partition):
+        got = summed(f, partition)
+        assert same(got, symmetrize_by_rat_sum(f, partition))
+        return got
+
+    monkeypatch.setattr(shuffle, "symmetrize", checked)
+    law = dict(standard_laws())[lname]
+    for qname in ("a1", "a2"):
+        ctx = make_context(stock_quiver(qname), law)
+        for word in _words_up_to(ctx.quiver, 3 if (lname, qname) == ("series4", "a2") else 4):
+            shuffle.word_product(ctx, word)
+        for weight in (3, 4):
+            for degree in (0, 1):
+                a, b, c = (shuffle.monomial_element(ctx, word, exps)
+                           for word, exps in ac4_triple(qname, weight, degree))
+                left = shuffle.shuffle_product(ctx, shuffle.shuffle_product(ctx, a, b), c)
+                right = shuffle.shuffle_product(ctx, a, shuffle.shuffle_product(ctx, b, c))
+                assert rat_equal(left.fn, right.fn)
+    if lname == "additive":
+        assert all(r.ok for r in shuffle_constants_suite())
+    assert paths["orbit"] > paths["fallback"]
+
+
+def test_two_color_orbits_with_unequal_blocks(sum_paths):
+    """Blocks {x1}, {x2, x3} and {y1}, {y2}.  A Vandermonde denominator is
+    closed under every representative, so the orbit path sums it; a generic
+    linear denominator is not closed under the coset representatives
+    (they are no group), so the sum falls back to ``rat_sum``."""
+    summed, paths = sum_paths
+    rng = random.Random(53)
+    xs = [x_var(1, 0, "1", i) for i in (1, 2, 3)]
+    ys = [x_var(1, 1, "2", j) for j in (1, 2)]
+    d = d_var(1)
+    reg = VarRegistry(xs + ys + [d])
+    partition = [[[xs[0]], xs[1:]], [[ys[0]], [ys[1]]]]
+    diagonals = [MultiPoly.linear(reg, {a: 1, b: -1})
+                 for vs in (xs, ys) for a, b in itertools.combinations(vs, 2)]
+    for trial in range(40):
+        closed = trial % 2 == 0
+        numerator = MultiPoly(reg, {
+            tuple(rng.randint(0, 1) for _ in range(len(reg))): rng.randint(1, 5)
+            for _ in range(rng.randint(1, 3))
+        })
+        if closed:
+            kx, ky = rng.randint(1, 2), rng.randint(1, 2)
+            dens = [(p, -kx) for p in diagonals[:3]] + [(diagonals[3], -ky)]
+        else:
+            # distinct positive x coefficients and a positive dilation term:
+            # no representative maps the orbit of this form to itself
+            coeffs = dict(zip(xs, rng.sample(range(1, 10), 3)))
+            coeffs.update({y: rng.choice([-3, -1, 2, 5]) for y in ys})
+            coeffs[d] = rng.randint(1, 4)
+            dens = [(MultiPoly.linear(reg, coeffs), -1), (rng.choice(diagonals), -1)]
+        f = RationalFunction(reg, random_unit(rng), [(numerator, 1)] + dens)
+        taken = "orbit" if closed else "fallback"
+        before = paths[taken]
+        got = summed(f, partition)
+        assert same(got, symmetrize_by_rat_sum(f, partition))
+        assert paths[taken] == before + 1, (trial, f)
+    assert paths == {"orbit": 20, "fallback": 20}
+
+
+def test_an_antisymmetric_orbit_sums_to_zero(sum_paths):
+    """Over S3 on singleton blocks every transposition flips the sign of the
+    Vandermonde V = (x1 - x2)(x1 - x3)(x2 - x3), so the sum of m / V is the
+    alternating sum of m's images over V: 0 for m = x1 x2 (two equal
+    exponents), and V / V = 1 for m = x1^2 x2."""
+    summed, paths = sum_paths
+    xs = [x_var(1, 0, "1", i) for i in (1, 2, 3)]
+    reg = VarRegistry(xs)
+    vandermonde = [(MultiPoly.linear(reg, {a: 1, b: -1}), -1)
+                   for a, b in itertools.combinations(xs, 2)]
+    partition = [[[x] for x in xs]]
+    for exps, want in (({xs[0]: 1, xs[1]: 1}, 0), ({xs[0]: 2, xs[1]: 1}, F(3, 2))):
+        f = RationalFunction(reg, F(3, 2), [(MultiPoly.monomial(reg, exps), 1)] + vandermonde)
+        got = summed(f, partition)
+        assert got.is_scalar() and got.scalar_value() == want
+        assert same(got, symmetrize_by_rat_sum(f, partition))
+    assert paths == {"orbit": 2, "fallback": 0}
