@@ -60,8 +60,9 @@ coefficient is negative is negated, (-1)^e goes into the unit, and the
 factors are sorted again through ``_trusted``.
 
 ``symmetrize`` sums f over its shuffle representatives sigma, each a
-``rename`` within the registry.  ``rat_sum`` of the renamed copies t_sigma
-would form the common denominator C of their denominators and expand
+``rename`` within the registry, by handing ``rat_sum`` an ``_Orbit``: f
+and the representatives, the renamed copies t_sigma made only on demand.
+Summed one by one, the copies t_sigma would form the common denominator C of their denominators and expand
 N_sigma * C / D_sigma once per sigma.  The orbit path expands only once:
 when every sigma maps the factor multiset of C to itself up to a sign
 eps_sigma, sigma(C) = eps_sigma * C as polynomials, and C contains D_f,
@@ -74,8 +75,8 @@ once; each sigma(P) is moved key by key (``_moved_keys``, the loop of
 ``_repack``) straight into the running total, the identity keeps P's own
 keys, and P is dropped before the cancellation, so no permuted copy of P
 is ever held beside P and the total.  When the check fails (the coset
-representatives are no group, so C need not be closed), ``symmetrize``
-falls back to ``rat_sum`` of the renamed copies.
+representatives are no group, so C need not be closed), ``rat_sum``
+renames the copies and sums them one by one.
 
 Canonical variable order: the canonical order is the tuple order of
 ``Variable`` = (role, slot, vpos, index, vname), the roles being their
@@ -102,7 +103,7 @@ import itertools
 from heapq import heapify, heappop, heappush
 from fractions import Fraction
 from math import gcd
-from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
 Frac = Fraction
 
@@ -880,10 +881,17 @@ def _expand(registry: VarRegistry, powers: Iterable[Tuple[MultiPoly, int]]) -> M
     return MultiPoly.const(registry, 1) if out is None else out
 
 
-def rat_sum(terms: Sequence[RationalFunction]) -> RationalFunction:
+def rat_sum(terms: Union[Sequence[RationalFunction], "_Orbit"]) -> RationalFunction:
     """Exact n-ary sum over a common denominator, with cancellation.
 
-    A single nonzero term is returned as it is, uncancelled."""
+    A single nonzero term is returned as it is, uncancelled.  An ``_Orbit``
+    is summed by the orbit path when it applies (module docstring), and
+    otherwise renamed into its terms."""
+    if isinstance(terms, _Orbit):
+        orbit = _orbit_sum(terms.f, terms.reps)
+        if orbit is not None:
+            return orbit
+        terms = list(terms)
     if not terms:
         raise SymalgError("empty sum needs a registry; use RationalFunction.zero")
     registry0 = terms[0].registry
@@ -1032,10 +1040,25 @@ def symmetrize(
     reps = _representatives(registry, partition)
     if len(reps) == 1:
         return f.rename(reps[0], registry).cancelled()
-    orbit = _orbit_sum(f, reps)
-    if orbit is not None:
-        return orbit
-    return rat_sum([f.rename(positions, registry) for positions in reps])
+    return rat_sum(_Orbit(f, reps))
+
+
+class _Orbit:
+    """The summands of ``symmetrize``: f renamed by every position list in
+    ``reps``, in order, each renamed only when iterated."""
+
+    __slots__ = ("f", "reps")
+
+    def __init__(self, f: RationalFunction, reps: Sequence[Sequence[int]]):
+        self.f = f
+        self.reps = reps
+
+    def __len__(self) -> int:
+        return len(self.reps)
+
+    def __iter__(self) -> Iterator[RationalFunction]:
+        f = self.f
+        return (f.rename(positions, f.registry) for positions in self.reps)
 
 
 def _representatives(

@@ -273,15 +273,18 @@ def test_generator_word_products_match_the_old_sum_and_cancel(monkeypatch, qname
 @pytest.fixture
 def sum_paths(monkeypatch):
     """``symmetrize`` and a count of its multi-representative sums by path:
-    the orbit path, or the fallback, which is a call of ``rat_sum``."""
+    the orbit path, or the fallback, where ``_orbit_sum`` returns None and
+    ``rat_sum`` sums the renamed copies."""
     fallbacks = []
-    real = symalg.rat_sum
+    real = symalg._orbit_sum
 
-    def spy(terms):
-        fallbacks.append(len(terms))
-        return real(terms)
+    def spy(f, reps):
+        got = real(f, reps)
+        if got is None:
+            fallbacks.append(len(reps))
+        return got
 
-    monkeypatch.setattr(symalg, "rat_sum", spy)
+    monkeypatch.setattr(symalg, "_orbit_sum", spy)
     paths = {"orbit": 0, "fallback": 0}
 
     def summed(f, partition):
@@ -350,7 +353,8 @@ def test_two_color_orbits_with_unequal_blocks(sum_paths):
     """Blocks {x1}, {x2, x3} and {y1}, {y2}.  A Vandermonde denominator is
     closed under every representative, so the orbit path sums it; a generic
     linear denominator is not closed under the coset representatives
-    (they are no group), so the sum falls back to ``rat_sum``."""
+    (they are no group), so ``rat_sum`` falls back to
+    summing the renamed copies."""
     summed, paths = sum_paths
     rng = random.Random(53)
     xs = [x_var(1, 0, "1", i) for i in (1, 2, 3)]
