@@ -1,10 +1,15 @@
-"""The shuffle reports that a change of the summation code must keep
-byte-identical, compared with ``tests/goldens/shuffle.json``.
+"""The CLI reports that a change of the library must keep byte-identical,
+compared with the files under ``tests/goldens``.
 
-The goldens hold the full text and JSON reports of ``shuffle --word`` and
-``shuffle --dim``, and the sha256 of the text reports of ``verify --suite
-ideal`` and ``verify --suite assoc``.  Re-record them from the repository
-root, at the commit whose output is the reference:
+* ``shuffle.json`` holds the full text and JSON reports of ``shuffle
+  --word`` and ``shuffle --dim``, and the sha256 of the text reports of
+  ``verify --suite ideal`` and ``verify --suite assoc``.
+* ``fixedpoints.json`` holds the text and JSON reports of ``carell`` for
+  every n <= 4 and 0 <= k <= n, of ``poincare`` on four dimension
+  vectors, and of the ``sl2-lattice`` command the benchmark runs.
+
+Re-record them from the repository root, at the commit whose output is
+the reference:
 
     PYTHONPATH=src python3 tests/test_goldens.py
 
@@ -23,14 +28,14 @@ from pathlib import Path
 from quivergrass.cli import EXIT_OK, main
 
 ROOT = Path(__file__).resolve().parent.parent
-GOLDENS = ROOT / "tests" / "goldens" / "shuffle.json"
+GOLDENS = ROOT / "tests" / "goldens"
 A2 = "tests/data/a2_rank2.json"
 
 WORDS = [([], "1,1"), ([], "1,1,1"),
          (["--quiver", A2], "1,2"), (["--quiver", A2], "1,2,1"), (["--quiver", A2], "2,1,1,2")]
 
 # (argv, stored as a sha256 of the report instead of the report itself)
-COMMANDS = [
+SHUFFLE = [
     (["shuffle", *quiver, "--word", word, "--fgl", law, "--format", fmt], False)
     for quiver, word in WORDS
     for law in ("additive", "multiplicative")
@@ -40,6 +45,18 @@ COMMANDS = [
     (["verify", "--suite", "ideal"], True),
     (["verify", "--suite", "assoc"], True),
 ]
+
+FIXEDPOINTS = [
+    (argv + ["--format", fmt], False)
+    for argv in (
+        [["carell", "--n", str(n), "--k", str(k)] for n in range(5) for k in range(n + 1)]
+        + [["poincare", "--alpha", alpha] for alpha in ("0", "2", "2,1", "3,2,1")]
+        + [["sl2-lattice", "--p", "2", "--e", "2", "--n", "2", "--window", "5"]]
+    )
+    for fmt in ("text", "json")
+]
+
+SUITES = {"shuffle.json": SHUFFLE, "fixedpoints.json": FIXEDPOINTS}
 
 
 def report(argv, hashed):
@@ -57,18 +74,27 @@ def report(argv, hashed):
     return "sha256:" + hashlib.sha256(text.encode("utf-8")).hexdigest() if hashed else text
 
 
-def reports():
-    return {" ".join(argv): report(argv, hashed) for argv, hashed in COMMANDS}
+def reports(commands):
+    return {" ".join(argv): report(argv, hashed) for argv, hashed in commands}
 
 
-def test_shuffle_reports_match_the_goldens():
-    goldens = json.loads(GOLDENS.read_text(encoding="utf-8"))
-    assert list(goldens) == [" ".join(argv) for argv, _ in COMMANDS]
-    for key, got in reports().items():
+def check_goldens(name):
+    goldens = json.loads((GOLDENS / name).read_text(encoding="utf-8"))
+    assert list(goldens) == [" ".join(argv) for argv, _ in SUITES[name]]
+    for key, got in reports(SUITES[name]).items():
         assert got == goldens[key], key
 
 
+def test_shuffle_reports_match_the_goldens():
+    check_goldens("shuffle.json")
+
+
+def test_fixedpoint_reports_match_the_goldens():
+    check_goldens("fixedpoints.json")
+
+
 if __name__ == "__main__":
-    GOLDENS.parent.mkdir(exist_ok=True)
-    GOLDENS.write_text(json.dumps(reports(), indent=1) + "\n", encoding="utf-8")
-    print(f"wrote {len(COMMANDS)} reports to {GOLDENS.relative_to(ROOT)}", file=sys.stderr)
+    GOLDENS.mkdir(exist_ok=True)
+    for name, commands in SUITES.items():
+        (GOLDENS / name).write_text(json.dumps(reports(commands), indent=1) + "\n", encoding="utf-8")
+        print(f"wrote {len(commands)} reports to {(GOLDENS / name).relative_to(ROOT)}", file=sys.stderr)
