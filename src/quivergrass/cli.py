@@ -37,9 +37,9 @@ from .shuffle import weight_space, word_product
 from .symalg import PoleError, SymalgError
 from .thom import KernelContext, crosscheck
 from .fixedpoints import (
+    Q,
     carell_chart,
     gaussian_binomial,
-    qpoly_eval,
     qpoly_str,
     quiver_grass_poincare,
     sl2_enumerate,
@@ -330,7 +330,7 @@ def cmd_poincare(args) -> int:
                    "comma-separated integers")
     alpha = {str(i + 1): d for i, d in enumerate(dims)}
     poly = quiver_grass_poincare(alpha)
-    total = qpoly_eval(poly, 1)
+    total = poly.evaluate({Q: 1})
     expected = 1
     for d in dims:
         expected *= 2 ** d

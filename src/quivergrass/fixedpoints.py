@@ -6,12 +6,21 @@ Three mechanical layers cross-validate each other:
 * ``sl2_enumerate`` lists comonic Laurent candidates over a truncated
   nilpotent ring, tests membership two ways (windowed lattice division
   vs polynomial degree/divisibility), and reports the bijection with
-  monic polynomials with nilpotent coefficients;
+  monic polynomials with nilpotent coefficients; the state budget is
+  checked from p, e and the window before any ring element is built;
 * ``gaussian_binomial`` / ``quiver_grass_poincare`` give the closed-form
-  graded counts;
+  graded counts as ``MultiPoly``s in the one variable ``Q`` over
+  ``Q_REGISTRY`` (built with ``*``, ``+`` and ``divide_exact``, evaluated
+  with ``MultiPoly.evaluate``);
 * ``carell_chart`` presents the fixed scheme of a principal nilpotent on a
   Grassmannian by explicit chart equations and counts standard
-  monomials with a small Buchberger engine.
+  monomials with a small Buchberger engine.  The engine works on packed
+  monomial keys: leading terms come from ``MultiPoly.leading``,
+  divisibility is ``VarRegistry.divides``, a monomial quotient is a key
+  difference, and two leading monomials are coprime when their
+  ``VarRegistry.lcm`` is their product.  Every key it forms comes from
+  ``lcm`` or ``*``, both checked against the packing width, or is a
+  quotient of lower degree than a key already formed.
 """
 
 from __future__ import annotations
@@ -19,6 +28,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction as Frac
+from math import isqrt
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from .symalg import (
@@ -46,7 +56,7 @@ class TruncatedRing:
     """F_p[eps]/(eps^e); elements are length-e tuples of residues."""
 
     def __init__(self, p: int, e: int):
-        if p < 2 or any(p % k == 0 for k in range(2, p)):
+        if p < 2 or any(p % k == 0 for k in range(2, isqrt(p) + 1)):
             raise ValueError("p must be prime")
         if e < 1:
             raise ValueError("e must be positive")
@@ -86,7 +96,8 @@ class TruncatedRing:
         return [tuple(t) for t in itertools.product(range(self.p), repeat=self.e)]
 
     def nilpotents(self) -> List[Tuple[int, ...]]:
-        return [t for t in self.elements() if t[0] == 0]
+        """The p^(e-1) elements with a zero constant term, in ``elements`` order."""
+        return [(0, *t) for t in itertools.product(range(self.p), repeat=self.e - 1)]
 
     def __repr__(self) -> str:
         return f"TruncatedRing(p={self.p}, e={self.e})"
@@ -236,12 +247,16 @@ def sl2_enumerate(
         raise WindowOverflowError(f"window {window} too small; need at least n + e = {n + e}")
     if m is not None and window < m + e:
         raise WindowOverflowError(f"window {window} too small for the z^{m} probe")
-    ring = TruncatedRing(p, e)
     smax = window - n
+    # (p^(e-1))^smax tails; smax >= e >= 2, so with p >= 2 an exponent
+    # above 16 is over budget without computing the power.
+    exponent = (e - 1) * smax
+    if p >= 2 and (exponent > 16 or p ** exponent > 2 ** 16):
+        raise DegreeOverflowError(
+            f"{p}^{exponent} candidate states exceed the exhaustive budget of 2^16"
+        )
+    ring = TruncatedRing(p, e)
     nils = ring.nilpotents()
-    states = len(nils) ** smax
-    if states > 2 ** 16:
-        raise DegreeOverflowError(f"{states} candidate states exceed the exhaustive budget")
 
     candidates: List[Sl2Candidate] = []
     for tail in itertools.product(nils, repeat=smax):
@@ -284,89 +299,45 @@ def sl2_enumerate(
 # q-polynomials
 # ---------------------------------------------------------------------------
 
-QPoly = List[int]  # dense coefficients, low degree first
+Q = aux_var("q")
+Q_REGISTRY = VarRegistry([Q])
 
 
-def qpoly_mul(a: QPoly, b: QPoly) -> QPoly:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if not x:
-            continue
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    while len(out) > 1 and out[-1] == 0:
-        out.pop()
-    return out
+def _q_power(m: int) -> MultiPoly:
+    return MultiPoly.monomial(Q_REGISTRY, {Q: m})
 
 
-def qpoly_add(a: QPoly, b: QPoly) -> QPoly:
-    out = [0] * max(len(a), len(b))
-    for i, x in enumerate(a):
-        out[i] += x
-    for i, x in enumerate(b):
-        out[i] += x
-    while len(out) > 1 and out[-1] == 0:
-        out.pop()
-    return out
-
-
-def _qpoly_div_exact(a: QPoly, b: QPoly) -> QPoly:
-    rem = list(a)
-    out = [0] * (len(rem) - len(b) + 1)
-    for top in range(len(rem) - 1, len(b) - 2, -1):
-        c = rem[top]
-        if c == 0:
-            continue
-        assert b[-1] != 0
-        k = top - (len(b) - 1)
-        qc, r = divmod(c, b[-1])
-        if r:
-            raise SymalgError("inexact q-polynomial division")
-        out[k] = qc
-        for i, bc in enumerate(b):
-            rem[k + i] -= qc * bc
-    if any(rem[: len(b) - 1]):
-        raise SymalgError("inexact q-polynomial division")
-    while len(out) > 1 and out[-1] == 0:
-        out.pop()
-    return out
-
-
-def gaussian_binomial(n: int, k: int) -> QPoly:
+def gaussian_binomial(n: int, k: int) -> MultiPoly:
     """The q-binomial coefficient as an integer polynomial in q."""
     if k < 0 or k > n:
         raise ValueError("binomial index out of range")
-    result: QPoly = [1]
+    one = _q_power(0)
+    result = one
     for i in range(1, k + 1):
-        top = [1] + [0] * (n - k + i - 1) + [-1]   # 1 - q^(n-k+i)
-        bot = [1] + [0] * (i - 1) + [-1]           # 1 - q^i
-        result = _qpoly_div_exact(qpoly_mul(result, [-c for c in top]), [-c for c in bot])
+        # times (q^(n-k+i) - 1) / (q^i - 1), exact by q-Pascal
+        result = (result * (_q_power(n - k + i) - one)).divide_exact(_q_power(i) - one)
     return result
 
 
-def qpoly_eval(a: QPoly, q: int) -> int:
-    return sum(c * q ** i for i, c in enumerate(a))
-
-
-def quiver_grass_poincare(alpha: Mapping[str, int]) -> QPoly:
+def quiver_grass_poincare(alpha: Mapping[str, int]) -> MultiPoly:
     """Graded point count of the product of total Grassmannians attached
     to the zero representation of the given dimension."""
     if any(a < 0 for a in alpha.values()):
         raise ValueError("dimension vector entries must be non-negative")
-    out: QPoly = [1]
+    out = _q_power(0)
     for _, a in sorted(alpha.items()):
-        total: QPoly = [0]
+        total = MultiPoly.zero(Q_REGISTRY)
         for p in range(a + 1):
-            total = qpoly_add(total, gaussian_binomial(a, p))
-        out = qpoly_mul(out, total)
+            total = total + gaussian_binomial(a, p)
+        out = out * total
     return out
 
 
-def qpoly_str(a: QPoly) -> str:
+def qpoly_str(a: MultiPoly) -> str:
+    """A polynomial in q, lowest power first."""
     bits = []
-    for i, c in enumerate(a):
-        if c == 0:
-            continue
+    for k in sorted(a.terms):
+        c, i = a.terms[k], k >> a.registry.shift
         if i == 0:
             bits.append(str(c))
         elif i == 1:
@@ -380,40 +351,31 @@ def qpoly_str(a: QPoly) -> str:
 # Buchberger engine and the fixed-scheme chart
 # ---------------------------------------------------------------------------
 
-def _unpacked_leading(f: MultiPoly) -> Tuple[Tuple[int, ...], Frac]:
-    k, c = f.leading()
-    return f.registry.unpack(k), c
+def _times_term(g: MultiPoly, key: int, c: Frac) -> MultiPoly:
+    """g times the monomial c * x^key."""
+    return (MultiPoly(g.registry, _packed={key: 1}) * g).scale(c)
 
 
-def _spoly(f: MultiPoly, g: MultiPoly) -> MultiPoly:
-    fe, fc = _unpacked_leading(f)
-    ge, gc = _unpacked_leading(g)
-    lcm = tuple(max(a, b) for a, b in zip(fe, ge))
-    mf = MultiPoly(f.registry, {tuple(l - a for l, a in zip(lcm, fe)): Frac(1) / Frac(fc)})
-    mg = MultiPoly(g.registry, {tuple(l - b for l, b in zip(lcm, ge)): Frac(1) / Frac(gc)})
-    return mf * f - mg * g
+def _spoly(f: MultiPoly, g: MultiPoly, lcm: int) -> MultiPoly:
+    (fk, fc), (gk, gc) = f.leading(), g.leading()
+    return _times_term(f, lcm - fk, Frac(1) / fc) - _times_term(g, lcm - gk, Frac(1) / gc)
 
 
 def _reduce(f: MultiPoly, basis: Sequence[MultiPoly]) -> MultiPoly:
-    lead = [(_unpacked_leading(g)[0], _unpacked_leading(g)[1], g) for g in basis]
-    rem = MultiPoly.zero(f.registry)
-    work = f
     reg = f.registry
+    lead = [(*g.leading(), g) for g in basis]
+    rem = MultiPoly.zero(reg)
+    work = f
     while not work.is_zero():
-        e, c = _unpacked_leading(work)
-        hit = None
-        for ge, gc, g in lead:
-            if all(a >= b for a, b in zip(e, ge)):
-                hit = (ge, gc, g)
+        k, c = work.leading()
+        for gk, gc, g in lead:
+            if reg.divides(gk, k):
+                work = work - _times_term(g, k - gk, Frac(c) / gc)
                 break
-        if hit is None:
-            term = MultiPoly(reg, {e: c})
+        else:
+            term = MultiPoly(reg, _packed={k: c})
             rem = rem + term
             work = work - term
-        else:
-            ge, gc, g = hit
-            mono = MultiPoly(reg, {tuple(a - b for a, b in zip(e, ge)): Frac(c) / Frac(gc)})
-            work = work - mono * g
     return rem
 
 
@@ -422,11 +384,11 @@ def buchberger(gens: Sequence[MultiPoly]) -> List[MultiPoly]:
     pairs = [(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))]
     while pairs:
         i, j = pairs.pop()
-        fe, _ = _unpacked_leading(basis[i])
-        ge, _ = _unpacked_leading(basis[j])
-        if all(min(a, b) == 0 for a, b in zip(fe, ge)):
+        fk, gk = basis[i].leading()[0], basis[j].leading()[0]
+        lcm = basis[i].registry.lcm(fk, gk)
+        if lcm == fk + gk:
             continue  # coprime leading monomials reduce to zero
-        s = _reduce(_spoly(basis[i], basis[j]), basis)
+        s = _reduce(_spoly(basis[i], basis[j], lcm), basis)
         if s.is_zero():
             continue
         basis.append(s)
@@ -441,7 +403,7 @@ STAIRCASE_CAP = 4096
 
 def standard_monomials(basis: Sequence[MultiPoly], nvars: int) -> List[Tuple[int, ...]]:
     """Monomials outside the leading-term ideal, by breadth-first degree."""
-    leads = [_unpacked_leading(g)[0] for g in basis if not g.is_zero()]
+    leads = [g.registry.unpack(g.leading()[0]) for g in basis if not g.is_zero()]
 
     def divisible(e: Tuple[int, ...]) -> bool:
         return any(all(a >= b for a, b in zip(e, le)) for le in leads)
@@ -479,18 +441,12 @@ class CarellChart:
     def dimension(self) -> int:
         return len(self.standard)
 
-    def weight_series(self) -> QPoly:
-        if not self.variables:
-            return [1]
+    def weight_series(self) -> MultiPoly:
         wts = [self.weights[v] for v in self.variables]
-        counts: Dict[int, int] = {}
+        series = MultiPoly.zero(Q_REGISTRY)
         for mono in self.standard:
-            w = sum(e * wt for e, wt in zip(mono, wts))
-            counts[w] = counts.get(w, 0) + 1
-        out = [0] * (max(counts) + 1)
-        for w, c in counts.items():
-            out[w] = c
-        return out
+            series = series + _q_power(sum(e * wt for e, wt in zip(mono, wts)))
+        return series
 
 
 def _nilpotent_move(subset: Tuple[int, ...], n: int) -> List[Tuple[int, ...]]:

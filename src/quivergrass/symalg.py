@@ -229,6 +229,22 @@ class VarRegistry:
             raise SymalgError("monomial degree exceeds the packing width")
         return degree << self.shift
 
+    def divides(self, a: int, b: int) -> bool:
+        """Does monomial key ``a`` divide key ``b``?  ``b - a`` borrows into
+        a field's lowest bit exactly when some exponent of ``a`` is the
+        larger (the inline test of ``MultiPoly.divide_exact``)."""
+        return not ((b - a) ^ b ^ a) & self.borrow_bits
+
+    def lcm(self, a: int, b: int) -> int:
+        """The key of the least common multiple of monomial keys ``a`` and
+        ``b``: the larger exponent field by field, under a checked degree."""
+        key = degree = 0
+        for offset in range(0, self.shift, _BITS):
+            e = max((a >> offset) & _MASK, (b >> offset) & _MASK)
+            key += e << offset
+            degree += e
+        return key + self.degree_field(degree)
+
     def unpack(self, key: int) -> Tuple[int, ...]:
         out = []
         for _ in range(len(self.variables)):
@@ -537,7 +553,7 @@ class MultiPoly:
             if c is None:
                 continue
             tk = k - dk
-            if (tk ^ k ^ dk) & borrow_bits:  # some exponent of dk exceeds k's
+            if (tk ^ k ^ dk) & borrow_bits:  # dk does not divide k (VarRegistry.divides)
                 return None
             # Exact quotients stay integers; only a non-integral one is a Fraction.
             tq, r = divmod(c, dc)

@@ -14,9 +14,8 @@ from quivergrass import checks
 from quivergrass.checks import make_context
 from quivergrass.fgl import FormalGroupLaw, fgl_verify
 from quivergrass.fixedpoints import (
+    Q,
     carell_chart,
-    gaussian_binomial,
-    qpoly_eval,
     quiver_grass_poincare,
     sl2_enumerate,
 )
@@ -110,7 +109,7 @@ def test_ac6_fixed_points():
         expect = 1
         for a in alpha.values():
             expect *= 2 ** a
-        if qpoly_eval(quiver_grass_poincare(alpha), 1) != expect:
+        if quiver_grass_poincare(alpha).evaluate({Q: 1}) != expect:
             ok = False
             detail.append(f"poincare {alpha}")
     _finish("AC6", ok, started, 120.0, "; ".join(detail) or

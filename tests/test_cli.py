@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -317,6 +318,9 @@ def test_malformed_fiber_config_exits_2(quiver_files, tmp_path, capsys, config):
         ["shuffle", "--word", "1", "--tau", "x"],
         ["shuffle", "--word", "1", "--tau", "1/0"],  # raised ZeroDivisionError
         ["zastava-fiber", "--config", "{fiber}", "--tau", "x"],
+        # over the state budget; once built every ring element first
+        ["sl2-lattice", "--p", "2", "--e", "40", "--n", "0", "--window", "40"],
+        ["sl2-lattice", "--p", "1000003", "--e", "2", "--n", "0", "--window", "2"],
     ],
 )
 def test_negative_and_malformed_arguments_exit_2(tmp_path, argv):
@@ -335,6 +339,11 @@ def test_negative_and_malformed_arguments_exit_2(tmp_path, argv):
         "shuffle --word 1 --tau 1/0": "--tau",
         "zastava-fiber --config {fiber} --tau x": "--tau",
     }.get(" ".join(argv))
+    # and these rows must exit within a wall-clock bound, in seconds
+    seconds = {
+        "sl2-lattice --p 2 --e 40 --n 0 --window 40": 2.0,
+        "sl2-lattice --p 1000003 --e 2 --n 0 --window 2": 2.0,
+    }.get(" ".join(argv))
     fiber = {"tau": ["1/3"], "points": [{"id": "a", "color": "1", "coord": 0}]}
     files = {"list_poset": [1, 2], "bad_relations": {"elements": ["a"], "relations": 3}, "a2": A2,
              "fiber": fiber}
@@ -342,13 +351,16 @@ def test_negative_and_malformed_arguments_exit_2(tmp_path, argv):
         (tmp_path / f"{name}.json").write_text(json.dumps(data))
     argv = [a.format(**{n: tmp_path / f"{n}.json" for n in files}) for a in argv]
     src = str(Path(__file__).resolve().parent.parent / "src")
+    started = time.perf_counter()
     proc = subprocess.run(
         [sys.executable, "-m", "quivergrass.cli", *argv],
         env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
     )
+    elapsed = time.perf_counter() - started
     assert proc.returncode == EXIT_PARSE_ERROR
     assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
     assert option is None or option in proc.stderr, proc.stderr
+    assert seconds is None or elapsed < seconds, elapsed
 
 
 DATA = Path(__file__).resolve().parent / "data"

@@ -5,6 +5,8 @@ from math import comb
 import pytest
 
 from quivergrass.fixedpoints import (
+    Q,
+    Q_REGISTRY,
     CarellChart,
     DegreeOverflowError,
     TruncatedRing,
@@ -14,7 +16,6 @@ from quivergrass.fixedpoints import (
     carell_chart,
     comonic_inverse,
     gaussian_binomial,
-    qpoly_eval,
     qpoly_str,
     quiver_grass_poincare,
     sl2_enumerate,
@@ -22,6 +23,15 @@ from quivergrass.fixedpoints import (
 )
 from quivergrass.symalg import MultiPoly, SymalgError, VarRegistry, aux_var
 from quivergrass.zastava import ColoredDivisor, subscheme_lattice
+
+
+def qpoly(*coeffs):
+    """The polynomial in q with the given coefficients, lowest power first."""
+    return MultiPoly(Q_REGISTRY, {(i,): c for i, c in enumerate(coeffs)})
+
+
+def at_one(poly):
+    return poly.evaluate({Q: 1})
 
 
 def test_truncated_ring_axioms():
@@ -134,29 +144,29 @@ def test_hilbert_colored():
 
 
 def test_gaussian_binomials():
-    assert gaussian_binomial(2, 1) == [1, 1]
-    assert gaussian_binomial(3, 1) == [1, 1, 1]
-    assert gaussian_binomial(4, 2) == [1, 1, 2, 1, 1]
+    assert gaussian_binomial(2, 1) == qpoly(1, 1)
+    assert gaussian_binomial(3, 1) == qpoly(1, 1, 1)
+    assert gaussian_binomial(4, 2) == qpoly(1, 1, 2, 1, 1)
     for n in range(0, 6):
-        assert gaussian_binomial(n, 0) == [1]
+        assert gaussian_binomial(n, 0) == qpoly(1)
         for p in range(0, n + 1):
-            assert qpoly_eval(gaussian_binomial(n, p), 1) == comb(n, p)
+            assert at_one(gaussian_binomial(n, p)) == comb(n, p)
     with pytest.raises(ValueError):
         gaussian_binomial(3, 4)
 
 
 def test_poincare_examples():
     assert qpoly_str(quiver_grass_poincare({"1": 2})) == "3 + q"
-    assert qpoly_eval(quiver_grass_poincare({"1": 2}), 1) == 4
-    assert qpoly_eval(quiver_grass_poincare({"1": 1}), 1) == 2
-    assert qpoly_eval(quiver_grass_poincare({"1": 1, "2": 1}), 1) == 4
+    assert at_one(quiver_grass_poincare({"1": 2})) == 4
+    assert at_one(quiver_grass_poincare({"1": 1})) == 2
+    assert at_one(quiver_grass_poincare({"1": 1, "2": 1})) == 4
 
 
 def test_poincare_total_identity():
     # q = 1 value equals the product of 2^alpha_i and equals the total of
     # the fixed-scheme dimensions over all subweights
     for alpha in ({"1": 2}, {"1": 3}, {"1": 1, "2": 2}, {"1": 2, "2": 2}):
-        total = qpoly_eval(quiver_grass_poincare(alpha), 1)
+        total = at_one(quiver_grass_poincare(alpha))
         expect = 1
         for a in alpha.values():
             expect *= 2 ** a
@@ -194,3 +204,43 @@ def test_buchberger_small_ideal():
     basis = buchberger([px * py, px - py * py])
     std = standard_monomials(basis, 2)
     assert len(std) == 3  # 1, y, y^2
+
+
+def test_staircase_cap():
+    # the ideal (x) over {x, y} leaves every y^k standard: no finite staircase
+    x, y = aux_var("x", 1), aux_var("y", 2)
+    reg = VarRegistry([x, y])
+    with pytest.raises(DegreeOverflowError):
+        standard_monomials(buchberger([MultiPoly.var(reg, x)]), 2)
+
+
+def test_qpoly_str_prints_lowest_power_first():
+    assert qpoly_str(qpoly()) == "0"
+    assert qpoly_str(qpoly(-1, 0, -2, 1)) == "-1 - 2*q^2 + q^3"
+    assert qpoly_str(qpoly(0, 3, 0, 0, -1)) == "3*q - 1*q^4"  # as the dense printer did
+
+
+@pytest.mark.parametrize(
+    "p, e, n, window",
+    [(2, 20, 0, 20), (10007, 2, 0, 2), (1000003, 2, 0, 2)],
+)
+def test_sl2_budget_is_checked_before_the_ring_is_built(monkeypatch, p, e, n, window):
+    monkeypatch.setattr(TruncatedRing, "elements", lambda self: pytest.fail("elements built"))
+    monkeypatch.setattr(TruncatedRing, "nilpotents", lambda self: pytest.fail("nilpotents built"))
+    with pytest.raises(DegreeOverflowError):
+        sl2_enumerate(p, e, n, window)
+
+
+def test_nilpotents_are_the_elements_with_zero_constant_term():
+    for p, e in ((2, 1), (2, 3), (3, 2), (5, 3)):
+        ring = TruncatedRing(p, e)
+        assert ring.nilpotents() == [t for t in ring.elements() if t[0] == 0]
+        assert len(ring.nilpotents()) == p ** (e - 1)
+
+
+def test_primality_is_checked_up_to_the_square_root():
+    for p in (2, 3, 5, 7, 11, 13, 49999, 1000003):
+        assert TruncatedRing(p, 1).p == p
+    for p in (-3, 0, 1, 4, 9, 25, 49, 121, 1000001, 1000003 * 1000033):
+        with pytest.raises(ValueError):
+            TruncatedRing(p, 1)

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction as F
 
@@ -322,6 +323,25 @@ def test_degree_bound_is_inclusive(ab):
     assert top.degree() == _MASK and repr(top) == f"a^{_MASK}"
     assert reg.unpack(top.leading()[0]) == (_MASK, 0)
     assert (top * MultiPoly.const(reg, 3)).degree() == _MASK
+
+
+@pytest.mark.parametrize("nvars", [1, 2, 3])
+def test_divides_and_lcm_match_the_exponent_tuples(nvars):
+    # every field counts, the last one (next to the degree field) too
+    reg = VarRegistry([aux_var(f"v{i}", i) for i in range(nvars)])
+    monomials = list(itertools.product(range(3), repeat=nvars))
+    for a in monomials:
+        for b in monomials:
+            ka, kb = reg.pack(a), reg.pack(b)
+            assert reg.divides(ka, kb) == all(x <= y for x, y in zip(a, b)), (a, b)
+            assert reg.lcm(ka, kb) == reg.pack([max(x, y) for x, y in zip(a, b)]), (a, b)
+
+
+def test_lcm_past_the_packing_width_raises(ab):
+    reg, a, b = ab
+    assert reg.lcm(reg.pack((40000, 0)), reg.pack((30000, 0))) == reg.pack((40000, 0))
+    with pytest.raises(SymalgError):
+        reg.lcm(reg.pack((40000, 0)), reg.pack((0, 30000)))
 
 
 def divide_exact_linear_scan(num, den):
