@@ -6,7 +6,8 @@ compared with the files under ``tests/goldens``.
   ``verify --suite ideal`` and ``verify --suite assoc``.
 * ``fixedpoints.json`` holds the text and JSON reports of ``carell`` for
   every n <= 4 and 0 <= k <= n, of ``poincare`` on four dimension
-  vectors, and of the ``sl2-lattice`` command the benchmark runs.
+  vectors, and of five ``sl2-lattice`` commands: the one the benchmark
+  runs, three with the S- probe ``--m`` and one over F_3.
 
 Re-record them from the repository root, at the commit whose output is
 the reference:
@@ -51,7 +52,13 @@ FIXEDPOINTS = [
     for argv in (
         [["carell", "--n", str(n), "--k", str(k)] for n in range(5) for k in range(n + 1)]
         + [["poincare", "--alpha", alpha] for alpha in ("0", "2", "2,1", "3,2,1")]
-        + [["sl2-lattice", "--p", "2", "--e", "2", "--n", "2", "--window", "5"]]
+        + [["sl2-lattice", *options.split()] for options in (
+            "--p 2 --e 2 --n 2 --window 5",
+            "--p 2 --e 2 --n 1 --window 4 --m 1",
+            "--p 2 --e 2 --n 1 --window 4 --m 2",
+            "--p 2 --e 2 --n 2 --window 5 --m 3",
+            "--p 3 --e 2 --n 1 --window 3",
+        )]
     )
     for fmt in ("text", "json")
 ]
