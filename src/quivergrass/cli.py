@@ -313,11 +313,7 @@ def cmd_sl2(args) -> int:
         results.append(
             _result("sl2.sminus_count", True, rep.sminus_count, "", "divisibility enumeration")
         )
-    table = [
-        "".join(str(c) for c in sum(cand.monic_poly, ()))
-        for cand in rep.candidates
-        if cand.monic_poly is not None
-    ]
+    table = ["".join(str(c) for c in sum(poly, ())) for poly in rep.monic_polys]
     results.append(
         _result("sl2.bijection_table", True, ";".join(sorted(table)), "", "coefficient strings")
     )

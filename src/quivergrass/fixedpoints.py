@@ -3,11 +3,14 @@ fixed-scheme oracle.
 
 Three mechanical layers cross-validate each other:
 
-* ``sl2_enumerate`` lists comonic Laurent candidates over a truncated
-  nilpotent ring, tests membership two ways (windowed lattice division
-  vs polynomial degree/divisibility), and reports the bijection with
-  monic polynomials with nilpotent coefficients; the state budget is
-  checked from p, e and the window before any ring element is built;
+* ``sl2_enumerate`` walks the comonic Laurent candidates Q over a
+  truncated nilpotent ring in one pass, tests membership two ways
+  (windowed lattice division vs polynomial degree/divisibility), and
+  reports the bijection with monic polynomials with nilpotent
+  coefficients; the state budget is checked from p, e and the window
+  before any ring element is built.  Q^-1 is built only for the S-
+  probe (``m``) of an S0 candidate, and the window must hold the probe
+  z^(m-n) Q^-1, not Q^-1 itself;
 * ``gaussian_binomial`` / ``quiver_grass_poincare`` give the closed-form
   graded counts as ``MultiPoly``s in the one variable ``Q`` over
   ``Q_REGISTRY`` (built with ``*``, ``+`` and ``divide_exact``, evaluated
@@ -117,9 +120,6 @@ class ZWindow:
                 raise WindowOverflowError(f"power z^{k} escapes the window +-{window}")
             self.coeffs[k] = tuple(c)
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def in_disc(self) -> bool:
         """No negative powers (lies in the Taylor part)."""
         return all(k >= 0 for k in self.coeffs)
@@ -169,47 +169,12 @@ def comonic_inverse(ring: TruncatedRing, q: ZWindow) -> ZWindow:
 
 
 @dataclass
-class LatticePoint:
-    """Rank-two lattice spanned by Q^-1 z^-n e1 and Q z^n e2."""
-
-    ring: TruncatedRing
-    n: int
-    q_poly: ZWindow          # Q, comonic in z^-1
-    q_inv: ZWindow
-
-    def contains_e1_power(self, k: int) -> bool:
-        """Is z^k e1 in the lattice?  Divide by the generator: z^k * (z^n Q)."""
-        probe = self.q_poly.scale_z(self.n + k)
-        return probe.in_disc()
-
-    def contains_e2_power(self, k: int) -> bool:
-        """Is z^k e2 in the lattice?  z^k * (z^n Q)^-1 = z^(k-n) Q^-1."""
-        probe = self.q_inv.scale_z(k - self.n)
-        return probe.in_disc()
-
-
-@dataclass
-class Sl2Candidate:
-    tail: Tuple[Tuple[int, ...], ...]  # q_1 .. q_s
-    in_s0_lattice: bool
-    in_s0_oracle: bool
-    monic_poly: Optional[Tuple[Tuple[int, ...], ...]]  # coefficients of z^n Q if in s0
-    in_sminus_lattice: Optional[bool] = None
-    in_sminus_oracle: Optional[bool] = None
-
-
-@dataclass
 class Sl2Report:
-    p: int
-    e: int
-    n: int
-    window: int
-    m: Optional[int]
-    candidates: List[Sl2Candidate]
     s0_count: int
     s0_expected: int
     sminus_count: Optional[int]
     routes_agree: bool
+    monic_polys: List[Tuple[Tuple[int, ...], ...]]  # z^n Q of each S0 member, low to high
 
 
 def _poly_divides_zm(ring: TruncatedRing, coeffs: Sequence[Tuple[int, ...]], m: int) -> bool:
@@ -258,41 +223,36 @@ def sl2_enumerate(
     ring = TruncatedRing(p, e)
     nils = ring.nilpotents()
 
-    candidates: List[Sl2Candidate] = []
+    s0_count = 0
+    sminus_count = 0 if m is not None else None
+    routes = True
+    monic_polys: List[Tuple[Tuple[int, ...], ...]] = []
     for tail in itertools.product(nils, repeat=smax):
         q = ZWindow(ring, window, {0: ring.one(), **{-i: c for i, c in enumerate(tail, start=1)}})
-        q_inv = comonic_inverse(ring, q)
-        lattice = LatticePoint(ring, n, q, q_inv)
-        in_s0_lat = lattice.contains_e1_power(0)
-        in_s0_orc = all(ring.is_zero(c) for c in tail[n:])
-        monic = None
-        cand = Sl2Candidate(tail, in_s0_lat, in_s0_orc, monic)
-        if in_s0_orc:
-            # z^n Q = z^n + q_1 z^(n-1) + ... + q_n; low-to-high coefficients.
-            coeffs = [ring.zero()] * (n + 1)
-            coeffs[n] = ring.one()
-            for i, c in enumerate(tail[:n], start=1):
-                coeffs[n - i] = c
-            cand.monic_poly = tuple(coeffs)
-            if m is not None:
-                cand.in_sminus_lattice = lattice.contains_e2_power(m)
-                cand.in_sminus_oracle = _poly_divides_zm(ring, coeffs, m)
-        candidates.append(cand)
-
-    s0_count = sum(1 for c in candidates if c.in_s0_lattice)
+        # Lattice route: z^0 e1 lies in the lattice iff z^n Q has no pole.
+        in_s0 = q.scale_z(n).in_disc()
+        s0_count += in_s0
+        # Polynomial route: Q is z^-n times a monic polynomial of degree n.
+        in_s0_poly = all(ring.is_zero(c) for c in tail[n:])
+        routes = routes and in_s0 == in_s0_poly
+        if not in_s0_poly:
+            continue
+        # z^n Q = z^n + q_1 z^(n-1) + ... + q_n; low-to-high coefficients.
+        coeffs = [ring.zero()] * n + [ring.one()]
+        for i, c in enumerate(tail[:n], start=1):
+            coeffs[n - i] = c
+        monic_polys.append(tuple(coeffs))
+        if m is not None:
+            # z^m e2 lies in the lattice iff z^(m-n) Q^-1 has no pole.  Q^-1
+            # reaches z^-((e-1)n), so it is built in a window that holds it;
+            # only the probe itself must fit the given window.
+            inv = comonic_inverse(ring, ZWindow(ring, max(window, (e - 1) * n), q.coeffs))
+            probe = ZWindow(ring, window, {k + m - n: c for k, c in inv.coeffs.items()})
+            in_sminus = probe.in_disc()
+            sminus_count += in_sminus
+            routes = routes and in_sminus == _poly_divides_zm(ring, coeffs, m)
     s0_expected = len(nils) ** min(n, smax)
-    routes = all(c.in_s0_lattice == c.in_s0_oracle for c in candidates)
-    sminus_count = None
-    if m is not None:
-        routes = routes and all(
-            c.in_sminus_lattice == c.in_sminus_oracle
-            for c in candidates
-            if c.monic_poly is not None
-        )
-        sminus_count = sum(
-            1 for c in candidates if c.monic_poly is not None and c.in_sminus_lattice
-        )
-    return Sl2Report(p, e, n, window, m, candidates, s0_count, s0_expected, sminus_count, routes)
+    return Sl2Report(s0_count, s0_expected, sminus_count, routes, monic_polys)
 
 
 # ---------------------------------------------------------------------------
@@ -338,12 +298,15 @@ def qpoly_str(a: MultiPoly) -> str:
     bits = []
     for k in sorted(a.terms):
         c, i = a.terms[k], k >> a.registry.shift
+        mono = "q" if i == 1 else f"q^{i}"
         if i == 0:
             bits.append(str(c))
-        elif i == 1:
-            bits.append("q" if c == 1 else f"{c}*q")
+        elif c == 1:
+            bits.append(mono)
+        elif c == -1:
+            bits.append(f"-{mono}")
         else:
-            bits.append(f"q^{i}" if c == 1 else f"{c}*q^{i}")
+            bits.append(f"{c}*{mono}")
     return " + ".join(bits).replace("+ -", "- ") or "0"
 
 
@@ -356,14 +319,18 @@ def _times_term(g: MultiPoly, key: int, c: Frac) -> MultiPoly:
     return (MultiPoly(g.registry, _packed={key: 1}) * g).scale(c)
 
 
-def _spoly(f: MultiPoly, g: MultiPoly, lcm: int) -> MultiPoly:
-    (fk, fc), (gk, gc) = f.leading(), g.leading()
+# A basis element kept beside its leading key and coefficient, which the
+# engine reads on every pair and every reduction step.
+Lead = Tuple[int, Frac, MultiPoly]
+
+
+def _spoly(a: Lead, b: Lead, lcm: int) -> MultiPoly:
+    (fk, fc, f), (gk, gc, g) = a, b
     return _times_term(f, lcm - fk, Frac(1) / fc) - _times_term(g, lcm - gk, Frac(1) / gc)
 
 
-def _reduce(f: MultiPoly, basis: Sequence[MultiPoly]) -> MultiPoly:
+def _reduce(f: MultiPoly, lead: Sequence[Lead]) -> MultiPoly:
     reg = f.registry
-    lead = [(*g.leading(), g) for g in basis]
     rem = MultiPoly.zero(reg)
     work = f
     while not work.is_zero():
@@ -380,20 +347,20 @@ def _reduce(f: MultiPoly, basis: Sequence[MultiPoly]) -> MultiPoly:
 
 
 def buchberger(gens: Sequence[MultiPoly]) -> List[MultiPoly]:
-    basis = [g for g in gens if not g.is_zero()]
-    pairs = [(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))]
+    lead: List[Lead] = [(*g.leading(), g) for g in gens if not g.is_zero()]
+    pairs = [(i, j) for i in range(len(lead)) for j in range(i + 1, len(lead))]
     while pairs:
         i, j = pairs.pop()
-        fk, gk = basis[i].leading()[0], basis[j].leading()[0]
-        lcm = basis[i].registry.lcm(fk, gk)
+        fk, gk = lead[i][0], lead[j][0]
+        lcm = lead[i][2].registry.lcm(fk, gk)
         if lcm == fk + gk:
             continue  # coprime leading monomials reduce to zero
-        s = _reduce(_spoly(basis[i], basis[j], lcm), basis)
+        s = _reduce(_spoly(lead[i], lead[j], lcm), lead)
         if s.is_zero():
             continue
-        basis.append(s)
-        pairs.extend((k, len(basis) - 1) for k in range(len(basis) - 1))
-    return basis
+        lead.append((*s.leading(), s))
+        pairs.extend((k, len(lead) - 1) for k in range(len(lead) - 1))
+    return [g for _, _, g in lead]
 
 
 # The most standard monomials a chart may have before the staircase is

@@ -8,10 +8,15 @@ test module; the tests import it by name.
 * The q-polynomials as they were before they became one-variable
   ``MultiPoly``s: dense integer lists, lowest power first, with their own
   product, sum and exact division.
+* ``sl2_enumerate`` as it was before it became one pass: Q^-1 is built in
+  the given window for every candidate, and each candidate is kept as a
+  record before the counts are taken.
 """
 
+import itertools
 from fractions import Fraction as Frac
 
+from quivergrass.fixedpoints import TruncatedRing, ZWindow, _poly_divides_zm, comonic_inverse
 from quivergrass.symalg import MultiPoly, SymalgError
 
 
@@ -134,3 +139,39 @@ def quiver_grass_poincare(alpha):
             total = qpoly_add(total, gaussian_binomial(a, p))
         out = qpoly_mul(out, total)
     return out
+
+
+# -- the per-candidate sl2 enumeration ----------------------------------------
+
+def sl2_enumerate(p, e, n, window, m=None):
+    """(s0_count, s0_expected, sminus_count, routes_agree, monic_polys); the
+    up-front checks of ``fixedpoints.sl2_enumerate`` are left to it."""
+    ring = TruncatedRing(p, e)
+    nils = ring.nilpotents()
+    smax = window - n
+    candidates = []
+    for tail in itertools.product(nils, repeat=smax):
+        q = ZWindow(ring, window, {0: ring.one(), **{-i: c for i, c in enumerate(tail, start=1)}})
+        q_inv = comonic_inverse(ring, q)
+        in_s0_lat = q.scale_z(n).in_disc()
+        in_s0_orc = all(ring.is_zero(c) for c in tail[n:])
+        monic = sminus_lat = sminus_orc = None
+        if in_s0_orc:
+            coeffs = [ring.zero()] * (n + 1)
+            coeffs[n] = ring.one()
+            for i, c in enumerate(tail[:n], start=1):
+                coeffs[n - i] = c
+            monic = tuple(coeffs)
+            if m is not None:
+                sminus_lat = q_inv.scale_z(m - n).in_disc()
+                sminus_orc = _poly_divides_zm(ring, coeffs, m)
+        candidates.append((in_s0_lat, in_s0_orc, monic, sminus_lat, sminus_orc))
+
+    s0_count = sum(1 for c in candidates if c[0])
+    routes = all(c[0] == c[1] for c in candidates)
+    sminus_count = None
+    if m is not None:
+        routes = routes and all(c[3] == c[4] for c in candidates if c[2] is not None)
+        sminus_count = sum(1 for c in candidates if c[2] is not None and c[3])
+    monic_polys = [c[2] for c in candidates if c[2] is not None]
+    return s0_count, len(nils) ** min(n, smax), sminus_count, routes, monic_polys

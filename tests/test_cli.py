@@ -91,6 +91,14 @@ def test_sl2(capsys):
     assert "sl2.count: 2" in out
 
 
+def test_sl2_over_eps_cubed_needs_no_inverse_window(capsys):
+    # Q^-1 of a tail of length 3 reaches z^-6, outside the window; without
+    # --m no inverse is built
+    code, out = run(capsys, ["sl2-lattice", "--p", "2", "--e", "3", "--n", "0", "--window", "3"])
+    assert code == EXIT_OK
+    assert "sl2.count: 1" in out
+
+
 def test_zastava_fiber(quiver_files, tmp_path, capsys):
     a1, _ = quiver_files
     cfg = tmp_path / "fiber.json"

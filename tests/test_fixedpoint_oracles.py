@@ -1,19 +1,22 @@
-"""The packed-key Buchberger engine and the ``MultiPoly`` q-polynomials
-against the tuple engine and the dense lists they replace
-(``tests/fixedpoint_oracles.py``)."""
+"""The packed-key Buchberger engine, the ``MultiPoly`` q-polynomials and
+the one-pass ``sl2_enumerate`` against the tuple engine, the dense lists
+and the per-candidate loop they replace (``tests/fixedpoint_oracles.py``)."""
 
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
 
 import fixedpoint_oracles as oracle
 from quivergrass.fixedpoints import (
+    WindowOverflowError,
     buchberger,
     carell_chart,
     gaussian_binomial,
     quiver_grass_poincare,
+    sl2_enumerate,
     standard_monomials,
 )
 from quivergrass.symalg import MultiPoly, VarRegistry, aux_var
@@ -69,3 +72,34 @@ def test_poincare_series_equal_the_dense_lists():
         for entries in itertools.product(range(4), repeat=size):
             alpha = {str(i + 1): a for i, a in enumerate(entries)}
             assert dense(quiver_grass_poincare(alpha)) == oracle.quiver_grass_poincare(alpha), alpha
+
+
+def test_sl2_one_pass_equals_the_per_candidate_loop():
+    # The loop builds Q^-1 in the given window for every candidate, so it
+    # exits on runs the one pass completes; there the two routes must agree
+    # and the count must be the closed form.  Only a probe z^(m-n) Q^-1
+    # that leaves the window may still stop the one pass.
+    outcomes = Counter()
+    for e in (2, 3):
+        for n in range(4):
+            for window in (n + e, n + e + 1):
+                for m in (None, *range(window - e + 1)):
+                    try:
+                        old = oracle.sl2_enumerate(2, e, n, window, m)
+                    except WindowOverflowError:
+                        old = None
+                    try:
+                        rep = sl2_enumerate(2, e, n, window, m)
+                    except WindowOverflowError:
+                        assert old is None and m is not None, (e, n, window, m)
+                        outcomes["both exit"] += 1
+                        continue
+                    new = (rep.s0_count, rep.s0_expected, rep.sminus_count, rep.routes_agree,
+                           rep.monic_polys)
+                    if old is None:
+                        assert rep.routes_agree and rep.s0_count == rep.s0_expected, (e, n, window, m)
+                        outcomes["one pass only"] += 1
+                    else:
+                        assert new == old, (e, n, window, m)
+                        outcomes["both complete"] += 1
+    assert outcomes == {"both complete": 34, "one pass only": 24, "both exit": 6}

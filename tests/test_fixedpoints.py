@@ -125,15 +125,18 @@ def count_truncated_solutions(chart: CarellChart, ring: TruncatedRing) -> int:
 
 def test_sl2_divisor_counts_match_chart_points():
     # the degree-beta members dividing z^n match the truncated-ring points
-    # of the fixed-scheme chart: the two enumerations count the same sets
-    ring = TruncatedRing(2, 2)
-    for n in range(1, 4):
-        for beta in range(0, n + 1):
-            window = max(beta + 2, 2 * beta + 1, n + 2)
-            rep = sl2_enumerate(2, 2, beta, window, m=n)
-            divisor_count = rep.sminus_count
-            chart = carell_chart(n, beta)
-            assert divisor_count == count_truncated_solutions(chart, ring), (n, beta)
+    # of the fixed-scheme chart: the two enumerations count the same sets.
+    # Over eps^3 = 0 the inverse Q^-1 differs from Q, so the lattice route
+    # must really invert.
+    for e in (2, 3):
+        ring = TruncatedRing(2, e)
+        for n in range(1, 4):
+            for beta in range(0, n + 1):
+                window = max(beta + e, e * beta + 1, n + e)
+                rep = sl2_enumerate(2, e, beta, window, m=n)
+                divisor_count = rep.sminus_count
+                chart = carell_chart(n, beta)
+                assert divisor_count == count_truncated_solutions(chart, ring), (e, n, beta)
 
 
 def test_hilbert_colored():
@@ -217,7 +220,9 @@ def test_staircase_cap():
 def test_qpoly_str_prints_lowest_power_first():
     assert qpoly_str(qpoly()) == "0"
     assert qpoly_str(qpoly(-1, 0, -2, 1)) == "-1 - 2*q^2 + q^3"
-    assert qpoly_str(qpoly(0, 3, 0, 0, -1)) == "3*q - 1*q^4"  # as the dense printer did
+    assert qpoly_str(qpoly(0, 3, 0, 0, -1)) == "3*q - q^4"  # as MultiPoly.__repr__ does
+    assert qpoly_str(qpoly(1, -1)) == "1 - q"
+    assert qpoly_str(qpoly(0, -1, 0, -3)) == "-q - 3*q^3"
 
 
 @pytest.mark.parametrize(
