@@ -8,6 +8,14 @@ compared with the files under ``tests/goldens``.
   every n <= 4 and 0 <= k <= n, of ``poincare`` on four dimension
   vectors, and of five ``sl2-lattice`` commands: the one the benchmark
   runs, three with the S- probe ``--m`` and one over F_3.
+* ``kernel.json`` holds the text and JSON reports of ``kernel`` and
+  ``kernel --classical`` on a1 and a2 flags and on the rank-2 torus of
+  a2 under the additive, multiplicative and series4 laws, of ``verify
+  --config`` on a disjoint and a colliding configuration (which pins the
+  order of the named factors), and of ``verify --suite crosscheck
+  --quiver`` on a1 and a2.
+* ``zastava.json`` holds the text and JSON reports of ``zastava-fiber``
+  and ``ind-rank``.
 
 Re-record them from the repository root, at the commit whose output is
 the reference:
@@ -30,7 +38,8 @@ from quivergrass.cli import EXIT_OK, main
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDENS = ROOT / "tests" / "goldens"
-A2 = "tests/data/a2_rank2.json"
+DATA = "tests/data"
+A2 = f"{DATA}/a2_rank2.json"
 
 WORDS = [([], "1,1"), ([], "1,1,1"),
          (["--quiver", A2], "1,2"), (["--quiver", A2], "1,2,1"), (["--quiver", A2], "2,1,1,2")]
@@ -63,7 +72,51 @@ FIXEDPOINTS = [
     for fmt in ("text", "json")
 ]
 
-SUITES = {"shuffle.json": SHUFFLE, "fixedpoints.json": FIXEDPOINTS}
+LAWS = ("additive", "multiplicative", f"series:{DATA}/series4.json")
+
+# (quiver file, flags of the kernel, flags of the classical kernel)
+FLAGS = [
+    (f"{DATA}/a1.json", ("1|1", "2|1"), ("2",)),
+    (f"{DATA}/a2.json", ("1,0|0,1", "1,1|1,0", "0,1|1,1"), ("1,1", "2,1")),
+    (A2, ("1,0|0,1", "1,1|1,0"), ("1,1",)),
+]
+
+KERNEL = [
+    (argv + ["--fgl", law, "--format", fmt], False)
+    for argv in (
+        [["kernel", "--quiver", quiver, "--flag", flag] for quiver, flags, _ in FLAGS for flag in flags]
+        + [["kernel", "--quiver", quiver, "--flag", flag, "--classical"]
+           for quiver, _, flags in FLAGS for flag in flags]
+    )
+    for law in LAWS
+    for fmt in ("text", "json")
+] + [
+    (argv + ["--format", fmt], False)
+    for argv in (
+        [["verify", "fgl", "--quiver", A2, "--config", f"{DATA}/a2_rank2_{kind}_config.json"]
+         for kind in ("disjoint", "colliding")]
+        + [["verify", "--suite", "crosscheck", "--quiver", f"{DATA}/{q}.json"] for q in ("a1", "a2")]
+    )
+    for fmt in ("text", "json")
+]
+
+ZASTAVA = [
+    (argv + ["--format", fmt], False)
+    for argv in (
+        [["zastava-fiber", "--config", f"{DATA}/a1_fiber.json"],
+         ["zastava-fiber", "--quiver", A2, "--config", f"{DATA}/a2_rank2_fiber.json"]]
+        + [["ind-rank", "--poset", poset, "--divisor", divisor] for poset, divisor in (
+            ("chain:2", "a:i:3"),
+            ("antichain:2", "a:i:1,b:j:1"),
+            ("chain:3", "a:i:2,b:j:1"),
+            (f"{DATA}/poset_diamond.json", "a:i:2"),
+        )]
+    )
+    for fmt in ("text", "json")
+]
+
+SUITES = {"shuffle.json": SHUFFLE, "fixedpoints.json": FIXEDPOINTS,
+          "kernel.json": KERNEL, "zastava.json": ZASTAVA}
 
 
 def report(argv, hashed):
@@ -98,6 +151,14 @@ def test_shuffle_reports_match_the_goldens():
 
 def test_fixedpoint_reports_match_the_goldens():
     check_goldens("fixedpoints.json")
+
+
+def test_kernel_reports_match_the_goldens():
+    check_goldens("kernel.json")
+
+
+def test_zastava_reports_match_the_goldens():
+    check_goldens("zastava.json")
 
 
 if __name__ == "__main__":
