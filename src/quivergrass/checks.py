@@ -11,7 +11,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction as Frac
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .fgl import FormalGroupLaw, fgl_verify
 from .locality import (
@@ -474,24 +474,21 @@ def shuffle_constants_suite() -> List[CheckResult]:
     return out
 
 
+# Every suite by name, in the order ``all`` runs them; each takes a seed.
+SUITES: Dict[str, Callable[[int], List[CheckResult]]] = {
+    "fgl": fgl_suite,
+    "classical": lambda seed: classical_suite(),
+    "biextension": bilinearity_suite,
+    "crosscheck": crosscheck_suite,
+    "ideal": lambda seed: ideal_suite(seed) + shuffle_constants_suite(),
+    "assoc": assoc_suite,
+    "locality": locality_suite,
+}
+
+
 def suite(name: str, seed: int = 0) -> List[CheckResult]:
-    if name == "fgl":
-        return fgl_suite(seed)
-    if name == "biextension":
-        return bilinearity_suite(seed)
-    if name == "crosscheck":
-        return crosscheck_suite(seed)
-    if name == "locality":
-        return locality_suite(seed)
-    if name == "ideal":
-        return ideal_suite(seed) + shuffle_constants_suite()
-    if name == "assoc":
-        return assoc_suite(seed)
-    if name == "classical":
-        return classical_suite()
     if name == "all":
-        out: List[CheckResult] = []
-        for part in ("fgl", "classical", "biextension", "crosscheck", "ideal", "assoc", "locality"):
-            out.extend(suite(part, seed))
-        return out
-    raise ValueError(f"unknown suite {name!r}")
+        return [r for run in SUITES.values() for r in run(seed)]
+    if name not in SUITES:
+        raise ValueError(f"unknown suite {name!r}")
+    return SUITES[name](seed)

@@ -5,16 +5,25 @@ ind-rank, zastava-fiber.  Global flags: --fgl, --tau, --seed, --format.
 Reports are deterministic for a fixed configuration; wall-clock timing
 is only emitted under --timing so golden files stay byte-identical.
 
+The parser is built once per process, on the first ``main`` call, and
+``_emit`` renders every report.  Inputs past a bound exit 2: a
+``poincare`` entry above ``fixedpoints.POINCARE_ENTRY_CAP``, and an
+``ind-rank`` or ``zastava-fiber`` fiber of more than
+``zastava.SYSTEM_CAP`` (2^16) monotone systems.
+
 Exit codes: 0 all checks passed, 1 a check failed, 2 bad input.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import functools
 import json
 import sys
 import time
-from typing import Dict, List, Optional, Sequence
+from math import comb
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import checks as checksmod
 from .checks import CheckResult, _result
@@ -32,6 +41,7 @@ from .quiver import (
     json_rational,
     load_quiver,
     stock_quiver,
+    validate_dilation,
 )
 from .shuffle import weight_space, word_product
 from .symalg import PoleError, SymalgError
@@ -102,50 +112,32 @@ def _parse_tau(ctx: KernelContext, text: Optional[str]):
     return tau_point(ctx, values)
 
 
-def _report(command: str, config_echo: Dict, results: List[CheckResult], args) -> Dict:
-    body = {
-        "command": command,
-        "config_echo": config_echo,
-        "results": [
-            {
-                "name": r.name,
-                "status": r.status,
-                "value": r.value,
-                "expected": r.expected,
-                "provenance": r.provenance,
-            }
-            for r in results
-        ],
-    }
-    if args.timing:
-        body["elapsed_ms"] = int((time.time() - args._t0) * 1000)
-    return body
-
-
-def _emit(report: Dict, args) -> int:
-    ok = all(r["status"] == "pass" for r in report["results"])
+def _emit(command: str, echo: Dict, results: List[CheckResult], args) -> int:
+    timing = {"elapsed_ms": int((time.time() - args._t0) * 1000)} if args.timing else {}
     if args.format == "json":
-        print(json.dumps(report, indent=2, sort_keys=True))
+        body = {"command": command, "config_echo": echo,
+                "results": [dataclasses.asdict(r) for r in results], **timing}
+        print(json.dumps(body, indent=2, sort_keys=True))
     else:
-        for r in report["results"]:
-            line = f"[{r['status']}] {r['name']}: {r['value']}"
-            if r["expected"]:
-                line += f"  (expected: {r['expected']})"
+        for r in results:
+            line = f"[{r.status}] {r.name}: {r.value}"
+            if r.expected:
+                line += f"  (expected: {r.expected})"
             print(line)
-        if "elapsed_ms" in report:
-            print(f"elapsed_ms: {report['elapsed_ms']}")
-    return EXIT_OK if ok else EXIT_CHECK_FAILED
+        for key, value in timing.items():
+            print(f"{key}: {value}")
+    return EXIT_OK if all(r.ok for r in results) else EXIT_CHECK_FAILED
 
 
 # -- subcommand handlers -------------------------------------------------------
 
+Report = Tuple[Dict, List[CheckResult]]  # (config echo, check results), rendered by main
 
-def cmd_kernel(args) -> int:
+
+def cmd_kernel(args) -> Report:
     ctx = _load_context(args)
     results: List[CheckResult] = []
     echo = {"quiver": args.quiver or "a1", "fgl": args.fgl, "flag": args.flag}
-    from .quiver import validate_dilation
-
     dil = validate_dilation(ctx.quiver, ctx.weights, ctx.dilation)
     results.append(
         _result(
@@ -202,10 +194,10 @@ def cmd_kernel(args) -> int:
                 "independent one-pass assembly",
             )
         )
-    return _emit(_report("kernel", echo, results, args), args)
+    return echo, results
 
 
-def cmd_shuffle(args) -> int:
+def cmd_shuffle(args) -> Report:
     ctx = _load_context(args)
     results: List[CheckResult] = []
     echo = {"quiver": args.quiver or "a1", "fgl": args.fgl}
@@ -241,10 +233,10 @@ def cmd_shuffle(args) -> int:
         )
     else:
         raise QuiverFormatError("shuffle needs --word or --dim")
-    return _emit(_report("shuffle", echo, results, args), args)
+    return echo, results
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> Report:
     if args.suite == "crosscheck" and args.quiver:
         results = _crosscheck_single_quiver(args)
     else:
@@ -267,7 +259,7 @@ def cmd_verify(args) -> int:
             )
         )
         echo["config"] = args.config
-    return _emit(_report("verify", echo, results, args), args)
+    return echo, results
 
 
 def _crosscheck_single_quiver(args) -> List[CheckResult]:
@@ -291,7 +283,7 @@ def _crosscheck_single_quiver(args) -> List[CheckResult]:
     return results
 
 
-def cmd_sl2(args) -> int:
+def cmd_sl2(args) -> Report:
     rep = sl2_enumerate(args.p, args.e, args.n, args.window, m=args.m)
     results = [
         _result(
@@ -318,10 +310,10 @@ def cmd_sl2(args) -> int:
         _result("sl2.bijection_table", True, ";".join(sorted(table)), "", "coefficient strings")
     )
     echo = {"p": args.p, "e": args.e, "n": args.n, "window": args.window, "m": args.m}
-    return _emit(_report("sl2-lattice", echo, results, args), args)
+    return echo, results
 
 
-def cmd_poincare(args) -> int:
+def cmd_poincare(args) -> Report:
     dims = _parsed("--alpha", args.alpha, lambda t: [int(x) for x in t.split(",")],
                    "comma-separated integers")
     alpha = {str(i + 1): d for i, d in enumerate(dims)}
@@ -334,12 +326,10 @@ def cmd_poincare(args) -> int:
         _result("poincare.series", True, qpoly_str(poly), "", "product of q-binomial sums"),
         _result("poincare.total", total == expected, total, expected, "value at q = 1"),
     ]
-    return _emit(_report("poincare", {"alpha": args.alpha}, results, args), args)
+    return {"alpha": args.alpha}, results
 
 
-def cmd_carell(args) -> int:
-    from math import comb
-
+def cmd_carell(args) -> Report:
     chart = carell_chart(args.n, args.k)
     gauss = gaussian_binomial(args.n, args.k)
     results = [
@@ -358,10 +348,10 @@ def cmd_carell(args) -> int:
             "rotation weights of the standard monomials",
         ),
     ]
-    return _emit(_report("carell", {"n": args.n, "k": args.k}, results, args), args)
+    return {"n": args.n, "k": args.k}, results
 
 
-def cmd_ind_rank(args) -> int:
+def cmd_ind_rank(args) -> Report:
     poset = _parsed("--poset", args.poset, Poset.parse,
                     "chain:<m>, antichain:<k> or a poset JSON file")
     try:
@@ -373,10 +363,10 @@ def cmd_ind_rank(args) -> int:
         _result("ind_rank", True, rank, "", "count of monotone subdivisor systems")
     ]
     echo = {"poset": args.poset, "divisor": args.divisor}
-    return _emit(_report("ind-rank", echo, results, args), args)
+    return echo, results
 
 
-def cmd_zastava_fiber(args) -> int:
+def cmd_zastava_fiber(args) -> Report:
     with open(args.config, "r", encoding="utf-8") as fh:
         data = json.load(fh)
     if not (
@@ -414,13 +404,15 @@ def cmd_zastava_fiber(args) -> int:
         )
         results.append(_result(f"zastava.value[{label}]", True, value, "", "pair-kernel product"))
     echo = {"config": args.config, "poset": str(data.get("poset", "chain:1"))}
-    return _emit(_report("zastava-fiber", echo, results, args), args)
+    return echo, results
 
 
 # -- parser ----------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call; parsing never changes it."""
     # Global flags may appear before or after the subcommand; SUPPRESS keeps
     # the subparser from clobbering a value given at the top level.
     common = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
@@ -455,7 +447,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", parents=[common], help="run a bundled verification suite")
     p.add_argument("suite", nargs="?", default=None)
     p.add_argument("--suite", dest="suite_flag", default=None,
-                   help="fgl|biextension|crosscheck|locality|ideal|assoc|classical|all")
+                   help="|".join([*checksmod.SUITES, "all"]))
     p.add_argument("--quiver", default=None)
     p.add_argument("--config", default=None, help="point-configuration JSON for locality")
     p.set_defaults(func=cmd_verify)
@@ -503,8 +495,7 @@ _GLOBAL_DEFAULTS = {
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     for key, default in _GLOBAL_DEFAULTS.items():
         if not hasattr(args, key):
             setattr(args, key, default)
@@ -512,10 +503,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.cmd == "verify":
         args.suite = args.suite_flag or args.suite or "all"
     try:
-        return args.func(args)
+        echo, results = args.func(args)
     except (QuiverFormatError, SymalgError, PoleError, ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE_ERROR
+    return _emit(args.cmd, echo, results, args)
 
 
 if __name__ == "__main__":

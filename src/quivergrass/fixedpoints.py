@@ -279,11 +279,18 @@ def gaussian_binomial(n: int, k: int) -> MultiPoly:
     return result
 
 
+# The largest dimension-vector entry ``quiver_grass_poincare`` takes; its
+# cost grows about as the fourth power of the largest entry.
+POINCARE_ENTRY_CAP = 32
+
+
 def quiver_grass_poincare(alpha: Mapping[str, int]) -> MultiPoly:
     """Graded point count of the product of total Grassmannians attached
     to the zero representation of the given dimension."""
     if any(a < 0 for a in alpha.values()):
         raise ValueError("dimension vector entries must be non-negative")
+    if any(a > POINCARE_ENTRY_CAP for a in alpha.values()):
+        raise DegreeOverflowError(f"dimension vector entries are bounded at {POINCARE_ENTRY_CAP}")
     out = _q_power(0)
     for _, a in sorted(alpha.items()):
         total = MultiPoly.zero(Q_REGISTRY)

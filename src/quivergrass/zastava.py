@@ -13,10 +13,12 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction as Frac
-from typing import Dict, FrozenSet, List, Mapping, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Mapping, Sequence, Tuple
 
+from .fixedpoints import DegreeOverflowError
 from .locality import PointConfig, TauPoint, check_colors, check_points, is_m_tau_disjoint
 from .symalg import SymalgError, Variable
 from .thom import KernelContext
@@ -155,40 +157,58 @@ def subscheme_lattice(divisor: ColoredDivisor) -> List[SubMultiplicity]:
     return out
 
 
-def sub_leq(a: SubMultiplicity, b: SubMultiplicity) -> bool:
-    return all(ka <= kb for (_, ka), (_, kb) in zip(a, b))
+# The most monotone systems a fiber may have: the sl2-lattice state budget.
+SYSTEM_CAP = 2 ** 16
 
 
-def monotone_maps(poset: Poset, divisor: ColoredDivisor) -> List[Dict[str, SubMultiplicity]]:
-    lattice = subscheme_lattice(divisor)
-    out: List[Dict[str, SubMultiplicity]] = []
-    els = poset.elements
+def _systems(poset: Poset, divisor: ColoredDivisor) -> Iterator[Tuple[SubMultiplicity, ...]]:
+    """The subdivisors of every monotone system, depth first without
+    recursion; raises ``DegreeOverflowError`` past ``SYSTEM_CAP`` systems."""
+    els, leq = poset.elements, poset.leq
+    if not els:
+        yield ()
+        return
+    # The constant systems alone number one per subdivisor.
+    if math.prod(pt.multiplicity + 1 for pt in divisor.points) > SYSTEM_CAP:
+        raise DegreeOverflowError(f"more than {SYSTEM_CAP} subdivisors exceed the budget")
+    lattice = {tuple(k for _, k in sub): sub for sub in subscheme_lattice(divisor)}
+    top = next(reversed(lattice))
+    below = [[j for j in range(k) if leq(els[j], els[k])] for k in range(len(els))]
+    above = [[j for j in range(k) if leq(els[k], els[j])] for k in range(len(els))]
+    picked: List[Tuple[int, ...]] = []  # the multiplicities of the elements so far
+    subs: List[SubMultiplicity] = []  # and their subdivisors
 
-    def rec(k: int, assignment: Dict[str, SubMultiplicity]):
-        if k == len(els):
-            out.append(dict(assignment))
-            return
-        e = els[k]
-        for candidate in lattice:
-            ok = True
-            for other, val in assignment.items():
-                if poset.leq(other, e) and not sub_leq(val, candidate):
-                    ok = False
-                    break
-                if poset.leq(e, other) and not sub_leq(candidate, val):
-                    ok = False
-                    break
-            if ok:
-                assignment[e] = candidate
-                rec(k + 1, assignment)
-                del assignment[e]
+    def box():
+        """The candidates for the next element: between the picks below and above it."""
+        lo = zip((0,) * len(top), *(picked[j] for j in below[len(picked)]))
+        hi = zip(top, *(picked[j] for j in above[len(picked)]))
+        return itertools.product(*(range(max(a), min(b) + 1) for a, b in zip(lo, hi)))
 
-    rec(0, {})
-    return out
+    tries, count = [box()], 0
+    while tries:
+        candidate = next(tries[-1], None)
+        if candidate is None:
+            tries.pop()
+            if picked:
+                picked.pop()
+                subs.pop()
+        elif len(tries) < len(els):
+            picked.append(candidate)
+            subs.append(lattice[candidate])
+            tries.append(box())
+        else:
+            count += 1
+            if count > SYSTEM_CAP:
+                raise DegreeOverflowError(f"more than {SYSTEM_CAP} monotone systems exceed the cap")
+            yield (*subs, lattice[candidate])
+
+
+def monotone_maps(poset: Poset, divisor: ColoredDivisor) -> Iterator[Dict[str, SubMultiplicity]]:
+    return (dict(zip(poset.elements, system)) for system in _systems(poset, divisor))
 
 
 def ind_rank(poset: Poset, divisor: ColoredDivisor) -> int:
-    return len(monotone_maps(poset, divisor))
+    return sum(1 for _ in _systems(poset, divisor))
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +273,7 @@ def ind_fiber(
         if not is_m_tau_disjoint(ctx, cfg_a, cfg_b, tau):
             raise NonGenericError(f"points {a.pid}, {b.pid} collide under the shifts")
 
-    maps = monotone_maps(poset, divisor)
+    maps = list(monotone_maps(poset, divisor))
     values: List[Frac] = []
     for system in maps:
         total = Frac(1)

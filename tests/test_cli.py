@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from quivergrass import fgl
+from quivergrass import checks, cli, fgl
 from quivergrass.cli import EXIT_CHECK_FAILED, EXIT_OK, EXIT_PARSE_ERROR, main
 
 A1 = {"vertices": ["1"], "arrows": [], "dilation": {"rank": 1, "basis": [[1], [1]]}}
@@ -178,6 +178,66 @@ def test_global_flags_both_positions(capsys):
     assert json.loads(out1)["results"][0]["value"] == "2"
 
 
+def test_a_global_flag_does_not_outlive_its_call(capsys):
+    # the parser is shared by every call; what one call parses must not
+    # leak into the next
+    a2 = str(Path(__file__).resolve().parent / "data" / "a2.json")
+    goldens = json.loads((Path(__file__).resolve().parent / "goldens" / "kernel.json").read_text())
+    key = "kernel --quiver tests/data/a2.json --flag 1,1|1,0 --fgl {} --format text"
+    code, out = run(capsys, ["--fgl", "multiplicative", "kernel", "--quiver", a2, "--flag", "1,1|1,0"])
+    assert code == EXIT_OK and out == goldens[key.format("multiplicative")]
+    code, out = run(capsys, ["kernel", "--quiver", a2, "--flag", "1,1|1,0"])
+    assert code == EXIT_OK and out == goldens[key.format("additive")]
+    before = run(capsys, ["--format", "json", "--fgl", "multiplicative",
+                          "kernel", "--quiver", a2, "--flag", "1,1|1,0"])
+    after = run(capsys, ["kernel", "--quiver", a2, "--flag", "1,1|1,0",
+                         "--fgl", "multiplicative", "--format", "json"])
+    assert before == after and json.loads(before[1])["config_echo"]["fgl"] == "multiplicative"
+
+
+def test_the_parser_is_built_once_per_process():
+    script = (
+        "import sys\n"
+        "from quivergrass import cli\n"
+        "built = cli.build_parser.cache_info().currsize\n"
+        "for alpha in ('1', '2'):\n"
+        "    assert cli.main(['poincare', '--alpha', alpha]) == cli.EXIT_OK\n"
+        "print(built, cli.build_parser.cache_info().misses, file=sys.stderr)\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, check=True)
+    # not built at import, and built once for two calls
+    assert proc.stderr.split() == ["0", "1"]
+    assert cli.build_parser() is cli.build_parser()
+
+
+@pytest.mark.parametrize("argv", [
+    ["poincare", "--alpha", "2,1"],
+    ["ind-rank", "--poset", "chain:2", "--divisor", "a:i:3"],
+    ["verify", "fgl"],
+])
+def test_timing_adds_elapsed_ms_and_leaves_the_rest(capsys, argv):
+    _, plain_json = run(capsys, argv + ["--format", "json"])
+    _, timed_json = run(capsys, argv + ["--format", "json", "--timing"])
+    timed = json.loads(timed_json)
+    assert type(timed.pop("elapsed_ms")) is int
+    assert timed == json.loads(plain_json)
+    _, plain_text = run(capsys, argv)
+    code, timed_text = run(capsys, ["--timing", *argv])
+    *rest, last = timed_text.splitlines()
+    assert code == EXIT_OK
+    assert rest == plain_text.splitlines()
+    assert last.startswith("elapsed_ms: ") and last.split(": ")[1].isdigit()
+
+
+def test_verify_suite_help_lists_every_suite(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "200")  # one help line per option
+    with pytest.raises(SystemExit):
+        main(["verify", "--help"])
+    assert "|".join([*checks.SUITES, "all"]) in capsys.readouterr().out
+
+
 @pytest.mark.parametrize(
     "dilation",
     [
@@ -329,6 +389,12 @@ def test_malformed_fiber_config_exits_2(quiver_files, tmp_path, capsys, config):
         # over the state budget; once built every ring element first
         ["sl2-lattice", "--p", "2", "--e", "40", "--n", "0", "--window", "40"],
         ["sl2-lattice", "--p", "1000003", "--e", "2", "--n", "0", "--window", "2"],
+        # past the monotone-system budget of 2^16, or the poincare entry bound
+        ["ind-rank", "--poset", "antichain:12", "--divisor", "a:i:3"],
+        ["ind-rank", "--poset", "chain:30", "--divisor", "a:i:30"],
+        ["ind-rank", "--poset", "chain:1", "--divisor", "a:i:70000"],
+        ["zastava-fiber", "--config", "{wide_fiber}"],
+        ["poincare", "--alpha", "1000"],
     ],
 )
 def test_negative_and_malformed_arguments_exit_2(tmp_path, argv):
@@ -351,10 +417,18 @@ def test_negative_and_malformed_arguments_exit_2(tmp_path, argv):
     seconds = {
         "sl2-lattice --p 2 --e 40 --n 0 --window 40": 2.0,
         "sl2-lattice --p 1000003 --e 2 --n 0 --window 2": 2.0,
+        "ind-rank --poset antichain:12 --divisor a:i:3": 1.0,
+        "ind-rank --poset chain:30 --divisor a:i:30": 1.0,
+        "ind-rank --poset chain:1 --divisor a:i:70000": 1.0,
+        "zastava-fiber --config {wide_fiber}": 1.0,
+        "poincare --alpha 1000": 1.0,
     }.get(" ".join(argv))
     fiber = {"tau": ["1/3"], "points": [{"id": "a", "color": "1", "coord": 0}]}
+    wide_fiber = {"tau": ["1/3"], "poset": "antichain:9",  # 4^9 systems
+                  "points": [{"id": "a", "color": "1", "coord": 0},
+                             {"id": "b", "color": "1", "coord": 7}]}
     files = {"list_poset": [1, 2], "bad_relations": {"elements": ["a"], "relations": 3}, "a2": A2,
-             "fiber": fiber}
+             "fiber": fiber, "wide_fiber": wide_fiber}
     for name, data in files.items():
         (tmp_path / f"{name}.json").write_text(json.dumps(data))
     argv = [a.format(**{n: tmp_path / f"{n}.json" for n in files}) for a in argv]

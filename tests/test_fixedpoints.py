@@ -8,6 +8,7 @@ from quivergrass.fixedpoints import (
     Q,
     Q_REGISTRY,
     CarellChart,
+    POINCARE_ENTRY_CAP,
     DegreeOverflowError,
     TruncatedRing,
     WindowOverflowError,
@@ -193,6 +194,13 @@ def test_carell_weight_series_is_gaussian():
     for n in range(0, 5):
         for p in range(0, n + 1):
             assert carell_chart(n, p).weight_series() == gaussian_binomial(n, p)
+
+
+def test_poincare_entries_are_bounded():
+    assert at_one(quiver_grass_poincare({"1": POINCARE_ENTRY_CAP})) == 2 ** POINCARE_ENTRY_CAP
+    for alpha in ({"1": POINCARE_ENTRY_CAP + 1}, {"1": 1, "2": 1000}):
+        with pytest.raises(DegreeOverflowError):
+            quiver_grass_poincare(alpha)
 
 
 def test_carell_overflow():

@@ -7,10 +7,12 @@ from pathlib import Path
 import pytest
 
 from quivergrass.fgl import FormalGroupLaw
+from quivergrass.fixedpoints import DegreeOverflowError
 from quivergrass.locality import tau_point
 from quivergrass.quiver import DilationTorus, default_nakajima, load_quiver, stock_quiver
 from quivergrass.thom import KernelContext
 from quivergrass.zastava import (
+    SYSTEM_CAP,
     ColoredDivisor,
     DivisorPoint,
     NonGenericError,
@@ -21,7 +23,6 @@ from quivergrass.zastava import (
     ind_rank,
     monotone_maps,
     pair_value,
-    sub_leq,
     subscheme_lattice,
 )
 
@@ -78,6 +79,66 @@ def test_ind_rank_chain_formula():
                     brute += 1
             assert brute == comb(n + m, m)
             assert ind_rank(Poset.chain(m), d) == comb(n + m, m)
+
+
+def filtered_systems(poset, divisor):
+    """Oracle: every map from the elements to the subdivisors, in lattice
+    order, kept when it is monotone on every pair."""
+    def sub_leq(a, b):
+        return all(ka <= kb for (_, ka), (_, kb) in zip(a, b))
+
+    lattice = subscheme_lattice(divisor)
+    els = poset.elements
+    out = []
+    for values in itertools.product(lattice, repeat=len(els)):
+        system = dict(zip(els, values))
+        if all(sub_leq(system[a], system[b]) for a in els for b in els if poset.leq(a, b)):
+            out.append(system)
+    return out
+
+
+@pytest.mark.parametrize("poset, divisor", [
+    (Poset.chain(3), "a:i:2"),
+    (Poset.antichain(2), "a:i:1,b:j:1"),
+    (Poset.antichain(3), ""),
+    (Poset([], []), "a:i:2"),
+    # elements listed so that the third lies between the first two
+    (Poset(["a", "c", "b"], [("a", "b"), ("b", "c")]), "a:i:2,b:j:1"),
+    (Poset(["top", "bottom", "left", "right"],
+           [("bottom", "left"), ("bottom", "right"), ("left", "top"), ("right", "top")]), "a:i:2"),
+    (Poset(["x", "y", "z"], [("x", "y")]), "a:i:1,b:i:2"),
+])
+def test_monotone_maps_equal_the_filtered_product(poset, divisor):
+    d = ColoredDivisor.parse(divisor)
+    systems = list(monotone_maps(poset, d))
+    assert systems == filtered_systems(poset, d)
+    assert ind_rank(poset, d) == len(systems)
+
+
+def test_ind_rank_stops_past_the_system_budget():
+    assert SYSTEM_CAP == 2 ** 16
+    # 4^8 = 2^16 systems: exactly the budget
+    assert ind_rank(Poset.antichain(8), ColoredDivisor.parse("a:i:3")) == SYSTEM_CAP
+    for poset, divisor in ((Poset.antichain(9), "a:i:3"),
+                           (Poset.chain(30), "a:i:30"),
+                           (Poset.chain(1), f"a:i:{SYSTEM_CAP}")):
+        with pytest.raises(DegreeOverflowError):
+            ind_rank(poset, ColoredDivisor.parse(divisor))
+
+
+def test_ind_rank_of_a_poset_deeper_than_the_recursion_limit():
+    wide = Poset.antichain(1000)
+    assert ind_rank(wide, ColoredDivisor.parse("")) == 1
+    with pytest.raises(DegreeOverflowError):
+        ind_rank(wide, ColoredDivisor.parse("a:i:1"))
+
+
+def test_ind_fiber_stops_past_the_system_budget():
+    ctx = ctx_a1()
+    div = ColoredDivisor([DivisorPoint("a", "1", 1), DivisorPoint("b", "1", 1)],
+                         {"a": F(0), "b": F(7)})
+    with pytest.raises(DegreeOverflowError):
+        ind_fiber(ctx, Poset.antichain(9), div, tau_point(ctx, [F(1, 3)]))
 
 
 def test_ind_rank_multiplicative_over_disjoint_supports():
