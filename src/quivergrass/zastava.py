@@ -170,7 +170,7 @@ def _systems(poset: Poset, divisor: ColoredDivisor) -> Iterator[Tuple[SubMultipl
         return
     # The constant systems alone number one per subdivisor.
     if math.prod(pt.multiplicity + 1 for pt in divisor.points) > SYSTEM_CAP:
-        raise DegreeOverflowError(f"more than {SYSTEM_CAP} subdivisors exceed the budget")
+        raise DegreeOverflowError(f"the subdivisors alone exceed the cap of {SYSTEM_CAP} systems")
     lattice = {tuple(k for _, k in sub): sub for sub in subscheme_lattice(divisor)}
     top = next(reversed(lattice))
     below = [[j for j in range(k) if leq(els[j], els[k])] for k in range(len(els))]
@@ -199,7 +199,7 @@ def _systems(poset: Poset, divisor: ColoredDivisor) -> Iterator[Tuple[SubMultipl
         else:
             count += 1
             if count > SYSTEM_CAP:
-                raise DegreeOverflowError(f"more than {SYSTEM_CAP} monotone systems exceed the cap")
+                raise DegreeOverflowError(f"more monotone systems than the cap of {SYSTEM_CAP}")
             yield (*subs, lattice[candidate])
 
 
