@@ -7,11 +7,14 @@ is only emitted under --timing so golden files stay byte-identical.
 
 The parser is built once per process, on the first ``main`` call, and
 ``_emit`` renders every report.  Inputs past a bound exit 2: a
-``poincare`` entry above ``fixedpoints.POINCARE_ENTRY_CAP``, and an
-``ind-rank`` or ``zastava-fiber`` fiber of more than
+``poincare`` entry above ``fixedpoints.POINCARE_ENTRY_CAP`` or entries
+whose product has a degree above ``fixedpoints.POINCARE_DEGREE_CAP``,
+and an ``ind-rank`` or ``zastava-fiber`` fiber of more than
 ``zastava.SYSTEM_CAP`` (2^16) monotone systems.
 
-Exit codes: 0 all checks passed, 1 a check failed, 2 bad input.
+Exit codes: 0 all checks passed, 1 a check failed, 2 bad input, 3 the
+report could not be written (a full disk, a closed pipe): one line on
+stderr and no traceback.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ import argparse
 import dataclasses
 import functools
 import json
+import os
 import sys
 import time
 from math import comb
@@ -66,6 +70,7 @@ from .zastava import (
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_PARSE_ERROR = 2
+EXIT_OUTPUT_ERROR = 3
 
 
 def _parsed(option: str, text: str, parse, form: str):
@@ -507,7 +512,18 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (QuiverFormatError, SymalgError, PoleError, ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE_ERROR
-    return _emit(args.cmd, echo, results, args)
+    try:
+        code = _emit(args.cmd, echo, results, args)
+        sys.stdout.flush()
+    except OSError as exc:
+        # What is left of the report goes to devnull, so that the
+        # interpreter's final flush of stdout does not fail again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print(f"error: cannot write the report: {exc}", file=sys.stderr)
+        return EXIT_OUTPUT_ERROR
+    return code
 
 
 if __name__ == "__main__":

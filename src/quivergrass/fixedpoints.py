@@ -282,6 +282,10 @@ def gaussian_binomial(n: int, k: int) -> MultiPoly:
 # The largest dimension-vector entry ``quiver_grass_poincare`` takes; its
 # cost grows about as the fourth power of the largest entry.
 POINCARE_ENTRY_CAP = 32
+# The largest degree of the product it takes, sum of floor(a^2 / 4) over
+# the entries a: four entries at the cap (about 0.4 s), so that many
+# entries cannot add up to a long run either.
+POINCARE_DEGREE_CAP = 4 * (POINCARE_ENTRY_CAP ** 2 // 4)
 
 
 def quiver_grass_poincare(alpha: Mapping[str, int]) -> MultiPoly:
@@ -291,6 +295,12 @@ def quiver_grass_poincare(alpha: Mapping[str, int]) -> MultiPoly:
         raise ValueError("dimension vector entries must be non-negative")
     if any(a > POINCARE_ENTRY_CAP for a in alpha.values()):
         raise DegreeOverflowError(f"dimension vector entries are bounded at {POINCARE_ENTRY_CAP}")
+    # The top degree of the sum over p of binomial(a, p)_q is floor(a^2 / 4).
+    if sum(a * a // 4 for a in alpha.values()) > POINCARE_DEGREE_CAP:
+        raise DegreeOverflowError(
+            f"the Poincare polynomial's degree, the sum of floor(a^2/4) over the entries, "
+            f"is bounded at {POINCARE_DEGREE_CAP}"
+        )
     out = _q_power(0)
     for _, a in sorted(alpha.items()):
         total = MultiPoly.zero(Q_REGISTRY)

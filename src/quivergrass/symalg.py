@@ -35,16 +35,23 @@ with positive leading terms, so every step stays on integers.
 denominator L of the units, adds the integer numerators in place, and
 puts 1/L back into the unit.
 
-Normalization happens in one place: the public ``RationalFunction``
-constructor splits every factor it is given into unit times primitive
-part (``MultiPoly.primitive``), folds constant factors into the unit and
-merges equal factors.  Hence the invariant: the factors of an existing
-``RationalFunction`` are primitive and non-constant.  Arithmetic that
-only recombines existing factors (``*``, ``inverse``, ``pow``) relies on
-it and goes through ``RationalFunction._trusted``, which merges
-exponents and sorts without normalizing again.  Everything that makes
-new polynomials (``substitute``, ``cancelled``, ``rat_sum``) goes
-through the public constructor.
+Normalization happens in one constructor and one trusted path.  The
+public ``RationalFunction`` constructor splits every factor it is given
+into unit times primitive part (``MultiPoly.primitive``), folds constant
+factors into the unit and merges equal factors.  Hence the invariant:
+the factors of an existing ``RationalFunction`` are primitive and
+non-constant.  Arithmetic that only recombines existing factors (``*``,
+``inverse``, ``pow``) relies on it and goes through
+``RationalFunction._trusted``, which merges exponents and sorts without
+normalizing again.  ``substitute`` and ``cancelled`` make new
+polynomials through the public constructor.  Every sum (``rat_sum``,
+hence ``symmetrize``) ends in ``_cancelled_sum``, which normalizes once:
+it takes ``primitive`` of the integer total, divides that exactly by the
+common denominator's factors in the factor order, and hands the
+quotient, primitive by Gauss's lemma, to ``_trusted``; a total equal to
+a common factor merges with it undivided, and a constant total or
+quotient goes into the unit.  This is the same function, factor for
+factor, that the constructor and ``cancelled`` would make of the sum.
 
 ``RationalFunction.rename`` is the one transport from chart to chart.  It
 sends variable i to target position ``positions[i]``; the positions must
@@ -69,13 +76,16 @@ eps_sigma, sigma(C) = eps_sigma * C as polynomials, and C contains D_f,
 then P = N_f * C / D_f is a polynomial and t_sigma * C = eps_sigma * u *
 sigma(P), u the unit of f.  So the numerator ``rat_sum`` would add up is
 u.numerator * sum eps_sigma sigma(P), over u.denominator, the same
-integers key by key, and the result goes through the same final
-construction and ``cancelled``: identical, not just equal.  P is expanded
-once; each sigma(P) is moved key by key (``_moved_keys``, the loop of
-``_repack``) straight into the running total, the identity keeps P's own
-keys, and P is dropped before the cancellation, so no permuted copy of P
-is ever held beside P and the total.  When the check fails (the coset
-representatives are no group, so C need not be closed), ``rat_sum``
+integers key by key, and the result ends in the same ``_cancelled_sum``:
+identical, not just equal.  P is expanded once.  Each sigma(P) is moved
+``_CHUNK`` keys at a time by ``_moved_keys``, the mover of ``_repack``:
+the exponent fields that sigma moves the same distance, and the degree
+field, move together under one mask, one list pass per distance
+(``_field_groups``, computed once per representative).  Each chunk goes
+straight into the running total; the identity adds P's own keys, and P
+is dropped before the cancellation, so no permuted copy of P beyond one
+chunk is ever held beside P and the total.  When the check fails (the
+coset representatives are no group, so C need not be closed), ``rat_sum``
 renames the copies and sums them one by one.
 
 Canonical variable order: the canonical order is the tuple order of
@@ -87,7 +97,8 @@ tie-break on their name.
 Canonical monomial order: graded, ties broken with the *last* registry
 variable most significant (that is exactly the packed-integer order).
 Factors are sorted by degree, term count, then their terms keyed by the
-exponent bits alone (``k & low_mask``, the degree field masked off).
+exponent bits alone (``k & low_mask``, the degree field masked off); that
+last key is built only for factors that tie on the first two.
 Factors are normalized to integer coefficients with content 1 and a
 positive leading coefficient; the scalar they shed is absorbed into the
 unit.  This keeps printed forms stable for golden files.
@@ -103,6 +114,7 @@ import itertools
 from heapq import heapify, heappop, heappush
 from fractions import Fraction
 from math import gcd
+from operator import add, mul
 from typing import Dict, Iterable, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
 Frac = Fraction
@@ -113,6 +125,7 @@ ROLE_AUX = 2
 
 _BITS = 16
 _MASK = (1 << _BITS) - 1
+_CHUNK = 4096  # keys of P moved at a time by the orbit path
 
 
 def _coeff(c):
@@ -497,14 +510,6 @@ class MultiPoly:
                 out.pop(key, None)
         return MultiPoly(self.registry, _packed=out)
 
-    def _repack(self, positions: Sequence[int], target: VarRegistry) -> "MultiPoly":
-        """Move exponent field i into field ``positions[i]`` of ``target``.
-        The positions are distinct, so distinct keys stay distinct and the
-        degree field moves unchanged."""
-        terms = self.terms
-        moved = _moved_keys(terms, positions, self.registry.shift, target.shift)
-        return MultiPoly(target, _packed=dict(zip(moved, terms.values())))
-
     # -- normal forms ----------------------------------------------------
 
     def primitive(self) -> Tuple[Frac, "MultiPoly"]:
@@ -597,30 +602,76 @@ class MultiPoly:
         return " + ".join(bits).replace("+ -", "- ")
 
 
-def _moved_keys(keys: Iterable[int], positions: Sequence[int], src: int, dst: int):
-    """Each packed key of ``keys`` with exponent field i moved into field
-    ``positions[i]`` and its degree field moved from bit ``src`` to bit
-    ``dst``, one key at a time."""
-    shifts = [_BITS * p for p in positions]
-    for k in keys:
-        key = (k >> src) << dst
-        for sh in shifts:
-            e = k & _MASK
-            if e:
-                key += e << sh
-            k >>= _BITS
-        yield key
+# (distance, mask) pairs: a key moves to the OR of ``(k & mask)`` shifted
+# left by each distance (right by a negative one).
+_Groups = Tuple[Tuple[int, int], ...]
 
 
-def _factor_order(item: Tuple[MultiPoly, int]):
-    p, e = item
-    low = p.registry.low_mask
-    return (
-        p.degree(),
-        len(p.terms),
-        sorted((k & low, (v.numerator, v.denominator)) for k, v in p.terms.items()),
-        e,
-    )
+def _field_groups(positions: Sequence[int], source: VarRegistry, target: VarRegistry) -> _Groups:
+    """How ``_moved_keys`` moves a key of ``source`` into ``target``, exponent
+    field i into field ``positions[i]`` and the degree field from
+    ``source.shift`` to ``target.shift``: the fields that move the same
+    distance share one mask, and the unbounded degree field is the mask of
+    every bit from ``source.shift`` up (a negative int)."""
+    groups = {target.shift - source.shift: -1 << source.shift}
+    get = groups.get
+    for i, p in enumerate(positions):
+        d = _BITS * (p - i)
+        groups[d] = get(d, 0) | _MASK << (_BITS * i)
+    return tuple(groups.items())
+
+
+def _moved_keys(keys: Sequence[int], groups: _Groups) -> List[int]:
+    """Each packed key of ``keys`` moved by ``groups``, one list pass per
+    group; the target fields are disjoint, so OR-ing the moved groups adds
+    them."""
+    d, m = groups[0]
+    out = [(k & m) << d for k in keys] if d >= 0 else [(k & m) >> -d for k in keys]
+    for d, m in groups[1:]:
+        if d >= 0:
+            out = [o | (k & m) << d for o, k in zip(out, keys)]
+        else:
+            out = [o | (k & m) >> -d for o, k in zip(out, keys)]
+    return out
+
+
+def _repack(
+    factors: Iterable[Tuple[MultiPoly, int]], groups: _Groups, target: VarRegistry
+) -> List[Tuple[MultiPoly, int]]:
+    """Every (polynomial, exponent) pair with the polynomial's keys moved by
+    ``groups`` (``_field_groups``) into ``target``, all their keys in one
+    ``_moved_keys`` call.  The positions are distinct, so distinct keys
+    stay distinct and the degree field moves unchanged."""
+    factors = list(factors)
+    moved = iter(_moved_keys([k for p, _ in factors for k in p.terms], groups))
+    islice = itertools.islice
+    return [
+        (MultiPoly(target, _packed=dict(zip(islice(moved, len(p.terms)), p.terms.values()))), e)
+        for p, e in factors
+    ]
+
+
+def _tie_key(p: MultiPoly) -> List[Tuple[int, int]]:
+    """The factor order's tie-break: the terms keyed by their exponent bits
+    (``k & low_mask``).  Factor coefficients are integers (the factor
+    invariant), so the coefficient compares as itself."""
+    return sorted(zip(map(p.registry.low_mask.__and__, p.terms), p.terms.values()))
+
+
+def _in_factor_order(pairs: Sequence[Tuple[MultiPoly, int]]) -> Tuple[Tuple[MultiPoly, int], ...]:
+    """The (factor, exponent) pairs, distinct factors over one registry,
+    sorted by degree, then term count, then ``_tie_key``; the tie-break
+    is built only for the factors whose degree and term count tie."""
+    if len(pairs) < 2:
+        return tuple(pairs)
+    shift = pairs[0][0].registry.shift
+    keys = [(max(p.terms) >> shift, len(p.terms)) for p, _ in pairs]
+    if len(set(keys)) < len(keys):
+        count: Dict[Tuple[int, int], int] = {}
+        for key in keys:
+            count[key] = count.get(key, 0) + 1
+        keys = [key + (_tie_key(p),) if count[key] > 1 else key for key, (p, _) in zip(keys, pairs)]
+    return tuple(pairs[i] for i in sorted(range(len(pairs)), key=keys.__getitem__))
 
 
 class RationalFunction:
@@ -658,9 +709,7 @@ class RationalFunction:
             self.factors: Tuple[Tuple[MultiPoly, int], ...] = ()
             return
         self.unit = unit
-        self.factors = tuple(
-            sorted(((p, e) for p, e in merged.items() if e != 0), key=_factor_order)
-        )
+        self.factors = _in_factor_order([(p, e) for p, e in merged.items() if e != 0])
 
     @classmethod
     def _trusted(
@@ -682,9 +731,7 @@ class RationalFunction:
         for p, e in factors:
             merged[p] = merged.get(p, 0) + e
         self.unit = unit
-        self.factors = tuple(
-            sorted(((p, e) for p, e in merged.items() if e != 0), key=_factor_order)
-        )
+        self.factors = _in_factor_order([(p, e) for p, e in merged.items() if e != 0])
         return self
 
     # -- constructors -----------------------------------------------------
@@ -819,13 +866,14 @@ class RationalFunction:
             or not all(0 <= p < size for p in positions)
         ):
             raise SymalgError("a transport needs distinct positions in the target")
+        groups = _field_groups(positions, self.registry, target)
         if all(a < b for a, b in zip(positions, positions[1:])):
             out = RationalFunction.__new__(RationalFunction)
             out.registry = target
             out.unit = self.unit
-            out.factors = tuple((p._repack(positions, target), e) for p, e in self.factors)
+            out.factors = tuple(_repack(self.factors, groups, target))
             return out
-        sign, factors = _moved_factors(self.factors, positions, target)
+        sign, factors = _moved_factors(self.factors, groups, target)
         return RationalFunction._trusted(target, -self.unit if sign < 0 else self.unit, factors)
 
     def substitute(self, assignment: Mapping[Variable, Frac]) -> "RationalFunction":
@@ -870,15 +918,14 @@ class RationalFunction:
 
 
 def _moved_factors(
-    factors: Iterable[Tuple[MultiPoly, int]], positions: Sequence[int], target: VarRegistry
+    factors: Iterable[Tuple[MultiPoly, int]], groups: _Groups, target: VarRegistry
 ) -> Tuple[int, List[Tuple[MultiPoly, int]]]:
     """Each factor ``_repack``ed, and negated where its new leading
     coefficient is negative; with the sign, +-1, that the product of their
     powers changed by."""
     sign = 1
     out: List[Tuple[MultiPoly, int]] = []
-    for p, e in factors:
-        q = p._repack(positions, target)
+    for q, e in _repack(factors, groups, target):
         if q.leading()[1] < 0:
             q = -q
             if e % 2:
@@ -951,32 +998,43 @@ def _over_common(f: RationalFunction, common: Mapping[MultiPoly, int]) -> List[T
     return powers
 
 
-def _add_scaled(total: Dict[int, int], keys: Iterable[int], coeffs: Iterable[int], scale: int) -> None:
+def _add_scaled(total: Dict[int, int], keys: Sequence[int], coeffs: Iterable[int], scale: int) -> None:
     """Add ``scale`` times the terms (``keys``, ``coeffs``) into ``total`` in
-    place, dropping the keys whose sum cancels."""
-    get = total.get
-    for k, c in zip(keys, coeffs):
-        s = get(k)
-        if s is None:
-            total[k] = scale * c
-        else:
-            s += scale * c
-            if s:
-                total[k] = s
-            else:
-                del total[k]
+    place.  ``keys`` (a list or a dict) are distinct and read twice in
+    step: each sum is read before its key is written.  A key whose sum
+    cancels stays, at 0, until ``_cancelled_sum`` drops it."""
+    before = map(total.get, keys, itertools.repeat(0))
+    total.update(zip(keys, map(add, before, map(mul, coeffs, itertools.repeat(scale)))))
 
 
 def _cancelled_sum(
     registry: VarRegistry, total: Dict[int, int], lcm: int, common: Mapping[MultiPoly, int]
 ) -> RationalFunction:
-    """The cancelled sum (total / lcm) / ``common``, as every sum ends."""
-    result = RationalFunction(
-        registry,
-        Frac(1, lcm),
-        [(MultiPoly(registry, _packed=total), 1)] + [(p, -e) for p, e in common.items()],
-    )
-    return result.cancelled()
+    """The cancelled sum (total / lcm) / ``common``, as every sum ends,
+    normalized once: the total's primitive part is divided exactly by the
+    common factors in the factor order, and the result is built through
+    ``_trusted`` (by Gauss's lemma each quotient is primitive).  A total
+    equal to a common factor merges with it undivided, as the constructor
+    merges equal factors; a constant quotient is dropped."""
+    for k in [k for k, c in total.items() if not c]:
+        del total[k]
+    u, num = MultiPoly(registry, _packed=total).primitive()
+    if not u:
+        return RationalFunction._trusted(registry, u, ())
+    dens = _in_factor_order(list(common.items()))
+    if any(p == num for p, _ in dens):
+        return RationalFunction._trusted(registry, u / lcm, [(num, 1)] + [(p, -e) for p, e in dens])
+    out: List[Tuple[MultiPoly, int]] = []
+    for p, e in dens:
+        while e and not num.is_constant():
+            q = num.divide_exact(p)
+            if q is None:
+                break
+            num = q
+            e -= 1
+        if e:
+            out.append((p, -e))
+    return RationalFunction._trusted(registry, u / lcm, out if num.is_constant() else [(num, 1)] + out)
 
 
 def rat_equal(a: RationalFunction, b: RationalFunction) -> bool:
@@ -1101,30 +1159,35 @@ def _orbit_sum(f: RationalFunction, reps: Sequence[Sequence[int]]) -> Optional[R
     registry = f.registry
     if f.unit == 0:
         return None
+    movers = [_field_groups(positions, registry, registry) for positions in reps]
     dens = [(p, -e) for p, e in f.factors if e < 0]
     # The common denominator rat_sum would form: every denominator factor
     # moved as ``rename`` moves it, at its largest power.
     common: Dict[MultiPoly, int] = {}
-    for positions in reps:
-        for q, e in _moved_factors(dens, positions, registry)[1]:
+    for groups in movers:
+        for q, e in _moved_factors(dens, groups, registry)[1]:
             if common.get(q, 0) < e:
                 common[q] = e
     signs: List[int] = []
-    for positions in reps:
-        sign, image = _moved_factors(common.items(), positions, registry)
+    for groups in movers:
+        sign, image = _moved_factors(common.items(), groups, registry)
         if dict(image) != common:
             return None
         signs.append(sign)
     if any(common.get(p, 0) < e for p, e in dens):
         return None
     terms = _expand(registry, _over_common(f, common)).terms
+    keys, coeffs = list(terms), list(terms.values())
+    del terms
     identity = list(range(len(registry)))
-    shift = registry.shift
     total: Dict[int, int] = {}
-    for positions, sign in zip(reps, signs):
-        # sigma(P), streamed key by key into the total; the identity keeps
-        # P's own keys.
-        keys = terms if positions == identity else _moved_keys(terms, positions, shift, shift)
-        _add_scaled(total, keys, terms.values(), sign * f.unit.numerator)
-    del terms, keys  # P goes before the cancellation
+    for positions, groups, sign in zip(reps, movers, signs):
+        scale = sign * f.unit.numerator
+        if positions == identity:
+            _add_scaled(total, keys, coeffs, scale)
+            continue
+        # sigma(P), moved into the total one chunk of keys at a time.
+        for i in range(0, len(keys), _CHUNK):
+            _add_scaled(total, _moved_keys(keys[i:i + _CHUNK], groups), coeffs[i:i + _CHUNK], scale)
+    del keys, coeffs  # P goes before the cancellation
     return _cancelled_sum(registry, total, f.unit.denominator, common)

@@ -40,31 +40,25 @@ class Poset:
         if len(set(self.elements)) != len(self.elements):
             raise PosetFormatError("duplicate poset elements")
         idx = {e: i for i, e in enumerate(self.elements)}
-        n = len(self.elements)
-        leq = [[False] * n for _ in range(n)]
-        for i in range(n):
-            leq[i][i] = True
+        # Row i is the bitset of the j with i <= j, closed by Warshall:
+        # whoever is below k is below everything above k.
+        rows = [1 << i for i in range(len(self.elements))]
         for a, b in relations:
             if a not in idx or b not in idx:
                 raise PosetFormatError(f"relation uses unknown element ({a}, {b})")
-            leq[idx[a]][idx[b]] = True
-        for k in range(n):
-            for i in range(n):
-                if leq[i][k]:
-                    row_k = leq[k]
-                    row_i = leq[i]
-                    for j in range(n):
-                        if row_k[j]:
-                            row_i[j] = True
-        for i in range(n):
-            for j in range(n):
-                if i != j and leq[i][j] and leq[j][i]:
-                    raise PosetFormatError("relation closure violates antisymmetry")
+            rows[idx[a]] |= 1 << idx[b]
+        for k in range(len(rows)):
+            bit, row_k = 1 << k, rows[k]
+            rows = [r | row_k if r & bit else r for r in rows]
+        # i <= j <= i makes the two closed rows equal, and equal rows
+        # contain each other's element.
+        if len(set(rows)) != len(rows):
+            raise PosetFormatError("relation closure violates antisymmetry")
         self._idx = idx
-        self._leq = leq
+        self._rows = rows
 
     def leq(self, a: str, b: str) -> bool:
-        return self._leq[self._idx[a]][self._idx[b]]
+        return bool(self._rows[self._idx[a]] >> self._idx[b] & 1)
 
     def __len__(self) -> int:
         return len(self.elements)

@@ -1,3 +1,4 @@
+import errno
 import json
 import os
 import subprocess
@@ -8,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from quivergrass import checks, cli, fgl
-from quivergrass.cli import EXIT_CHECK_FAILED, EXIT_OK, EXIT_PARSE_ERROR, main
+from quivergrass.cli import EXIT_CHECK_FAILED, EXIT_OK, EXIT_OUTPUT_ERROR, EXIT_PARSE_ERROR, main
 
 A1 = {"vertices": ["1"], "arrows": [], "dilation": {"rank": 1, "basis": [[1], [1]]}}
 A2 = {
@@ -364,6 +365,39 @@ def test_malformed_fiber_config_exits_2(quiver_files, tmp_path, capsys, config):
     assert "error:" in capsys.readouterr().err
 
 
+class _UnwritableStdout:
+    """A stdout whose every write raises ``error``; its descriptor is a real
+    file's, so that ``main`` can point it at devnull."""
+
+    def __init__(self, error, fd):
+        self.error, self.fd = error, fd
+
+    def write(self, text):
+        raise self.error
+
+    def flush(self):
+        pass
+
+    def fileno(self):
+        return self.fd
+
+
+@pytest.mark.parametrize("error", [BrokenPipeError(errno.EPIPE, "Broken pipe"),
+                                   OSError(errno.ENOSPC, "No space left on device")])
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_an_unwritable_report_exits_3_with_one_line(tmp_path, capsys, monkeypatch, error, fmt):
+    with open(tmp_path / "stdout", "w") as target:
+        with monkeypatch.context() as patch:
+            patch.setattr(sys, "stdout", _UnwritableStdout(error, target.fileno()))
+            code = main(["poincare", "--alpha", "2,1", "--format", fmt])
+        # the rest of the report goes nowhere, so no final flush fails again
+        assert os.path.samestat(os.fstat(target.fileno()), os.stat(os.devnull))
+    assert code == EXIT_OUTPUT_ERROR
+    assert EXIT_OUTPUT_ERROR not in (EXIT_OK, EXIT_CHECK_FAILED, EXIT_PARSE_ERROR)
+    err = capsys.readouterr().err
+    assert err == f"error: cannot write the report: {error}\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -389,12 +423,13 @@ def test_malformed_fiber_config_exits_2(quiver_files, tmp_path, capsys, config):
         # over the state budget; once built every ring element first
         ["sl2-lattice", "--p", "2", "--e", "40", "--n", "0", "--window", "40"],
         ["sl2-lattice", "--p", "1000003", "--e", "2", "--n", "0", "--window", "2"],
-        # past the monotone-system budget of 2^16, or the poincare entry bound
+        # past the monotone-system budget of 2^16, or a poincare bound
         ["ind-rank", "--poset", "antichain:12", "--divisor", "a:i:3"],
         ["ind-rank", "--poset", "chain:30", "--divisor", "a:i:30"],
         ["ind-rank", "--poset", "chain:1", "--divisor", "a:i:70000"],
         ["zastava-fiber", "--config", "{wide_fiber}"],
         ["poincare", "--alpha", "1000"],
+        ["poincare", "--alpha", ",".join(["32"] * 16)],  # every entry at the cap
     ],
 )
 def test_negative_and_malformed_arguments_exit_2(tmp_path, argv):
@@ -422,6 +457,7 @@ def test_negative_and_malformed_arguments_exit_2(tmp_path, argv):
         "ind-rank --poset chain:1 --divisor a:i:70000": 1.0,
         "zastava-fiber --config {wide_fiber}": 1.0,
         "poincare --alpha 1000": 1.0,
+        "poincare --alpha " + ",".join(["32"] * 16): 1.0,
     }.get(" ".join(argv))
     fiber = {"tau": ["1/3"], "points": [{"id": "a", "color": "1", "coord": 0}]}
     wide_fiber = {"tau": ["1/3"], "poset": "antichain:9",  # 4^9 systems

@@ -8,6 +8,7 @@ from quivergrass.fixedpoints import (
     Q,
     Q_REGISTRY,
     CarellChart,
+    POINCARE_DEGREE_CAP,
     POINCARE_ENTRY_CAP,
     DegreeOverflowError,
     TruncatedRing,
@@ -199,6 +200,16 @@ def test_carell_weight_series_is_gaussian():
 def test_poincare_entries_are_bounded():
     assert at_one(quiver_grass_poincare({"1": POINCARE_ENTRY_CAP})) == 2 ** POINCARE_ENTRY_CAP
     for alpha in ({"1": POINCARE_ENTRY_CAP + 1}, {"1": 1, "2": 1000}):
+        with pytest.raises(DegreeOverflowError):
+            quiver_grass_poincare(alpha)
+
+
+def test_poincare_degree_is_bounded():
+    # floor(8^2 / 4) = 16, so 64 entries of 8 reach the cap and 65 pass it
+    at_cap = {str(i): 8 for i in range(POINCARE_DEGREE_CAP // 16)}
+    series = quiver_grass_poincare(at_cap)
+    assert series.degree() == POINCARE_DEGREE_CAP and at_one(series) == 2 ** (8 * len(at_cap))
+    for alpha in ({**at_cap, "x": 8}, {**at_cap, "x": 2}, {str(i): POINCARE_ENTRY_CAP for i in range(16)}):
         with pytest.raises(DegreeOverflowError):
             quiver_grass_poincare(alpha)
 

@@ -16,6 +16,10 @@ compared with the files under ``tests/goldens``.
   --quiver`` on a1 and a2.
 * ``zastava.json`` holds the text and JSON reports of ``zastava-fiber``
   and ``ind-rank``.
+* ``verify.json`` holds the sha256 of the JSON report of ``verify --suite
+  all``, every suite in one run (about 7 s).  The JSON form is the one
+  pinned: it carries every field of every result, and the text form is
+  rendered from the same results.
 
 Re-record them from the repository root, at the commit whose output is
 the reference:
@@ -115,8 +119,10 @@ ZASTAVA = [
     for fmt in ("text", "json")
 ]
 
+VERIFY = [(["verify", "--suite", "all", "--format", "json"], True)]
+
 SUITES = {"shuffle.json": SHUFFLE, "fixedpoints.json": FIXEDPOINTS,
-          "kernel.json": KERNEL, "zastava.json": ZASTAVA}
+          "kernel.json": KERNEL, "zastava.json": ZASTAVA, "verify.json": VERIFY}
 
 
 def report(argv, hashed):
@@ -159,6 +165,10 @@ def test_kernel_reports_match_the_goldens():
 
 def test_zastava_reports_match_the_goldens():
     check_goldens("zastava.json")
+
+
+def test_verify_all_report_matches_the_golden():
+    check_goldens("verify.json")
 
 
 if __name__ == "__main__":

@@ -24,6 +24,8 @@ from quivergrass.symalg import (
     RationalFunction,
     VarRegistry,
     _coeff,
+    _field_groups,
+    _repack,
     _representatives,
     aux_var,
     block_shuffles,
@@ -132,9 +134,11 @@ def renamed_terms(f, partition, transport):
 def symmetrize_oracle(f, partition):
     """The sum over shuffle representatives, as ``rat_sum_oracle`` forms it."""
     # the normalizing transport, through the public constructor
-    return rat_sum_oracle(renamed_terms(f, partition, lambda f, positions: RationalFunction(
-        f.registry, f.unit, [(p._repack(positions, f.registry), e) for p, e in f.factors]
-    )))
+    def transport(f, positions):
+        groups = _field_groups(positions, f.registry, f.registry)
+        return RationalFunction(f.registry, f.unit, _repack(f.factors, groups, f.registry))
+
+    return rat_sum_oracle(renamed_terms(f, partition, transport))
 
 
 def symmetrize_by_rat_sum(f, partition):

@@ -6,6 +6,8 @@ import pytest
 
 from quivergrass.symalg import (
     _MASK,
+    _field_groups,
+    _repack,
     MultiPoly,
     PoleError,
     RationalFunction,
@@ -433,9 +435,8 @@ def test_primitive_returns_an_already_primitive_polynomial_itself(xyw):
 def normalizing_transport(f, positions, target):
     """The transport sent through the public constructor: primitive parts,
     merge and sort all over again.  ``rename`` must agree with it."""
-    return RationalFunction(
-        target, f.unit, [(p._repack(positions, target), e) for p, e in f.factors]
-    )
+    groups = _field_groups(positions, f.registry, target)
+    return RationalFunction(target, f.unit, _repack(f.factors, groups, target))
 
 
 def assert_same_transport(f, positions, target):

@@ -13,6 +13,8 @@ from hypothesis import strategies as st
 
 from quivergrass.symalg import (
     _MASK,
+    _field_groups,
+    _repack,
     MultiPoly,
     RationalFunction,
     VarRegistry,
@@ -98,7 +100,7 @@ def test_results_store_no_zero_and_normal_coefficients(data, c, bound):
     reverse = list(range(len(reg)))[::-1]
     results = [
         a + b, a - b, a - a, a * b, a.scale(c), a.truncate(bound),
-        a._repack(reverse, reg), a.substitute({first: c}),
+        _repack([(a, 1)], _field_groups(reverse, reg, reg), reg)[0][0], a.substitute({first: c}),
         (a * b).divide_exact(b), a.primitive()[1], a.pow(2),
     ]
     quotient = a.divide_exact(b)

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 from fractions import Fraction as F
 from math import comb
 from pathlib import Path
@@ -51,6 +52,55 @@ def test_poset_constructors():
 def test_poset_transitive_closure():
     p = Poset(["a", "b", "c"], [("a", "b"), ("b", "c")])
     assert p.leq("a", "c")
+
+
+def closure_oracle(elements, relations):
+    """The order matrix as ``Poset`` closed it before its rows were bitsets:
+    a cubic triple loop over lists of booleans; None where the closure
+    breaks antisymmetry."""
+    idx = {e: i for i, e in enumerate(elements)}
+    n = len(elements)
+    leq = [[i == j for j in range(n)] for i in range(n)]
+    for a, b in relations:
+        leq[idx[a]][idx[b]] = True
+    for k in range(n):
+        for i in range(n):
+            if leq[i][k]:
+                for j in range(n):
+                    if leq[k][j]:
+                        leq[i][j] = True
+    if any(i != j and leq[i][j] and leq[j][i] for i in range(n) for j in range(n)):
+        return None
+    return leq
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_poset_closure_matches_the_triple_loop(seed):
+    rng = random.Random(seed)
+    n = rng.randint(1, 14)
+    elements = [f"e{i}" for i in rng.sample(range(100), n)]
+    # relations along a hidden linear order; every fourth seed adds a
+    # relation against it that closes a cycle
+    rank = rng.sample(range(n), n)
+    relations = [(elements[i], elements[j]) for i in range(n) for j in range(n)
+                 if rank[i] < rank[j] and rng.random() < 0.2]
+    if seed % 4 == 0 and relations:
+        a, b = rng.choice(relations)
+        relations.append((b, a))
+    want = closure_oracle(elements, relations)
+    if want is None:
+        with pytest.raises(PosetFormatError):
+            Poset(elements, relations)
+        return
+    p = Poset(elements, relations)
+    assert [[p.leq(a, b) for b in elements] for a in elements] == want
+
+
+def test_a_long_chain_closes_fast():
+    started = time.perf_counter()
+    p = Poset.chain(1000)
+    assert time.perf_counter() - started < 1.0
+    assert p.leq("p1", "p1000") and not p.leq("p1000", "p1")
 
 
 def test_subscheme_lattice_shapes():
