@@ -7,8 +7,9 @@ is only emitted under --timing so golden files stay byte-identical.
 
 The parser is built once per process, on the first ``main`` call, and
 ``_emit`` renders every report.  Inputs past a bound exit 2: a
-``poincare`` entry above ``fixedpoints.POINCARE_ENTRY_CAP`` or entries
-whose product has a degree above ``fixedpoints.POINCARE_DEGREE_CAP``,
+``poincare`` entry above ``fixedpoints.POINCARE_ENTRY_CAP``, entries
+whose product has a degree above ``fixedpoints.POINCARE_DEGREE_CAP`` or
+whose sum is above ``fixedpoints.POINCARE_SUM_CAP``,
 and an ``ind-rank`` or ``zastava-fiber`` fiber of more than
 ``zastava.SYSTEM_CAP`` (2^16) monotone systems.
 

@@ -14,13 +14,17 @@ drives every kernel factor:
 
 An orientation depends only on the law and on the character's
 coefficients, in order: every registry is in canonical order, so the
-positions of a character's variables always increase.  ``lambda_char``
+positions of a character's variables always increase.  ``canonical``
 computes it once per (law, coefficients) on the canonical aux registry
-y1..yk, keeps it in a memo shared by every chart and bounded by
-``_ORIENTATIONS_SIZE`` (the oldest entry goes first), and transports it
-into each chart with ``RationalFunction.rename`` along those positions.
-So ``f_add`` and ``f_inverse_series`` run once per coefficient tuple,
-not once per factor.
+y1..yk and keeps it in a memo shared by every chart and bounded by
+``_ORIENTATIONS_SIZE`` (the oldest entry goes first), so ``f_add`` and
+``f_inverse_series`` run once per coefficient tuple, not once per
+factor.  ``lambda_char`` transports it into a chart with
+``RationalFunction.rename`` along those positions.  At a point,
+orientations are read on the canonical chart and never transported:
+``power_at`` evaluates the canonical orientation at yi = the value of the
+i-th variable of the character.  A rename is an injective transport of
+variables, so both give the same value.
 
 Values are immutable; a law can be shared freely.
 """
@@ -156,14 +160,18 @@ class FormalGroupLaw:
     # -- the orientation of a character ------------------------------------
 
     def lambda_char(self, registry: VarRegistry, chi: Character) -> RationalFunction:
-        """The orientation of ``chi`` on the chart of ``registry``.
-
-        Computed once per (law, coefficients) on canonical aux variables,
-        memoized, and transported into ``registry`` (see the module docstring).
-        """
+        """The orientation of ``chi`` on the chart of ``registry``: the
+        canonical orientation transported into ``registry`` (see the module
+        docstring)."""
         chi.check_in(registry)
         if chi.is_zero():
             return RationalFunction.zero(registry)
+        return self.canonical(chi).rename([registry.index(v) for v, _ in chi.coeffs], registry)
+
+    def canonical(self, chi: Character) -> RationalFunction:
+        """The orientation of a nonzero ``chi`` on the canonical aux chart
+        y1..yk, yi standing for the i-th variable of ``chi``: computed once
+        per (law, coefficients) and memoized."""
         key = (self, tuple(c for _, c in chi.coeffs))
         canonical = _ORIENTATIONS.get(key)
         if canonical is None:
@@ -174,7 +182,18 @@ class FormalGroupLaw:
             if len(_ORIENTATIONS) >= _ORIENTATIONS_SIZE:
                 del _ORIENTATIONS[next(iter(_ORIENTATIONS))]
             _ORIENTATIONS[key] = canonical
-        return canonical.rename([registry.index(v) for v, _ in chi.coeffs], registry)
+        return canonical
+
+    def power_at(self, chi: Character, exponent: int, assignment: Mapping[Variable, Frac]) -> Frac:
+        """lambda(chi)^exponent at the point ``assignment`` of a chart that
+        holds ``chi``: the canonical orientation raised to ``exponent`` and
+        evaluated factor by factor at yi = the value of the i-th variable of
+        ``chi``.  Raises ``PoleError`` where a factor with a negative
+        exponent in the power vanishes."""
+        canonical = self.canonical(chi)
+        point = dict(zip(canonical.registry.variables, [assignment[v] for v, _ in chi.coeffs]))
+        num, den = canonical._ratio(point, exponent)
+        return Frac(num, den)
 
     def _orient(self, registry: VarRegistry, chi: Character) -> RationalFunction:
         """The orientation of a nonzero ``chi``, computed on ``registry``."""

@@ -286,6 +286,11 @@ POINCARE_ENTRY_CAP = 32
 # the entries a: four entries at the cap (about 0.4 s), so that many
 # entries cannot add up to a long run either.
 POINCARE_DEGREE_CAP = 4 * (POINCARE_ENTRY_CAP ** 2 // 4)
+# The largest sum of the entries a.  The value at q = 1 is 2 to that sum,
+# and 2^2048 has 617 digits, well inside the 4,300 digits that Python
+# converts to a string by default.  floor(a^2 / 4) >= a / 2 for a >= 2, so
+# the cap only cuts inputs with entries of 1, which add nothing to the degree.
+POINCARE_SUM_CAP = 2 * POINCARE_DEGREE_CAP
 
 
 def quiver_grass_poincare(alpha: Mapping[str, int]) -> MultiPoly:
@@ -295,6 +300,10 @@ def quiver_grass_poincare(alpha: Mapping[str, int]) -> MultiPoly:
         raise ValueError("dimension vector entries must be non-negative")
     if any(a > POINCARE_ENTRY_CAP for a in alpha.values()):
         raise DegreeOverflowError(f"dimension vector entries are bounded at {POINCARE_ENTRY_CAP}")
+    if sum(alpha.values()) > POINCARE_SUM_CAP:
+        raise DegreeOverflowError(
+            f"the sum of the dimension vector entries is bounded at {POINCARE_SUM_CAP}"
+        )
     # The top degree of the sum over p of binomial(a, p)_q is floor(a^2 / 4).
     if sum(a * a // 4 for a in alpha.values()) > POINCARE_DEGREE_CAP:
         raise DegreeOverflowError(

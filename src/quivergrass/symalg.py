@@ -269,6 +269,15 @@ class VarRegistry:
         return "VarRegistry(" + ", ".join(v.name for v in self.variables) + ")"
 
 
+class _Layout(NamedTuple):
+    """A polynomial as ``MultiPoly.evaluate`` reads it: the variables that
+    occur, each with its largest exponent, and each term as (coefficient,
+    its exponents of those variables)."""
+
+    variables: Tuple[Tuple[Variable, int], ...]
+    rows: Tuple[Tuple[Union[int, Fraction], Tuple[int, ...]], ...]
+
+
 def _same_registry(a: "MultiPoly", b: "MultiPoly") -> None:
     if a.registry != b.registry:
         raise RegistryMismatchError("operands use different variable registries")
@@ -284,7 +293,7 @@ class MultiPoly:
     The constructor accepts exponent tuples; internal storage is packed.
     """
 
-    __slots__ = ("registry", "terms", "_hash")
+    __slots__ = ("registry", "terms", "_hash", "_layout")
 
     def __init__(
         self,
@@ -479,15 +488,46 @@ class MultiPoly:
     # -- evaluation / substitution --------------------------------------
 
     def evaluate(self, assignment: Mapping[Variable, Frac]) -> Frac:
-        values = [Frac(assignment[v]) for v in self.registry.variables]
-        total = Frac(0)  # Fraction accumulator; int coefficients promote freely
-        for exps, c in self.items_unpacked():
-            t = c
-            for e, val in zip(exps, values):
-                if e:
-                    t *= val ** e
-            total += t
-        return total
+        """The value at ``assignment``, which must hold every variable that
+        occurs here (``KeyError`` otherwise); no other variable is read.
+
+        Evaluated over the integers: with the value of variable i written
+        n_i/d_i (d_i > 0) and E_i its largest exponent here, the value is
+        sum c * prod n_i^e_i * d_i^(E_i - e_i), divided once by prod
+        d_i^E_i.  A Fraction coefficient makes that sum a Fraction, and the
+        result is exact either way.  The variables that occur and the terms'
+        exponents of them are read once per polynomial and kept."""
+        num, den = self._ratio(assignment)
+        return Frac(num, den)
+
+    def _ratio(self, assignment: Mapping[Variable, Frac]) -> Tuple[Union[int, Frac], int]:
+        """(N, D) with the value N / D and D > 0, by the formula of
+        ``evaluate``; N is an int when every coefficient is."""
+        layout = getattr(self, "_layout", None)  # the slot is set on first use
+        if layout is None:
+            rows = [(self.registry.unpack(k), c) for k, c in self.terms.items()]
+            tops = [max(col) for col in zip(*(exps for exps, _ in rows))]
+            occurring = [i for i, top in enumerate(tops) if top]
+            layout = self._layout = _Layout(
+                tuple((self.registry.variables[i], tops[i]) for i in occurring),
+                tuple((c, tuple(exps[i] for i in occurring)) for exps, c in rows),
+            )
+        variables, rows = layout
+        den = 1
+        powers: List[List[int]] = []  # n_i^e * d_i^(E_i - e) by e, per occurring variable
+        for v, top in variables:
+            x = assignment[v]
+            if not isinstance(x, (int, Frac)):
+                x = Frac(x)
+            n, d = x.numerator, x.denominator
+            powers.append([n ** e * d ** (top - e) for e in range(top + 1)])
+            den *= d ** top
+        total = 0
+        for c, exps in rows:
+            for e, by_e in zip(exps, powers):
+                c *= by_e[e]
+            total += c
+        return total, den
 
     def substitute(self, assignment: Mapping[Variable, Frac]) -> "MultiPoly":
         """Replace a subset of variables by scalars (registry unchanged)."""
@@ -886,20 +926,34 @@ class RationalFunction:
         return RationalFunction(self.registry, self.unit, out)
 
     def evaluate(self, assignment: Mapping[Variable, Frac]) -> Frac:
+        """The value at ``assignment``, factor by factor over the integers
+        (``MultiPoly.evaluate``); ``PoleError`` names a vanishing
+        denominator factor."""
+        num, den = self._ratio(assignment)
+        return Frac(num, den)
+
+    def _ratio(self, assignment: Mapping[Variable, Frac], power: int = 1) -> Tuple[int, int]:
+        """(N, D) with N / D the value of ``self.pow(power)`` at
+        ``assignment``, read factor by factor without building the power."""
         if self.unit == 0:
-            return Frac(0)
+            if power <= 0:
+                raise SymalgError("zero to a non-positive power")
+            return 0, 1
         # Scan all factors before multiplying so poles are reported even
         # when a numerator factor vanishes at the same point.
-        vals: List[Tuple[Frac, int]] = []
+        vals: List[Tuple[int, int, int]] = []
         for p, e in self.factors:
-            v = p.evaluate(assignment)
-            if e < 0 and v == 0:
+            n, d = p._ratio(assignment)
+            e *= power
+            if e < 0 and n == 0:
                 raise PoleError(repr(p))
-            vals.append((v, e))
-        total = self.unit
-        for v, e in vals:
-            total *= v ** e
-        return total
+            vals.append((n, d, e) if e > 0 else (d, n, -e))
+        num, den = self.unit.numerator, self.unit.denominator
+        num, den = (num ** power, den ** power) if power > 0 else (den ** -power, num ** -power)
+        for n, d, e in vals:
+            num *= n ** e
+            den *= d ** e
+        return num, den
 
     # -- display -------------------------------------------------------------------
 

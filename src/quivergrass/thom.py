@@ -163,11 +163,13 @@ class ThomKernel:
     """A kernel as a divisor, oriented on first use.
 
     ``divisor`` is the single source of truth: assembly only appends
-    records.  ``records`` pairs each with its contribution
-    lambda(rec.char)^rec.exponent under ``law``, and ``fn`` is their
-    product (one product of units, one merge of factors).  Both are cached
-    on first access, so neither may be read before assembly has finished.
-    Weight-zero records sit in ``zero_records`` and enter neither.
+    records, and ``divisor_quotient`` and ``evaluate_kernel`` read nothing
+    else.  ``records`` pairs each with its contribution
+    lambda(rec.char)^rec.exponent under ``law`` on the chart; only ``fn``,
+    the tests and tracing read it.  ``fn`` is their product (one product of
+    units, one merge of factors).  Both are cached on first access, so
+    neither may be read before assembly has finished.  Weight-zero records
+    sit in ``zero_records`` and enter neither.
     """
 
     chart: TorusChart
@@ -422,21 +424,34 @@ def evaluate_kernel(
     """Evaluate factor by factor; report vanishing and polar factors.
 
     Returns (value, culprits).  value is None when a pole occurs; a zero
-    value comes with the vanishing factors named.
+    value comes with the vanishing factors named.  Raises ``KeyError``
+    when ``assignment`` misses a variable of the kernel's chart.
+
+    The divisor is read and nothing is oriented on the chart: each record
+    contributes lambda(chi)^e at the point, which ``FormalGroupLaw.power_at``
+    reads on the canonical chart of chi (the chart's contribution is its
+    injective rename, so the values agree), over the integers
+    (``MultiPoly.evaluate``).
     """
+    registry = kernel.chart.registry
+    missing = next((v for v in registry.variables if v not in assignment), None)
+    if missing is not None:
+        raise KeyError(missing)
+    law = kernel.law
     culprits: List[Tuple[str, FactorRecord]] = []
-    total = Frac(1)
+    num = den = 1  # the product of the values, reduced once
     pole = False
-    for rec, contribution in kernel.records:
+    for rec in kernel.divisor:
         try:
-            val = contribution.evaluate(assignment)
+            val = law.power_at(rec.char, rec.exponent, assignment)
         except PoleError:
             culprits.append(("pole", rec))
             pole = True
             continue
         if val == 0:
             culprits.append(("zero", rec))
-        total *= val
+        num *= val.numerator
+        den *= val.denominator
     if pole:
         return None, culprits
-    return total, culprits
+    return Frac(num, den), culprits

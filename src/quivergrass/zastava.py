@@ -63,6 +63,22 @@ class Poset:
     def __len__(self) -> int:
         return len(self.elements)
 
+    def earlier_bounds(self) -> Tuple[List[List[int]], List[List[int]]]:
+        """For each element k, by position: the maximal elements among the
+        earlier ones below k, and the minimal ones among those above k."""
+        rows = self._rows
+        cols = [0] * len(rows)  # column j: the bitset of the i with i <= j
+        for i, row in enumerate(rows):
+            for j in _bits(row):
+                cols[j] |= 1 << i
+        below, above = [], []
+        for k in range(len(rows)):
+            earlier = (1 << k) - 1
+            down, up = cols[k] & earlier, rows[k] & earlier
+            below.append([j for j in _bits(down) if rows[j] & down == 1 << j])
+            above.append([j for j in _bits(up) if cols[j] & up == 1 << j])
+        return below, above
+
     @staticmethod
     def chain(m: int) -> "Poset":
         if m < 1:
@@ -100,6 +116,14 @@ class Poset:
             [str(e) for e in data["elements"]],
             [(str(a), str(b)) for a, b in data.get("relations", [])],
         )
+
+
+def _bits(mask: int) -> Iterator[int]:
+    """The positions of the set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 @dataclass(frozen=True)
@@ -158,7 +182,7 @@ SYSTEM_CAP = 2 ** 16
 def _systems(poset: Poset, divisor: ColoredDivisor) -> Iterator[Tuple[SubMultiplicity, ...]]:
     """The subdivisors of every monotone system, depth first without
     recursion; raises ``DegreeOverflowError`` past ``SYSTEM_CAP`` systems."""
-    els, leq = poset.elements, poset.leq
+    els = poset.elements
     if not els:
         yield ()
         return
@@ -167,16 +191,19 @@ def _systems(poset: Poset, divisor: ColoredDivisor) -> Iterator[Tuple[SubMultipl
         raise DegreeOverflowError(f"the subdivisors alone exceed the cap of {SYSTEM_CAP} systems")
     lattice = {tuple(k for _, k in sub): sub for sub in subscheme_lattice(divisor)}
     top = next(reversed(lattice))
-    below = [[j for j in range(k) if leq(els[j], els[k])] for k in range(len(els))]
-    above = [[j for j in range(k) if leq(els[k], els[j])] for k in range(len(els))]
+    bottom = (0,) * len(top)
+    below, above = poset.earlier_bounds()
     picked: List[Tuple[int, ...]] = []  # the multiplicities of the elements so far
     subs: List[SubMultiplicity] = []  # and their subdivisors
 
     def box():
-        """The candidates for the next element: between the picks below and above it."""
-        lo = zip((0,) * len(top), *(picked[j] for j in below[len(picked)]))
-        hi = zip(top, *(picked[j] for j in above[len(picked)]))
-        return itertools.product(*(range(max(a), min(b) + 1) for a, b in zip(lo, hi)))
+        """The candidates for the next element: between the picks below and
+        above it.  The picks so far are monotone, so the largest pick below
+        is a maximal element's and the smallest above a minimal one's."""
+        k = len(picked)
+        lo = map(max, bottom, *(picked[j] for j in below[k])) if below[k] else bottom
+        hi = map(min, top, *(picked[j] for j in above[k])) if above[k] else top
+        return itertools.product(*map(range, lo, map((1).__add__, hi)))
 
     tries, count = [box()], 0
     while tries:

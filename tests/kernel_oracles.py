@@ -12,6 +12,9 @@ test module; the tests import it by name.
 * The disjointness predicate as it was before it read the pair kernel's
   blocks: a hand-kept list of shifted-diagonal descriptors.
 * The module kernel (a product over Hom blocks) that several tests build.
+* Point evaluation as it was before ``evaluate_kernel`` read divisors:
+  every record oriented on the full chart, and every polynomial
+  evaluated with one ``Fraction`` per chart variable.
 """
 
 from fractions import Fraction as F
@@ -20,7 +23,7 @@ from typing import NamedTuple
 from quivergrass import checks
 from quivergrass.fgl import Character, FormalGroupLaw
 from quivergrass.quiver import abelianization, stock_quiver
-from quivergrass.symalg import RationalFunction, rat_equal
+from quivergrass.symalg import PoleError, RationalFunction, rat_equal
 from quivergrass.thom import FactorRecord, HomBlock, ThomKernel
 
 # A truncated series law that is neither commutative nor associative.
@@ -252,3 +255,55 @@ def locality_cases(laws, quivers=("a1", "a2"), max_total=4):
             ctx = checks.make_context(quiver, law)
             for w1, w2 in checks._word_pairs(quiver, max_total):
                 yield ctx, w1, w2
+
+
+# -- point evaluation on the full chart ------------------------------------------------
+
+
+def fraction_poly_value(poly, assignment):
+    """A polynomial's value: one Fraction per registry variable, Fraction
+    powers term by term."""
+    values = [F(assignment[v]) for v in poly.registry.variables]
+    total = F(0)
+    for exps, c in poly.items_unpacked():
+        t = c
+        for e, val in zip(exps, values):
+            if e:
+                t *= val ** e
+        total += t
+    return total
+
+
+def fraction_rat_value(f, assignment):
+    """A factored function's value, factor by factor; ``PoleError`` for a
+    vanishing denominator factor, even when a numerator factor vanishes."""
+    if f.unit == 0:
+        return F(0)
+    vals = []
+    for p, e in f.factors:
+        v = fraction_poly_value(p, assignment)
+        if e < 0 and v == 0:
+            raise PoleError(repr(p))
+        vals.append((v, e))
+    total = f.unit
+    for v, e in vals:
+        total *= v ** e
+    return total
+
+
+def records_evaluate_kernel(kernel, assignment):
+    """(value, culprits) from every record's contribution on the chart."""
+    culprits = []
+    total = F(1)
+    pole = False
+    for rec, contribution in kernel.records:
+        try:
+            val = fraction_rat_value(contribution, assignment)
+        except PoleError:
+            culprits.append(("pole", rec))
+            pole = True
+            continue
+        if val == 0:
+            culprits.append(("zero", rec))
+        total *= val
+    return (None if pole else total), culprits

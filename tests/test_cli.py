@@ -430,6 +430,7 @@ def test_an_unwritable_report_exits_3_with_one_line(tmp_path, capsys, monkeypatc
         ["zastava-fiber", "--config", "{wide_fiber}"],
         ["poincare", "--alpha", "1000"],
         ["poincare", "--alpha", ",".join(["32"] * 16)],  # every entry at the cap
+        ["poincare", "--alpha", ",".join(["1"] * 20000)],  # 2^20000 at q = 1
     ],
 )
 def test_negative_and_malformed_arguments_exit_2(tmp_path, argv):
@@ -458,6 +459,7 @@ def test_negative_and_malformed_arguments_exit_2(tmp_path, argv):
         "zastava-fiber --config {wide_fiber}": 1.0,
         "poincare --alpha 1000": 1.0,
         "poincare --alpha " + ",".join(["32"] * 16): 1.0,
+        "poincare --alpha " + ",".join(["1"] * 20000): 1.0,
     }.get(" ".join(argv))
     fiber = {"tau": ["1/3"], "points": [{"id": "a", "color": "1", "coord": 0}]}
     wide_fiber = {"tau": ["1/3"], "poset": "antichain:9",  # 4^9 systems

@@ -10,6 +10,7 @@ from quivergrass.fixedpoints import (
     CarellChart,
     POINCARE_DEGREE_CAP,
     POINCARE_ENTRY_CAP,
+    POINCARE_SUM_CAP,
     DegreeOverflowError,
     TruncatedRing,
     WindowOverflowError,
@@ -212,6 +213,14 @@ def test_poincare_degree_is_bounded():
     for alpha in ({**at_cap, "x": 8}, {**at_cap, "x": 2}, {str(i): POINCARE_ENTRY_CAP for i in range(16)}):
         with pytest.raises(DegreeOverflowError):
             quiver_grass_poincare(alpha)
+
+
+def test_poincare_sum_is_bounded():
+    # the value at q = 1 is 2 to the sum of the entries; entries of 1 have degree 0
+    at_cap = {str(i): 1 for i in range(POINCARE_SUM_CAP)}
+    assert at_one(quiver_grass_poincare(at_cap)) == 2 ** POINCARE_SUM_CAP
+    with pytest.raises(DegreeOverflowError, match=f"bounded at {POINCARE_SUM_CAP}"):
+        quiver_grass_poincare({**at_cap, "x": 1})
 
 
 def test_carell_overflow():

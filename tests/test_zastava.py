@@ -165,6 +165,71 @@ def test_monotone_maps_equal_the_filtered_product(poset, divisor):
     assert ind_rank(poset, d) == len(systems)
 
 
+def box_systems(poset, divisor):
+    """Oracle: the depth-first search as it was before it kept only the
+    maximal earlier elements below and the minimal ones above: each box
+    reads the picks of every earlier element below and above."""
+    els, leq = poset.elements, poset.leq
+    if not els:
+        return [{}]
+    lattice = {tuple(k for _, k in sub): sub for sub in subscheme_lattice(divisor)}
+    top = next(reversed(lattice))
+    below = [[j for j in range(k) if leq(els[j], els[k])] for k in range(len(els))]
+    above = [[j for j in range(k) if leq(els[k], els[j])] for k in range(len(els))]
+    out = []
+
+    def extend(picked):
+        k = len(picked)
+        if k == len(els):
+            out.append(dict(zip(els, (lattice[p] for p in picked))))
+            return
+        lo = zip((0,) * len(top), *(picked[j] for j in below[k]))
+        hi = zip(top, *(picked[j] for j in above[k]))
+        for candidate in itertools.product(*(range(max(a), min(b) + 1)
+                                             for a, b in zip(lo, hi))):
+            extend(picked + [candidate])
+
+    extend([])
+    return out
+
+
+GOLDEN_POSETS = [("chain:1", "a:i:1,b:i:1"), ("chain:2", "a:i:3"), ("chain:2", "a:i:1,b:j:1"),
+                 ("antichain:2", "a:i:1,b:j:1"), ("chain:3", "a:i:2,b:j:1"),
+                 (str(Path(__file__).resolve().parent / "data" / "poset_diamond.json"), "a:i:2")]
+
+
+@pytest.mark.parametrize("spec, divisor", GOLDEN_POSETS)
+def test_monotone_maps_match_the_box_oracle_on_the_golden_posets(spec, divisor):
+    poset, d = Poset.parse(spec), ColoredDivisor.parse(divisor)
+    want = box_systems(poset, d)
+    assert list(monotone_maps(poset, d)) == want
+    assert ind_rank(poset, d) == len(want)
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_monotone_maps_match_the_box_oracle_on_random_posets(seed):
+    rng = random.Random(seed)
+    n = rng.randint(1, 7)
+    elements = [f"e{i}" for i in range(n)]
+    # relations along a hidden linear order, listed in another order
+    rank = rng.sample(range(n), n)
+    relations = [(elements[i], elements[j]) for i in range(n) for j in range(n)
+                 if rank[i] < rank[j] and rng.random() < 0.4]
+    poset = Poset(rng.sample(elements, n), relations)
+    d = ColoredDivisor.parse(",".join(f"p{i}:i:{rng.randint(1, 2)}"
+                                      for i in range(rng.randint(0, 2))))
+    want = box_systems(poset, d)
+    assert list(monotone_maps(poset, d)) == want
+    assert ind_rank(poset, d) == len(want)
+
+
+def test_a_deep_chain_ranks_fast():
+    # the boxes read one pick below each element, not every earlier one
+    started = time.perf_counter()
+    assert ind_rank(Poset.parse("chain:400"), ColoredDivisor.parse("a:i:1")) == 401
+    assert time.perf_counter() - started < 0.5
+
+
 def test_ind_rank_stops_past_the_system_budget():
     assert SYSTEM_CAP == 2 ** 16
     # 4^8 = 2^16 systems: exactly the budget
