@@ -29,11 +29,14 @@ A kernel is held as a divisor: factor records, each a character chi with
 a signed exponent e, standing for the product of the orientations
 lambda(chi)^e (the Euler class of a sum of characters is the product of
 their orientations; Quillen, Bull. AMS 1969).  Assembly orients nothing.
-Every kernel identity (the dual-assembly unit, bilinearity, locality)
-is decided on characters by ``divisor_quotient``: exponents are summed
-per character and only nonzero sums are oriented and cancelled.  That is
-the quotient of the oriented kernels, since a merge of factored functions
-only sums the exponents of equal factors and multiplies units.
+One helper, ``_oriented``, sums the exponents per character and orients
+each nonzero sum once: ``ThomKernel.fn`` is the kernel's divisor under
+it, and ``divisor_quotient`` decides every kernel identity (the
+dual-assembly unit, bilinearity, locality) as main minus the parts under
+it, cancelled.  That is the quotient of the oriented kernels, since a
+merge of factored functions only sums the exponents of equal factors and
+multiplies units.  ``evaluate_kernel`` reads the divisor at a point; only
+the tests and tracing read the per-record view ``ThomKernel.records``.
 
 A part on another chart is moved variable by variable first.  An
 orientation depends only on the law and the coefficients of the
@@ -51,7 +54,7 @@ from fractions import Fraction as Frac
 from functools import cached_property
 from itertools import chain
 from math import prod
-from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .fgl import Character, FormalGroupLaw
 from .quiver import DilationTorus, DimVector, NakajimaWeights, QuiverSpec, incidence_form
@@ -163,13 +166,13 @@ class ThomKernel:
     """A kernel as a divisor, oriented on first use.
 
     ``divisor`` is the single source of truth: assembly only appends
-    records, and ``divisor_quotient`` and ``evaluate_kernel`` read nothing
-    else.  ``records`` pairs each with its contribution
-    lambda(rec.char)^rec.exponent under ``law`` on the chart; only ``fn``,
-    the tests and tracing read it.  ``fn`` is their product (one product of
-    units, one merge of factors).  Both are cached on first access, so
-    neither may be read before assembly has finished.  Weight-zero records
-    sit in ``zero_records`` and enter neither.
+    records, and ``fn``, ``divisor_quotient`` and ``evaluate_kernel`` read
+    nothing else.  ``fn`` is the divisor oriented by ``_oriented``, each
+    character once.  ``records`` pairs each record with its own
+    lambda(rec.char)^rec.exponent under ``law`` on the chart; only the
+    tests and tracing read it.  Both are cached on first access, so neither
+    may be read before assembly has finished.  Weight-zero records sit in
+    ``zero_records`` and enter neither.
     """
 
     chart: TorusChart
@@ -187,15 +190,23 @@ class ThomKernel:
 
     @cached_property
     def fn(self) -> RationalFunction:
-        return _product(self.chart.registry, [c for _, c in self.records])
+        return _oriented(self.chart.registry, self.law,
+                         ((rec.char, rec.exponent) for rec in self.divisor))
 
     @property
     def degenerate(self) -> bool:
         return bool(self.zero_records)
 
 
-def _product(registry: VarRegistry, parts: Sequence[RationalFunction]) -> RationalFunction:
-    """The product of factored functions over ``registry``, merged once."""
+def _oriented(registry: VarRegistry, law: FormalGroupLaw,
+              divisor: Iterable[Tuple[Character, int]]) -> RationalFunction:
+    """The product of lambda(chi)^e over ``divisor`` on ``registry``:
+    exponents summed per character, each nonzero sum oriented once, and
+    the powers merged once (one product of units, one merge of factors)."""
+    exponents: Counter = Counter()
+    for chi, e in divisor:
+        exponents[chi] += e
+    parts = [law.lambda_char(registry, chi).pow(e) for chi, e in exponents.items() if e]
     return RationalFunction._trusted(
         registry,
         prod((p.unit for p in parts), start=Frac(1)),
@@ -395,9 +406,7 @@ def divisor_quotient(
     is moved onto ``main``'s chart along ``embedding``; a part with ``None``
     must live there already.  With no residual the result is the scalar 1."""
     registry = main.chart.registry
-    exponents: Counter = Counter()
-    for rec in main.divisor:
-        exponents[rec.char] += rec.exponent
+    quotient: List[Tuple[Character, int]] = [(rec.char, rec.exponent) for rec in main.divisor]
     for part, place in parts:
         if part.law != main.law or (place is None and part.chart.registry != registry):
             raise ValueError("compared kernels must share a chart registry and a law")
@@ -412,10 +421,8 @@ def divisor_quotient(
                     raise SymalgError(f"moving {chi} reorders its variables")
                 chi = Character(tuple((registry.variables[p], c)
                                       for p, (_, c) in zip(ps, chi.coeffs)))
-            exponents[chi] -= rec.exponent
-    residual = [main.law.lambda_char(registry, chi).pow(e) for chi, e in exponents.items() if e]
-    quotient = _product(registry, residual)
-    return quotient.cancelled() if residual else quotient
+            quotient.append((chi, -rec.exponent))
+    return _oriented(registry, main.law, quotient).cancelled()
 
 
 def evaluate_kernel(

@@ -6,7 +6,10 @@ every monotone system of subdivisors the product of evaluated pair
 kernels inside each member, normalized so the empty system has value 1;
 factorization over disjoint supports is checked exactly through the
 canonical pair-kernel trivialization scalars.  Only configurations with
-pairwise distinct points enter the value layer.
+pairwise distinct points enter the value layer.  Each point pair is
+evaluated once (``pair_value``, through ``thom.evaluate_kernel``) into a
+table keyed by the sorted ids; every system's value and every cross term
+of the factorization is a product read from that table.
 """
 
 from __future__ import annotations
@@ -19,9 +22,10 @@ from fractions import Fraction as Frac
 from typing import Dict, FrozenSet, Iterator, List, Mapping, Sequence, Tuple
 
 from .fixedpoints import DegreeOverflowError
-from .locality import PointConfig, TauPoint, check_colors, check_points, is_m_tau_disjoint
-from .symalg import SymalgError, Variable
-from .thom import KernelContext
+from .locality import (PointConfig, TauPoint, check_colors, check_points, config_assignment,
+                       is_m_tau_disjoint)
+from .symalg import PoleError, SymalgError
+from .thom import KernelContext, evaluate_kernel
 
 
 class NonGenericError(SymalgError):
@@ -245,13 +249,12 @@ def pair_value(
 ) -> Frac:
     """Evaluated pair kernel of two single points, in id order."""
     first, second = sorted((u, v), key=lambda p: p.pid)
-    v1 = {c: (1 if c == first.color else 0) for c in ctx.quiver.vertices}
-    v2 = {c: (1 if c == second.color else 0) for c in ctx.quiver.vertices}
-    kernel = ctx.biextension_kernel(v1, v2)
-    assignment: Dict[Variable, Frac] = dict(tau)
-    assignment[kernel.chart.x(1, first.color, 1)] = Frac(coords[first.pid])
-    assignment[kernel.chart.x(2, second.color, 1)] = Frac(coords[second.pid])
-    return kernel.fn.evaluate(assignment)
+    d1, d2 = (PointConfig({p.color: [Frac(coords[p.pid])]}) for p in (first, second))
+    kernel = ctx.biextension_kernel(d1.weight(ctx), d2.weight(ctx))
+    value, culprits = evaluate_kernel(kernel, config_assignment(kernel.chart, d1, d2, tau))
+    if value is None:
+        raise PoleError(", ".join(rec.label() for kind, rec in culprits if kind == "pole"))
+    return value
 
 
 @dataclass
@@ -260,15 +263,11 @@ class IndFiberData:
     divisor: ColoredDivisor
     maps: List[Dict[str, SubMultiplicity]]
     values: List[Frac]
+    pairs: Dict[Tuple[str, str], Frac]  # pair_value of every two points, by sorted ids
 
     @property
     def rank(self) -> int:
         return len(self.maps)
-
-
-def _sub_points(divisor: ColoredDivisor, sub: SubMultiplicity) -> List[DivisorPoint]:
-    by_pid = {pt.pid: pt for pt in divisor.points}
-    return [by_pid[pid] for pid, k in sub if k == 1]
 
 
 def ind_fiber(
@@ -287,23 +286,22 @@ def ind_fiber(
         raise NonGenericError(f"points without coordinates: {missing}")
     check_colors(ctx.quiver, ((f"point {pt.pid}", pt.color) for pt in divisor.points))
     check_points(ctx.law, tau, ((f"coord of point {pid}", x) for pid, x in divisor.coords.items()))
-    pts = divisor.points
-    for a, b in itertools.combinations(pts, 2):
-        cfg_a = PointConfig({a.color: [divisor.coords[a.pid]]})
-        cfg_b = PointConfig({b.color: [divisor.coords[b.pid]]})
+    pairs: Dict[Tuple[str, str], Frac] = {}
+    for a, b in itertools.combinations(divisor.points, 2):
+        cfg_a, cfg_b = (PointConfig({p.color: [divisor.coords[p.pid]]}) for p in (a, b))
         if not is_m_tau_disjoint(ctx, cfg_a, cfg_b, tau):
             raise NonGenericError(f"points {a.pid}, {b.pid} collide under the shifts")
+        pairs[min(a.pid, b.pid), max(a.pid, b.pid)] = pair_value(ctx, a, b, divisor.coords, tau)
 
     maps = list(monotone_maps(poset, divisor))
     values: List[Frac] = []
     for system in maps:
         total = Frac(1)
-        for element in poset.elements:
-            members = _sub_points(divisor, system[element])
-            for u, v in itertools.combinations(members, 2):
-                total *= pair_value(ctx, u, v, divisor.coords, tau)
+        for sub in system.values():  # sorted by id, so each pair comes sorted
+            for pair in itertools.combinations([pid for pid, k in sub if k == 1], 2):
+                total *= pairs[pair]
         values.append(total)
-    return IndFiberData(poset, divisor, maps, values)
+    return IndFiberData(poset, divisor, maps, values, pairs)
 
 
 @dataclass
@@ -338,32 +336,27 @@ def generic_fiber_factorization(
     fl = ind_fiber(ctx, poset, left, tau)
     fr = ind_fiber(ctx, poset, right, tau)
 
-    def restrict(system: Dict[str, SubMultiplicity], ids: FrozenSet[str]):
-        return {
-            e: tuple((pid, k) for pid, k in sub if pid in ids)
-            for e, sub in system.items()
-        }
-
     left_ids = frozenset(p.pid for p in left.points)
     right_ids = frozenset(p.pid for p in right.points)
-    index_l = {tuple(sorted(m.items())): v for m, v in zip(fl.maps, fl.values)}
-    index_r = {tuple(sorted(m.items())): v for m, v in zip(fr.maps, fr.values)}
+
+    def restrict(system: Dict[str, SubMultiplicity], ids: FrozenSet[str]):
+        """The system on the points ``ids``, as sorted items."""
+        return tuple((e, tuple((pid, k) for pid, k in sub if pid in ids))
+                     for e, sub in sorted(system.items()))
+
+    index_l = {restrict(m, left_ids): v for m, v in zip(fl.maps, fl.values)}
+    index_r = {restrict(m, right_ids): v for m, v in zip(fr.maps, fr.values)}
 
     lines: List[Tuple[str, bool]] = []
     for system, value in zip(fiber.maps, fiber.values):
-        ml = restrict(system, left_ids)
-        mr = restrict(system, right_ids)
-        vl = index_l[tuple(sorted(ml.items()))]
-        vr = index_r[tuple(sorted(mr.items()))]
         cross = Frac(1)
-        for element in poset.elements:
-            members_l = _sub_points(combined, system[element])
-            pick_l = [p for p in members_l if p.pid in left_ids]
-            pick_r = [p for p in members_l if p.pid in right_ids]
-            for u in pick_l:
-                for v in pick_r:
-                    cross *= pair_value(ctx, u, v, combined.coords, tau)
-        ok = value == vl * vr * cross
+        for sub in system.values():
+            picked = {pid for pid, k in sub if k == 1}
+            for u in picked & left_ids:
+                for v in picked & right_ids:
+                    cross *= fiber.pairs[min(u, v), max(u, v)]
+        halves = index_l[restrict(system, left_ids)] * index_r[restrict(system, right_ids)]
+        ok = value == halves * cross
         label = ";".join(
             f"{e}:{'+'.join(pid for pid, k in sub if k)}" for e, sub in sorted(system.items())
         )

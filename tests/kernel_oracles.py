@@ -15,9 +15,17 @@ test module; the tests import it by name.
 * Point evaluation as it was before ``evaluate_kernel`` read divisors:
   every record oriented on the full chart, and every polynomial
   evaluated with one ``Fraction`` per chart variable.
+* ``ThomKernel.fn`` as it was before it read the divisor: the product of
+  the per-record orientations ``ThomKernel.records``.
+* The fiber values as they were before ``ind_fiber`` kept one value per
+  point pair: the pair kernel built and its ``fn`` evaluated for every
+  pair of every monotone system.
 """
 
+import itertools
 from fractions import Fraction as F
+from itertools import chain
+from math import prod
 from typing import NamedTuple
 
 from quivergrass import checks
@@ -25,6 +33,7 @@ from quivergrass.fgl import Character, FormalGroupLaw
 from quivergrass.quiver import abelianization, stock_quiver
 from quivergrass.symalg import PoleError, RationalFunction, rat_equal
 from quivergrass.thom import FactorRecord, HomBlock, ThomKernel
+from quivergrass.zastava import monotone_maps
 
 # A truncated series law that is neither commutative nor associative.
 NON_SYMMETRIC = FormalGroupLaw.series({(1, 2): F(1), (1, 1): F(-1, 2)}, 4)
@@ -307,3 +316,42 @@ def records_evaluate_kernel(kernel, assignment):
             culprits.append(("zero", rec))
         total *= val
     return (None if pole else total), culprits
+
+
+# -- the kernel from its records, and fiber values pair by pair ---------------------------
+
+
+def records_fn(kernel):
+    """The product of the per-record orientations, merged once."""
+    parts = [c for _, c in kernel.records]
+    return RationalFunction._trusted(kernel.chart.registry,
+                                     prod((p.unit for p in parts), start=F(1)),
+                                     chain.from_iterable(p.factors for p in parts))
+
+
+def fn_pair_value(ctx, u, v, coords, tau):
+    """The pair kernel of two single points in id order, built and its
+    ``fn`` evaluated at a hand-built assignment."""
+    first, second = sorted((u, v), key=lambda p: p.pid)
+    v1 = {c: (1 if c == first.color else 0) for c in ctx.quiver.vertices}
+    v2 = {c: (1 if c == second.color else 0) for c in ctx.quiver.vertices}
+    kernel = ctx.biextension_kernel(v1, v2)
+    assignment = dict(tau)
+    assignment[kernel.chart.x(1, first.color, 1)] = F(coords[first.pid])
+    assignment[kernel.chart.x(2, second.color, 1)] = F(coords[second.pid])
+    return kernel.fn.evaluate(assignment)
+
+
+def per_call_fiber_values(ctx, poset, divisor, tau):
+    """Each system's value, one ``fn_pair_value`` call per pair of points
+    inside each member."""
+    by_pid = {pt.pid: pt for pt in divisor.points}
+    values = []
+    for system in monotone_maps(poset, divisor):
+        total = F(1)
+        for element in poset.elements:
+            members = [by_pid[pid] for pid, k in system[element] if k == 1]
+            for u, v in itertools.combinations(members, 2):
+                total *= fn_pair_value(ctx, u, v, divisor.coords, tau)
+        values.append(total)
+    return values
