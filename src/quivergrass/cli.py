@@ -16,6 +16,16 @@ and an ``ind-rank`` or ``zastava-fiber`` fiber of more than
 Exit codes: 0 all checks passed, 1 a check failed, 2 bad input, 3 the
 report could not be written (a full disk, a closed pipe): one line on
 stderr and no traceback.
+
+Each command builds one ``KernelContext`` (``_load_context``) and reads
+its dilation check, run once, from ``KernelContext.dilation_report``.
+``kernel`` always prints the ``quiver.dilation_consistency`` line;
+``shuffle``, ``verify`` and ``zastava-fiber`` print it only when the
+check fails, and then stop with exit 1.  The ``verify`` suites run on
+their own quivers and laws, so ``verify`` exits 2 on a ``--quiver`` that
+neither ``--suite crosscheck`` nor ``--config`` reads, and on an
+``--fgl`` that neither ``--suite crosscheck --quiver`` nor ``--config``
+reads.
 """
 
 from __future__ import annotations
@@ -39,14 +49,11 @@ from .locality import (
     verify_trivialization,
 )
 from .quiver import (
-    DilationTorus,
     QuiverFormatError,
-    default_nakajima,
     json_int,
     json_rational,
     load_quiver,
     stock_quiver,
-    validate_dilation,
 )
 from .shuffle import weight_space, word_product
 from .symalg import PoleError, SymalgError
@@ -84,13 +91,25 @@ def _parsed(option: str, text: str, parse, form: str):
 
 
 def _load_context(args) -> KernelContext:
-    if args.quiver:
-        quiver, weights, torus = load_quiver(args.quiver)
-    else:
-        quiver = stock_quiver("a1")
-        weights, torus = default_nakajima(quiver), DilationTorus.diagonal()
-    law = select_fgl(args.fgl)
-    return KernelContext(quiver, weights, torus, law)
+    """The command's one context: the ``--quiver`` file, or stock a1 with
+    its default weights on the diagonal torus (``checks.make_context``)."""
+    if not args.quiver:
+        return checksmod.make_context(stock_quiver("a1"), select_fgl(args.fgl))
+    quiver, weights, torus = load_quiver(args.quiver)
+    return KernelContext(quiver, weights, torus, select_fgl(args.fgl))
+
+
+def _dilation_result(ctx: KernelContext) -> CheckResult:
+    """The ``quiver.dilation_consistency`` line of the context's report."""
+    dil = ctx.dilation_report
+    return _result(
+        "quiver.dilation_consistency",
+        dil.all_ok,
+        "; ".join(f"{aid}:{'ok' if ok else 'violated'}" for aid, ok, _, _ in dil.entries)
+        or "no arrows",
+        "weight pairs restrict to the symplectic character",
+        "integer-linear check on the subtorus basis",
+    )
 
 
 def _parse_flag(ctx: KernelContext, option: str, text: str, single: bool = False):
@@ -144,17 +163,7 @@ def cmd_kernel(args) -> Report:
     ctx = _load_context(args)
     results: List[CheckResult] = []
     echo = {"quiver": args.quiver or "a1", "fgl": args.fgl, "flag": args.flag}
-    dil = validate_dilation(ctx.quiver, ctx.weights, ctx.dilation)
-    results.append(
-        _result(
-            "quiver.dilation_consistency",
-            dil.all_ok,
-            "; ".join(f"{aid}:{'ok' if ok else 'violated'}" for aid, ok, _, _ in dil.entries)
-            or "no arrows",
-            "weight pairs restrict to the symplectic character",
-            "integer-linear check on the subtorus basis",
-        )
-    )
+    results.append(_dilation_result(ctx))
     if ctx.quiver.loops:
         results.append(
             _result(
@@ -207,6 +216,8 @@ def cmd_shuffle(args) -> Report:
     ctx = _load_context(args)
     results: List[CheckResult] = []
     echo = {"quiver": args.quiver or "a1", "fgl": args.fgl}
+    if not ctx.dilation_report.all_ok:
+        return echo, [_dilation_result(ctx)]
     if args.word:
         word = tuple(w.strip() for w in args.word.split(","))
         echo["word"] = ",".join(word)
@@ -243,15 +254,24 @@ def cmd_shuffle(args) -> Report:
 
 
 def cmd_verify(args) -> Report:
-    if args.suite == "crosscheck" and args.quiver:
-        results = _crosscheck_single_quiver(args)
+    one_quiver = args.suite == "crosscheck" and args.quiver  # the per-flag listing of one file
+    if args.quiver and not (one_quiver or args.config):
+        raise ValueError(f"--quiver {args.quiver}: --suite {args.suite} runs on its own quivers; "
+                         "only --suite crosscheck and --config read --quiver")
+    if "fgl" in args._given and not (one_quiver or args.config):
+        raise ValueError(f"--fgl {args.fgl}: --suite {args.suite} runs its own laws; only "
+                         "--suite crosscheck with --quiver and --config read --fgl")
+    echo = {"suite": args.suite, "seed": args.seed}
+    ctx = _load_context(args) if one_quiver or args.config else None
+    if ctx is not None and not ctx.dilation_report.all_ok:
+        return echo, [_dilation_result(ctx)]
+    if one_quiver:
+        results = _crosscheck_single_quiver(ctx)
     else:
         results = checksmod.suite(args.suite, seed=args.seed)
-    echo = {"suite": args.suite, "seed": args.seed}
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-        ctx = _load_context(args)
         d1, d2, tau_values = parse_point_config(data)
         tau = tau_point(ctx, tau_values)
         rep = verify_trivialization(ctx, d1, d2, tau)
@@ -268,9 +288,8 @@ def cmd_verify(args) -> Report:
     return echo, results
 
 
-def _crosscheck_single_quiver(args) -> List[CheckResult]:
+def _crosscheck_single_quiver(ctx: KernelContext) -> List[CheckResult]:
     """Per-flag-type unit listing for one quiver file."""
-    ctx = _load_context(args)
     results: List[CheckResult] = []
     for flag in checksmod.enumerate_flags(ctx.quiver, 4):
         rep = crosscheck(ctx, flag)
@@ -386,7 +405,10 @@ def cmd_zastava_fiber(args) -> Report:
         for key in ("id", "color", "coord"):
             if key not in p:
                 raise ValueError(f"fiber point {p!r} has no {key!r}")
+    echo = {"config": args.config, "poset": str(data.get("poset", "chain:1"))}
     ctx = _load_context(args)
+    if not ctx.dilation_report.all_ok:
+        return echo, [_dilation_result(ctx)]
     tau = _parse_tau(ctx, args.tau)
     if tau is None:
         tau = tau_point(ctx, [json_rational(v, "tau") for v in data.get("tau", [])])
@@ -409,7 +431,6 @@ def cmd_zastava_fiber(args) -> Report:
             for e, sub in sorted(system.items())
         )
         results.append(_result(f"zastava.value[{label}]", True, value, "", "pair-kernel product"))
-    echo = {"config": args.config, "poset": str(data.get("poset", "chain:1"))}
     return echo, results
 
 
@@ -502,6 +523,8 @@ _GLOBAL_DEFAULTS = {
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
+    # A global flag is an attribute only when given, until the defaults fill in.
+    args._given = frozenset(vars(args))
     for key, default in _GLOBAL_DEFAULTS.items():
         if not hasattr(args, key):
             setattr(args, key, default)

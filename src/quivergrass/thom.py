@@ -57,7 +57,15 @@ from math import prod
 from typing import Callable, Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .fgl import Character, FormalGroupLaw
-from .quiver import DilationTorus, DimVector, NakajimaWeights, QuiverSpec, incidence_form
+from .quiver import (
+    DilationReport,
+    DilationTorus,
+    DimVector,
+    NakajimaWeights,
+    QuiverSpec,
+    incidence_form,
+    validate_dilation,
+)
 from .symalg import (
     PoleError,
     RationalFunction,
@@ -215,7 +223,9 @@ def _oriented(registry: VarRegistry, law: FormalGroupLaw,
 
 
 class KernelContext:
-    """Quiver, weight function, dilation torus, and orientation backend."""
+    """Quiver, weight function, dilation torus, and orientation backend.
+    ``dilation_report`` is the context's ``validate_dilation`` verdict,
+    checked once, on first use."""
 
     def __init__(
         self,
@@ -229,6 +239,10 @@ class KernelContext:
         self.dilation = dilation
         self.law = law
         self._dchars: Dict[Tuple[int, int], Character] = {}
+
+    @cached_property
+    def dilation_report(self) -> DilationReport:
+        return validate_dilation(self.quiver, self.weights, self.dilation)
 
     # -- dilation characters (the d-axes are shared across all charts) --------
 

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from quivergrass import checks, cli, fgl
+from quivergrass import checks, cli, fgl, thom
 from quivergrass.cli import EXIT_CHECK_FAILED, EXIT_OK, EXIT_OUTPUT_ERROR, EXIT_PARSE_ERROR, main
 
 A1 = {"vertices": ["1"], "arrows": [], "dilation": {"rank": 1, "basis": [[1], [1]]}}
@@ -431,6 +431,11 @@ def test_an_unwritable_report_exits_3_with_one_line(tmp_path, capsys, monkeypatc
         ["poincare", "--alpha", "1000"],
         ["poincare", "--alpha", ",".join(["32"] * 16)],  # every entry at the cap
         ["poincare", "--alpha", ",".join(["1"] * 20000)],  # 2^20000 at q = 1
+        # an option that no part of the run reads, before any suite runs
+        ["verify", "--suite", "locality", "--quiver", "/nonexistent.json"],
+        ["verify", "--suite", "all", "--quiver", "{a2}"],
+        ["verify", "--suite", "fgl", "--fgl", "multiplicative"],
+        ["verify", "--suite", "crosscheck", "--fgl", "multiplicative"],
     ],
 )
 def test_negative_and_malformed_arguments_exit_2(tmp_path, argv):
@@ -448,6 +453,10 @@ def test_negative_and_malformed_arguments_exit_2(tmp_path, argv):
         "shuffle --word 1 --tau x": "--tau",
         "shuffle --word 1 --tau 1/0": "--tau",
         "zastava-fiber --config {fiber} --tau x": "--tau",
+        "verify --suite locality --quiver /nonexistent.json": "--quiver",
+        "verify --suite all --quiver {a2}": "--quiver",
+        "verify --suite fgl --fgl multiplicative": "--fgl",
+        "verify --suite crosscheck --fgl multiplicative": "--fgl",
     }.get(" ".join(argv))
     # and these rows must exit within a wall-clock bound, in seconds
     seconds = {
@@ -460,6 +469,7 @@ def test_negative_and_malformed_arguments_exit_2(tmp_path, argv):
         "poincare --alpha 1000": 1.0,
         "poincare --alpha " + ",".join(["32"] * 16): 1.0,
         "poincare --alpha " + ",".join(["1"] * 20000): 1.0,
+        "verify --suite all --quiver {a2}": 1.0,
     }.get(" ".join(argv))
     fiber = {"tau": ["1/3"], "points": [{"id": "a", "color": "1", "coord": 0}]}
     wide_fiber = {"tau": ["1/3"], "poset": "antichain:9",  # 4^9 systems
@@ -558,6 +568,47 @@ def test_every_file_reader_rejects_every_bad_file_kind(tmp_path, capsys, argv, b
     err = capsys.readouterr().err
     assert code == EXIT_PARSE_ERROR, err
     assert err.startswith("error:") and named in err, err
+
+
+INCONSISTENT = str(DATA / "kronecker2_full.json")  # default weights on the full torus
+
+
+@pytest.mark.parametrize("argv", [
+    ["shuffle", "--quiver", INCONSISTENT, "--word", "1,2"],
+    ["verify", "--suite", "crosscheck", "--quiver", INCONSISTENT],
+    ["verify", "fgl", "--quiver", INCONSISTENT, "--config", str(GOOD["points"])],
+    ["zastava-fiber", "--quiver", INCONSISTENT, "--config", str(GOOD["fiber"])],
+])
+def test_an_inconsistent_quiver_file_fails_its_dilation_check(capsys, argv):
+    code, out = run(capsys, argv)
+    assert code == EXIT_CHECK_FAILED
+    assert out == ("[fail] quiver.dilation_consistency: h1:violated; h2:violated"
+                   "  (expected: weight pairs restrict to the symplectic character)\n")
+
+
+def test_the_kernel_command_reports_an_inconsistent_file_and_goes_on(capsys):
+    code, out = run(capsys, ["kernel", "--quiver", INCONSISTENT, "--flag", "1,0|0,1"])
+    assert code == EXIT_CHECK_FAILED
+    assert out.startswith("[fail] quiver.dilation_consistency: h1:violated; h2:violated")
+    assert "[pass] kernel.dual_assembly_unit: 1" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["kernel", "--quiver", str(GOOD["quiver"]), "--flag", "1,0|0,1"],
+    ["shuffle", "--quiver", str(GOOD["quiver"]), "--word", "1,2"],
+    ["verify", "--suite", "crosscheck", "--quiver", str(GOOD["quiver"]),
+     "--config", str(GOOD["points"])],
+    ["zastava-fiber", "--quiver", str(GOOD["quiver"]), "--config", str(GOOD["fiber"])],
+])
+def test_each_command_loads_and_checks_one_context(capsys, monkeypatch, argv):
+    loads, checks_run = [], []
+    load, validate = cli.load_quiver, thom.validate_dilation
+    monkeypatch.setattr(cli, "load_quiver", lambda path: loads.append(path) or load(path))
+    monkeypatch.setattr(thom, "validate_dilation",
+                        lambda *a: checks_run.append(a) or validate(*a))
+    code, _ = run(capsys, argv)
+    assert code == EXIT_OK
+    assert loads == [str(GOOD["quiver"])] and len(checks_run) == 1
 
 
 def test_zero_coordinates_stay_points_of_the_additive_group(capsys):
