@@ -255,14 +255,15 @@ def cmd_shuffle(args) -> Report:
 
 def cmd_verify(args) -> Report:
     one_quiver = args.suite == "crosscheck" and args.quiver  # the per-flag listing of one file
-    if args.quiver and not (one_quiver or args.config):
+    reads_context = one_quiver or args.config
+    if args.quiver and not reads_context:
         raise ValueError(f"--quiver {args.quiver}: --suite {args.suite} runs on its own quivers; "
                          "only --suite crosscheck and --config read --quiver")
-    if "fgl" in args._given and not (one_quiver or args.config):
+    if "fgl" in args._given and not reads_context:
         raise ValueError(f"--fgl {args.fgl}: --suite {args.suite} runs its own laws; only "
                          "--suite crosscheck with --quiver and --config read --fgl")
     echo = {"suite": args.suite, "seed": args.seed}
-    ctx = _load_context(args) if one_quiver or args.config else None
+    ctx = _load_context(args) if reads_context else None
     if ctx is not None and not ctx.dilation_report.all_ok:
         return echo, [_dilation_result(ctx)]
     if one_quiver:

@@ -48,7 +48,6 @@ that reorders a character's variables raises.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction as Frac
 from functools import cached_property
@@ -211,9 +210,9 @@ def _oriented(registry: VarRegistry, law: FormalGroupLaw,
     """The product of lambda(chi)^e over ``divisor`` on ``registry``:
     exponents summed per character, each nonzero sum oriented once, and
     the powers merged once (one product of units, one merge of factors)."""
-    exponents: Counter = Counter()
+    exponents: Dict[Character, int] = {}
     for chi, e in divisor:
-        exponents[chi] += e
+        exponents[chi] = exponents.get(chi, 0) + e
     parts = [law.lambda_char(registry, chi).pow(e) for chi, e in exponents.items() if e]
     return RationalFunction._trusted(
         registry,
