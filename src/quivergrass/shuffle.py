@@ -83,8 +83,7 @@ def shuffle_product(ctx: KernelContext, a: ShuffleElement, b: ShuffleElement) ->
     fk = pair.fn.rename(pair.chart.embedding(chart, place), reg)
 
     product = fa * fb * fk
-    partition = _blocks(chart, a.weight)
-    result = symmetrize(product, partition) if partition else product.cancelled()
+    result = symmetrize(product, _blocks(chart, a.weight))
     return ShuffleElement(gamma, result, result.is_regular())
 
 
@@ -125,8 +124,7 @@ def monomial_element(
     if len(exponents) != len(xvars):
         raise SymalgError("exponent list does not match the weight chart")
     fn = fn * RationalFunction.from_poly(MultiPoly.monomial(reg, dict(zip(xvars, exponents))))
-    partition = [[[x] for x in xs] for xs in chart.blocks.values()]
-    result = symmetrize(fn, partition) if partition else fn.cancelled()
+    result = symmetrize(fn, [[[x] for x in xs] for xs in chart.blocks.values()])
     return ShuffleElement(weight, result, result.is_regular())
 
 

@@ -35,23 +35,27 @@ with positive leading terms, so every step stays on integers.
 denominator L of the units, adds the integer numerators in place, and
 puts 1/L back into the unit.
 
-Normalization happens in one constructor and one trusted path.  The
-public ``RationalFunction`` constructor splits every factor it is given
-into unit times primitive part (``MultiPoly.primitive``), folds constant
-factors into the unit and merges equal factors.  Hence the invariant:
-the factors of an existing ``RationalFunction`` are primitive and
-non-constant.  Arithmetic that only recombines existing factors (``*``,
-``inverse``, ``pow``) relies on it and goes through
-``RationalFunction._trusted``, which merges exponents and sorts without
-normalizing again.  ``substitute`` and ``cancelled`` make new
-polynomials through the public constructor.  Every sum (``rat_sum``,
-hence ``symmetrize``) ends in ``_cancelled_sum``, which normalizes once:
-it takes ``primitive`` of the integer total, divides that exactly by the
-common denominator's factors in the factor order, and hands the
-quotient, primitive by Gauss's lemma, to ``_trusted``; a total equal to
-a common factor merges with it undivided, and a constant total or
-quotient goes into the unit.  This is the same function, factor for
-factor, that the constructor and ``cancelled`` would make of the sum.
+Normalization happens in one constructor and one trusted path, and
+both end in one merge (``RationalFunction._merge``: the exponents of
+equal factors summed, the factors put in the factor order).  The public
+``RationalFunction`` constructor first splits every factor it is given
+into unit times primitive part (``MultiPoly.primitive``) and folds
+constant factors into the unit.  Hence the invariant: the factors of an
+existing ``RationalFunction`` are primitive and non-constant.
+Arithmetic that only recombines existing factors (``*``, ``inverse``,
+``pow``, the negated operand of ``-``) relies on it and goes through
+``RationalFunction._trusted``, which merges without normalizing again.
+``substitute`` makes new polynomials through the public constructor.
+Exact division has one tail, ``_divided``: it divides a primitive
+numerator exactly by the denominator factors in the factor order and
+hands the quotient, primitive by Gauss's lemma, to ``_trusted``; a
+constant quotient goes into the unit.  ``cancelled`` hands it the
+expanded numerator factors.  Every sum (``rat_sum``, hence
+``symmetrize``) ends in ``_cancelled_sum``, which normalizes once: it
+takes ``primitive`` of the integer total and hands that to
+``_divided``, except that a total equal to a common factor merges with
+it undivided.  This is the same function, factor for factor, that the
+constructor and ``cancelled`` would make of the sum.
 
 ``RationalFunction.rename`` is the one transport from chart to chart.  It
 sends variable i to target position ``positions[i]``; the positions must
@@ -725,9 +729,8 @@ class RationalFunction:
         unit,
         factors: Iterable[Tuple[MultiPoly, int]] = (),
     ):
-        self.registry = registry
         unit = Frac(unit)
-        merged: Dict[MultiPoly, int] = {}
+        prims: List[Tuple[MultiPoly, int]] = []
         for p, e in factors:
             if e == 0:
                 continue
@@ -743,13 +746,8 @@ class RationalFunction:
                 unit *= (u * prim.constant_value()) ** e
                 continue
             unit *= u ** e
-            merged[prim] = merged.get(prim, 0) + e
-        if unit == 0:
-            self.unit = Frac(0)
-            self.factors: Tuple[Tuple[MultiPoly, int], ...] = ()
-            return
-        self.unit = unit
-        self.factors = _in_factor_order([(p, e) for p, e in merged.items() if e != 0])
+            prims.append((prim, e))
+        self._merge(registry, unit, prims)
 
     @classmethod
     def _trusted(
@@ -762,27 +760,33 @@ class RationalFunction:
         non-constant, over ``registry``); ``unit`` must be a Fraction.  Only
         exponents are summed: nothing is normalized again."""
         self = cls.__new__(cls)
+        self._merge(registry, unit, factors)
+        return self
+
+    def _merge(self, registry: VarRegistry, unit: Frac, factors: Iterable[Tuple[MultiPoly, int]]) -> None:
+        """The one tail of both constructors: sum the exponents of equal
+        factors and store the nonzero sums in the factor order; a zero unit
+        stores zero."""
         self.registry = registry
         if unit == 0:
             self.unit = Frac(0)
-            self.factors = ()
-            return self
+            self.factors: Tuple[Tuple[MultiPoly, int], ...] = ()
+            return
         merged: Dict[MultiPoly, int] = {}
         for p, e in factors:
             merged[p] = merged.get(p, 0) + e
         self.unit = unit
         self.factors = _in_factor_order([(p, e) for p, e in merged.items() if e != 0])
-        return self
 
     # -- constructors -----------------------------------------------------
 
     @staticmethod
     def one(registry: VarRegistry) -> "RationalFunction":
-        return RationalFunction(registry, 1)
+        return RationalFunction._trusted(registry, Frac(1), ())
 
     @staticmethod
     def zero(registry: VarRegistry) -> "RationalFunction":
-        return RationalFunction(registry, 0)
+        return RationalFunction._trusted(registry, Frac(0), ())
 
     @staticmethod
     def from_poly(p: MultiPoly) -> "RationalFunction":
@@ -855,7 +859,7 @@ class RationalFunction:
         return rat_sum([self, other])
 
     def __sub__(self, other: "RationalFunction") -> "RationalFunction":
-        return rat_sum([self, RationalFunction(other.registry, -other.unit, other.factors)])
+        return rat_sum([self, RationalFunction._trusted(other.registry, -other.unit, other.factors)])
 
     def numerator(self) -> MultiPoly:
         num = _expand(self.registry, [(p, e) for p, e in self.factors if e > 0])
@@ -874,24 +878,10 @@ class RationalFunction:
         if self.unit == 0:
             return self
         nums = [(p, e) for p, e in self.factors if e > 0]
-        dens = [(p, e) for p, e in self.factors if e < 0]
+        dens = [(p, -e) for p, e in self.factors if e < 0]
         if not nums or not dens:
             return self
-        # The unit stays outside: by Gauss's lemma ``num`` and its exact
-        # quotients stay primitive, so ``primitive`` below is a no-op.
-        num = _expand(self.registry, nums)
-        out_dens: List[Tuple[MultiPoly, int]] = []
-        for p, e in dens:
-            k = -e
-            while k > 0:
-                q = num.divide_exact(p)
-                if q is None:
-                    break
-                num = q
-                k -= 1
-            if k:
-                out_dens.append((p, -k))
-        return RationalFunction(self.registry, self.unit, [(num, 1)] + out_dens)
+        return _divided(self.registry, self.unit, _expand(self.registry, nums), dens)
 
     # -- maps -------------------------------------------------------------------
 
@@ -1065,11 +1055,10 @@ def _cancelled_sum(
     registry: VarRegistry, total: Dict[int, int], lcm: int, common: Mapping[MultiPoly, int]
 ) -> RationalFunction:
     """The cancelled sum (total / lcm) / ``common``, as every sum ends,
-    normalized once: the total's primitive part is divided exactly by the
-    common factors in the factor order, and the result is built through
-    ``_trusted`` (by Gauss's lemma each quotient is primitive).  A total
-    equal to a common factor merges with it undivided, as the constructor
-    merges equal factors; a constant quotient is dropped."""
+    normalized once: the total's primitive part goes to ``_divided`` with
+    the common factors in the factor order.  A total equal to a common
+    factor merges with it undivided, as the constructor merges equal
+    factors."""
     for k in [k for k, c in total.items() if not c]:
         del total[k]
     u, num = MultiPoly(registry, _packed=total).primitive()
@@ -1078,6 +1067,17 @@ def _cancelled_sum(
     dens = _in_factor_order(list(common.items()))
     if any(p == num for p, _ in dens):
         return RationalFunction._trusted(registry, u / lcm, [(num, 1)] + [(p, -e) for p, e in dens])
+    return _divided(registry, u / lcm, num, dens)
+
+
+def _divided(
+    registry: VarRegistry, unit: Frac, num: MultiPoly, dens: Iterable[Tuple[MultiPoly, int]]
+) -> RationalFunction:
+    """``unit`` * num / prod p^e over ``dens`` (e > 0, in the factor order),
+    num primitive with a positive leading term: num is divided exactly by
+    each factor as often as it goes, and the result is built through
+    ``_trusted`` (by Gauss's lemma each quotient is primitive); a constant
+    quotient is dropped."""
     out: List[Tuple[MultiPoly, int]] = []
     for p, e in dens:
         while e and not num.is_constant():
@@ -1088,7 +1088,7 @@ def _cancelled_sum(
             e -= 1
         if e:
             out.append((p, -e))
-    return RationalFunction._trusted(registry, u / lcm, out if num.is_constant() else [(num, 1)] + out)
+    return RationalFunction._trusted(registry, unit, out if num.is_constant() else [(num, 1)] + out)
 
 
 def rat_equal(a: RationalFunction, b: RationalFunction) -> bool:

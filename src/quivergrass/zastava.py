@@ -6,10 +6,13 @@ every monotone system of subdivisors the product of evaluated pair
 kernels inside each member, normalized so the empty system has value 1;
 factorization over disjoint supports is checked exactly through the
 canonical pair-kernel trivialization scalars.  Only configurations with
-pairwise distinct points enter the value layer.  Each point pair is
-evaluated once (``pair_value``, through ``thom.evaluate_kernel``) into a
-table keyed by the sorted ids; every system's value and every cross term
-of the factorization is a product read from that table.
+pairwise distinct points, under distinct ids, enter the value layer.
+Each point pair is evaluated once (``pair_value``, through
+``thom.evaluate_kernel``) into a table keyed by the sorted ids; every
+system's value and every cross term of the factorization is a product
+read from that table.  The factorization check compares those products
+with each combined member's word kernel evaluated whole
+(``member_value``), so a wrong pair table fails it.
 """
 
 from __future__ import annotations
@@ -22,8 +25,7 @@ from fractions import Fraction as Frac
 from typing import Dict, FrozenSet, Iterator, List, Mapping, Sequence, Tuple
 
 from .fixedpoints import DegreeOverflowError
-from .locality import (PointConfig, TauPoint, check_colors, check_points, config_assignment,
-                       is_m_tau_disjoint)
+from .locality import PointConfig, TauPoint, check_colors, check_points, is_m_tau_disjoint
 from .symalg import PoleError, SymalgError
 from .thom import KernelContext, evaluate_kernel
 
@@ -143,12 +145,12 @@ class ColoredDivisor:
     coords: Dict[str, Frac] = field(default_factory=dict)
 
     def __post_init__(self):
+        # Subdivisors, coordinates and pair values are all keyed by id.
         seen = set()
         for pt in self.points:
-            key = (pt.pid, pt.color)
-            if key in seen:
-                raise PosetFormatError(f"duplicate divisor point {key}")
-            seen.add(key)
+            if pt.pid in seen:
+                raise PosetFormatError(f"point id {pt.pid!r} is repeated")
+            seen.add(pt.pid)
             if pt.multiplicity < 1:
                 raise PosetFormatError("multiplicities must be at least 1")
 
@@ -248,10 +250,25 @@ def pair_value(
     tau: TauPoint,
 ) -> Frac:
     """Evaluated pair kernel of two single points, in id order."""
-    first, second = sorted((u, v), key=lambda p: p.pid)
-    d1, d2 = (PointConfig({p.color: [Frac(coords[p.pid])]}) for p in (first, second))
-    kernel = ctx.biextension_kernel(d1.weight(ctx), d2.weight(ctx))
-    value, culprits = evaluate_kernel(kernel, config_assignment(kernel.chart, d1, d2, tau))
+    return member_value(ctx, sorted((u, v), key=lambda p: p.pid), coords, tau)
+
+
+def member_value(
+    ctx: KernelContext,
+    points: Sequence[DivisorPoint],
+    coords: Mapping[str, Frac],
+    tau: TauPoint,
+) -> Frac:
+    """The word kernel of the points' colors, in the given order, evaluated
+    whole at tau and x[g, color, 1] = the g-th point's coordinate; 1 for
+    no point."""
+    if not points:
+        return Frac(1)
+    kernel = ctx.word_kernel([p.color for p in points])
+    assignment = dict(tau)
+    for (g, _), xs in kernel.chart.blocks.items():
+        assignment.update(zip(xs, [Frac(coords[points[g - 1].pid])]))
+    value, culprits = evaluate_kernel(kernel, assignment)
     if value is None:
         raise PoleError(", ".join(rec.label() for kind, rec in culprits if kind == "pole"))
     return value
@@ -323,9 +340,11 @@ def generic_fiber_factorization(
 ) -> FactorizationReport:
     """Exact factorization of the fiber data over a disjoint union.
 
-    The coordinate of a combined system equals the product of the two
+    The coordinate of a combined system, each member's word kernel
+    evaluated whole (``member_value``), equals the product of the two
     restricted coordinates times the pair-kernel trivialization scalar
-    between the two halves, member by member.
+    between the two halves, member by member; the restricted coordinates
+    and the cross terms are read from the pair tables.
     """
     if {p.pid for p in left.points} & {p.pid for p in right.points}:
         raise NonGenericError("supports must use distinct point ids")
@@ -347,13 +366,18 @@ def generic_fiber_factorization(
     index_l = {restrict(m, left_ids): v for m, v in zip(fl.maps, fl.values)}
     index_r = {restrict(m, right_ids): v for m, v in zip(fr.maps, fr.values)}
 
+    points = {p.pid: p for p in combined.points}
+    whole: Dict[Tuple[str, ...], Frac] = {}  # member_value by member, ids sorted
     lines: List[Tuple[str, bool]] = []
-    for system, value in zip(fiber.maps, fiber.values):
-        cross = Frac(1)
+    for system in fiber.maps:
+        value = cross = Frac(1)
         for sub in system.values():
-            picked = {pid for pid, k in sub if k == 1}
-            for u in picked & left_ids:
-                for v in picked & right_ids:
+            ids = tuple(pid for pid, k in sub if k == 1)
+            if ids not in whole:
+                whole[ids] = member_value(ctx, [points[pid] for pid in ids], combined.coords, tau)
+            value *= whole[ids]
+            for u in left_ids.intersection(ids):
+                for v in right_ids.intersection(ids):
                     cross *= fiber.pairs[min(u, v), max(u, v)]
         halves = index_l[restrict(system, left_ids)] * index_r[restrict(system, right_ids)]
         ok = value == halves * cross

@@ -420,6 +420,10 @@ def test_an_unwritable_report_exits_3_with_one_line(tmp_path, capsys, monkeypatc
         ["shuffle", "--word", "1", "--tau", "x"],
         ["shuffle", "--word", "1", "--tau", "1/0"],  # raised ZeroDivisionError
         ["zastava-fiber", "--config", "{fiber}", "--tau", "x"],
+        # a repeated point id, whatever its colors
+        ["ind-rank", "--poset", "chain:2", "--divisor", "a:i:1,a:j:2"],
+        ["zastava-fiber", "--quiver", "{data}/a2_rank2.json",
+         "--config", "{data}/fiber_repeated_id.json"],
         # over the state budget; once built every ring element first
         ["sl2-lattice", "--p", "2", "--e", "40", "--n", "0", "--window", "40"],
         ["sl2-lattice", "--p", "1000003", "--e", "2", "--n", "0", "--window", "2"],
@@ -439,7 +443,7 @@ def test_an_unwritable_report_exits_3_with_one_line(tmp_path, capsys, monkeypatc
     ],
 )
 def test_negative_and_malformed_arguments_exit_2(tmp_path, argv):
-    # these rows' messages must name the option they reject
+    # these rows' messages must name the option (or the id) they reject
     option = {
         "shuffle --dim 1,1": "--dim",
         "kernel --quiver {a2} --flag=-1,0": "--flag",
@@ -453,6 +457,9 @@ def test_negative_and_malformed_arguments_exit_2(tmp_path, argv):
         "shuffle --word 1 --tau x": "--tau",
         "shuffle --word 1 --tau 1/0": "--tau",
         "zastava-fiber --config {fiber} --tau x": "--tau",
+        "ind-rank --poset chain:2 --divisor a:i:1,a:j:2": "--divisor 'a:i:1,a:j:2': point id 'a'",
+        "zastava-fiber --quiver {data}/a2_rank2.json --config {data}/fiber_repeated_id.json":
+            "point id 'a' is repeated",
         "verify --suite locality --quiver /nonexistent.json": "--quiver",
         "verify --suite all --quiver {a2}": "--quiver",
         "verify --suite fgl --fgl multiplicative": "--fgl",
@@ -479,7 +486,7 @@ def test_negative_and_malformed_arguments_exit_2(tmp_path, argv):
              "fiber": fiber, "wide_fiber": wide_fiber}
     for name, data in files.items():
         (tmp_path / f"{name}.json").write_text(json.dumps(data))
-    argv = [a.format(**{n: tmp_path / f"{n}.json" for n in files}) for a in argv]
+    argv = [a.format(data=DATA, **{n: tmp_path / f"{n}.json" for n in files}) for a in argv]
     src = str(Path(__file__).resolve().parent.parent / "src")
     started = time.perf_counter()
     proc = subprocess.run(

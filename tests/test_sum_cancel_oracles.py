@@ -15,7 +15,7 @@ from math import gcd
 
 import pytest
 
-from quivergrass import shuffle, symalg
+from quivergrass import checks, shuffle, symalg
 from quivergrass.checks import _words_up_to, make_context, shuffle_constants_suite, standard_laws
 from quivergrass.fgl import FormalGroupLaw
 from quivergrass.quiver import DilationTorus, default_nakajima, stock_quiver
@@ -410,3 +410,86 @@ def test_an_antisymmetric_orbit_sums_to_zero(sum_paths):
         assert got.is_scalar() and got.scalar_value() == want
         assert same(got, symmetrize_by_rat_sum(f, partition))
     assert paths == {"orbit": 2, "fallback": 0}
+
+
+# -- one normal form -----------------------------------------------------------
+
+
+@pytest.fixture
+def constructor_spy(monkeypatch):
+    """Counts of ``cancelled`` calls (and those that divide), of sums, and
+    of public-constructor calls made inside either; ``rat_sum`` covers
+    ``symmetrize``, ``+`` and ``-``."""
+    counts = {"cancelled": 0, "divided": 0, "sums": 0, "constructed inside": 0}
+    depth = [0]
+    real_init, real_cancelled, real_sum = RationalFunction.__init__, RationalFunction.cancelled, symalg.rat_sum
+
+    def init(self, *args, **kwargs):
+        counts["constructed inside"] += depth[0] > 0
+        real_init(self, *args, **kwargs)
+
+    def inside(key, real):
+        def run(*args):
+            counts[key] += 1
+            depth[0] += 1
+            try:
+                return real(*args)
+            finally:
+                depth[0] -= 1
+        return run
+
+    def cancelled(f):
+        got = inside("cancelled", real_cancelled)(f)
+        counts["divided"] += got.factors != f.factors
+        return got
+
+    monkeypatch.setattr(RationalFunction, "__init__", init)
+    monkeypatch.setattr(RationalFunction, "cancelled", cancelled)
+    monkeypatch.setattr(symalg, "rat_sum", inside("sums", real_sum))
+    return counts
+
+
+def test_cancelled_and_sums_never_call_the_public_constructor(constructor_spy):
+    """One AC4 pass (shuffle constants, ideal words, 20 associativity
+    triples per law), then seeded ``cancelled`` calls and differences: all
+    build through ``_trusted``."""
+    ok = [r.ok for r in shuffle_constants_suite()]
+    ok += [r.ok for r in checks.ideal_suite(seed=0, max_total=4)]
+    ok += [r.ok for r in checks.assoc_suite(seed=0, triples=20)]
+    assert all(ok)
+    ac4 = dict(constructor_spy)
+    rng = random.Random(59)
+    for _ in range(100):
+        pool = factor_pool(rng)
+        f, g = random_function(rng, pool), random_function(rng, pool)
+        f.cancelled()
+        f - g
+        zero = f - f
+        zero - zero  # a sum of zero terms only
+    assert ac4["cancelled"] >= 300 and ac4["divided"] >= 30 and ac4["sums"] >= 300
+    assert constructor_spy["constructed inside"] == 0
+
+
+def test_symmetrize_over_an_empty_partition_is_cancelled():
+    rng = random.Random(61)
+    divided = 0
+    for _ in range(200):
+        f = random_function(rng, factor_pool(rng))
+        got = symmetrize(f, [])
+        assert same(got, f.cancelled())
+        divided += got.factors != f.factors
+    assert divided >= 20
+
+
+def test_cancelled_and_sums_divide_in_the_factor_order():
+    """a = v1 - v0 comes before b = v1^2 - v0^2 = a (v1 + v0) in the factor
+    order, so v2 b / (a b) keeps b: dividing by b first would keep a."""
+    v0, v1, v2 = (MultiPoly.linear(REG, {v: 1}) for v in REG.variables)
+    a, b = v1 - v0, v1 * v1 - v0 * v0
+    want = RationalFunction(REG, 1, [(v2 * (v1 + v0), 1), (b, -1)])
+    f = RationalFunction(REG, 1, [(v2 * b, 1), (a, -1), (b, -1)])
+    assert same(f.cancelled(), want)
+    # v2 v1^2 / (a b) - v2 v0^2 / (a b): the total v2 b is no common factor
+    terms = [RationalFunction(REG, sign, [(v2 * w * w, 1), (a, -1), (b, -1)])
+             for sign, w in ((1, v1), (-1, v0))]
+    assert same(rat_sum(terms), want)

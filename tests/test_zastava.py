@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import time
 from fractions import Fraction as F
@@ -22,6 +23,7 @@ from quivergrass.zastava import (
     generic_fiber_factorization,
     ind_fiber,
     ind_rank,
+    member_value,
     monotone_maps,
     pair_value,
     subscheme_lattice,
@@ -108,6 +110,10 @@ def test_subscheme_lattice_shapes():
     assert len(subscheme_lattice(ColoredDivisor.parse("a:i:2"))) == 3
     grid = subscheme_lattice(ColoredDivisor.parse("a:i:1,b:j:1"))
     assert len(grid) == 4
+    # the lattice keys by id, so an id may not come back under another color
+    for spec in ("a:i:1,a:j:2", "a:i:2,a:j:1", "a:i:1,b:j:1,a:i:1"):
+        with pytest.raises(PosetFormatError, match="point id 'a' is repeated"):
+            ColoredDivisor.parse(spec)
 
 
 def test_ind_rank_examples():
@@ -338,6 +344,38 @@ def test_factorization_empty_half():
     right = ColoredDivisor([], {})
     rep = generic_fiber_factorization(ctx, Poset.chain(1), left, right, tau)
     assert rep.ok
+
+
+@pytest.mark.parametrize("quiver, law, colors", [
+    ("a1", "additive", "111"),
+    ("a1", "multiplicative", "1111"),
+    ("a2", "additive", "121"),
+    ("a2", "multiplicative", "1212"),
+])
+def test_factorization_members_of_three_or_more_points(quiver, law, colors):
+    # Members of 3 or 4 points: each one's word kernel, evaluated whole,
+    # must equal the product of its pair values read from the pair tables.
+    q = stock_quiver(quiver)
+    ctx = KernelContext(q, default_nakajima(q), DilationTorus.diagonal(),
+                        getattr(FormalGroupLaw, law)())
+    rng = random.Random(len(colors))
+    ids = "abcd"[:len(colors)]
+    checked = 0
+    while checked < 3:
+        tau = tau_point(ctx, [F(rng.randint(1, 9), rng.randint(1, 4))])
+        coords = {pid: F(x) for pid, x in zip(ids, rng.sample(range(1, 60), len(ids)))}
+        points = [DivisorPoint(pid, c, 1) for pid, c in zip(ids, colors)]
+        left = ColoredDivisor(points[:2], {p.pid: coords[p.pid] for p in points[:2]})
+        right = ColoredDivisor(points[2:], {p.pid: coords[p.pid] for p in points[2:]})
+        try:
+            fiber = ind_fiber(ctx, Poset.chain(1), ColoredDivisor(points, coords), tau)
+        except NonGenericError:
+            continue
+        whole = member_value(ctx, points, coords, tau)
+        assert whole == math.prod(fiber.pairs.values())
+        for poset in (Poset.chain(1), Poset.antichain(2)):
+            assert generic_fiber_factorization(ctx, poset, left, right, tau).ok
+        checked += 1
 
 
 def test_pair_value_matches_direct_formula():
