@@ -36,15 +36,15 @@ denominator L of the units, adds the integer numerators in place, and
 puts 1/L back into the unit.
 
 Normalization happens in one constructor and one trusted path, and
-both end in one merge (``RationalFunction._merge``: the exponents of
-equal factors summed, the factors put in the factor order).  The public
+both end in one merge, ``RationalFunction._trusted``: the exponents of
+equal factors summed, the factors put in the factor order.  The public
 ``RationalFunction`` constructor first splits every factor it is given
 into unit times primitive part (``MultiPoly.primitive``) and folds
 constant factors into the unit.  Hence the invariant: the factors of an
 existing ``RationalFunction`` are primitive and non-constant.
 Arithmetic that only recombines existing factors (``*``, ``inverse``,
-``pow``, the negated operand of ``-``) relies on it and goes through
-``RationalFunction._trusted``, which merges without normalizing again.
+``pow``, the negated operand of ``-``) relies on it and calls
+``_trusted`` alone, so nothing is normalized again.
 ``substitute`` makes new polynomials through the public constructor.
 Exact division has one tail, ``_divided``: it divides a primitive
 numerator exactly by the denominator factors in the factor order and
@@ -747,7 +747,8 @@ class RationalFunction:
                 continue
             unit *= u ** e
             prims.append((prim, e))
-        self._merge(registry, unit, prims)
+        merged = RationalFunction._trusted(registry, unit, prims)
+        self.registry, self.unit, self.factors = registry, merged.unit, merged.factors
 
     @classmethod
     def _trusted(
@@ -758,25 +759,20 @@ class RationalFunction:
     ) -> "RationalFunction":
         """Merge factors that already satisfy the factor invariant (primitive,
         non-constant, over ``registry``); ``unit`` must be a Fraction.  Only
-        exponents are summed: nothing is normalized again."""
+        exponents are summed, and the factors put in the factor order:
+        nothing is normalized again.  The public constructor ends here too."""
         self = cls.__new__(cls)
-        self._merge(registry, unit, factors)
-        return self
-
-    def _merge(self, registry: VarRegistry, unit: Frac, factors: Iterable[Tuple[MultiPoly, int]]) -> None:
-        """The one tail of both constructors: sum the exponents of equal
-        factors and store the nonzero sums in the factor order; a zero unit
-        stores zero."""
         self.registry = registry
         if unit == 0:
             self.unit = Frac(0)
             self.factors: Tuple[Tuple[MultiPoly, int], ...] = ()
-            return
+            return self
         merged: Dict[MultiPoly, int] = {}
         for p, e in factors:
             merged[p] = merged.get(p, 0) + e
         self.unit = unit
         self.factors = _in_factor_order([(p, e) for p, e in merged.items() if e != 0])
+        return self
 
     # -- constructors -----------------------------------------------------
 
