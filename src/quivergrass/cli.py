@@ -9,8 +9,8 @@ The parser is built once per process, on the first ``main`` call, and
 ``_emit`` renders every report.  Inputs past a bound exit 2: a
 ``poincare`` entry above ``fixedpoints.POINCARE_ENTRY_CAP``, entries
 whose product has a degree above ``fixedpoints.POINCARE_DEGREE_CAP`` or
-whose sum is above ``fixedpoints.POINCARE_SUM_CAP``,
-and an ``ind-rank`` or ``zastava-fiber`` fiber of more than
+whose sum is above ``fixedpoints.POINCARE_SUM_CAP``, a ``carell --n``
+above ``fixedpoints.CARELL_N_CAP``, and an ``ind-rank`` or ``zastava-fiber`` fiber of more than
 ``zastava.SYSTEM_CAP`` (2^16) monotone systems.
 
 Exit codes: 0 all checks passed, 1 a check failed, 2 bad input, 3 the
@@ -59,6 +59,7 @@ from .shuffle import weight_space, word_product
 from .symalg import PoleError, SymalgError
 from .thom import KernelContext, crosscheck
 from .fixedpoints import (
+    CARELL_N_CAP,
     Q,
     carell_chart,
     gaussian_binomial,
@@ -356,6 +357,10 @@ def cmd_poincare(args) -> Report:
 
 
 def cmd_carell(args) -> Report:
+    if not 0 <= args.n <= CARELL_N_CAP:
+        raise ValueError(f"--n {args.n}: expected an integer from 0 to {CARELL_N_CAP}")
+    if not 0 <= args.k <= args.n:
+        raise ValueError(f"--k {args.k}: expected an integer from 0 to --n ({args.n})")
     chart = carell_chart(args.n, args.k)
     gauss = gaussian_binomial(args.n, args.k)
     results = [

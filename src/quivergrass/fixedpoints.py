@@ -17,13 +17,24 @@ Three mechanical layers cross-validate each other:
   with ``MultiPoly.evaluate``);
 * ``carell_chart`` presents the fixed scheme of a principal nilpotent on a
   Grassmannian by explicit chart equations and counts standard
-  monomials with a small Buchberger engine.  The engine works on packed
-  monomial keys: leading terms come from ``MultiPoly.leading``,
-  divisibility is ``VarRegistry.divides``, a monomial quotient is a key
-  difference, and two leading monomials are coprime when their
-  ``VarRegistry.lcm`` is their product.  Every key it forms comes from
-  ``lcm`` or ``*``, both checked against the packing width, or is a
-  quotient of lower degree than a key already formed.
+  monomials of the reduced Groebner basis of their ideal.  The engine
+  works on packed monomial keys: divisibility is ``VarRegistry.divides``,
+  a monomial quotient is a key difference, and two leading monomials are
+  coprime when their ``VarRegistry.lcm`` is their product (the sum of
+  their keys).  Each element is its leading key and a monic term dict
+  with coefficients in ``_coeff`` normal form, and a normal form is one
+  dict reduced in place: take its largest key k, then subtract
+  c * x^(k - gk) * g term by term.  New pairs pass Gebauer and Moeller's UPDATE (J. Symbolic Comput. 1988:
+  the product criterion and criteria M, F and B), and pairs are taken
+  smallest lcm first.  A last pass reduces the tail of every element of
+  the minimal basis, which leaves the reduced basis, unique for the
+  fixed monomial order.  The staircase of standard monomials is walked
+  on packed keys, a neighbour being a key plus a variable's key.
+  Packed keys cannot overflow: an S-polynomial key has degree at most
+  that of its pair's lcm, which ``VarRegistry.lcm`` checks against the
+  packing width; a reduction key has degree at most that of the key it
+  reduces; and a staircase key has degree at most one more than the
+  number of standard monomials, which ``STAIRCASE_CAP`` bounds.
 """
 
 from __future__ import annotations
@@ -31,6 +42,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction as Frac
+from heapq import heapify, heappop
 from math import isqrt
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
@@ -39,6 +51,7 @@ from .symalg import (
     SymalgError,
     Variable,
     VarRegistry,
+    _coeff,
     aux_var,
 )
 
@@ -340,53 +353,123 @@ def qpoly_str(a: MultiPoly) -> str:
 # Buchberger engine and the fixed-scheme chart
 # ---------------------------------------------------------------------------
 
-def _times_term(g: MultiPoly, key: int, c: Frac) -> MultiPoly:
-    """g times the monomial c * x^key."""
-    return (MultiPoly(g.registry, _packed={key: 1}) * g).scale(c)
+def _subtract(work: Dict[int, Frac], c: Frac, shift: int, gk: int, g: Dict[int, Frac]) -> None:
+    """work -= c * x^shift * (g minus its leading term x^gk), in place; the
+    caller has already taken the cancelled leading term out of ``work``."""
+    for t, gc in g.items():
+        if t == gk:
+            continue
+        k = t + shift
+        v = work.get(k, 0) - c * gc
+        if not v:
+            del work[k]
+        elif type(v) is int or v.denominator != 1:
+            work[k] = v
+        else:
+            work[k] = v.numerator
 
 
-# A basis element kept beside its leading key and coefficient, which the
-# engine reads on every pair and every reduction step.
-Lead = Tuple[int, Frac, MultiPoly]
-
-
-def _spoly(a: Lead, b: Lead, lcm: int) -> MultiPoly:
-    (fk, fc, f), (gk, gc, g) = a, b
-    return _times_term(f, lcm - fk, Frac(1) / fc) - _times_term(g, lcm - gk, Frac(1) / gc)
-
-
-def _reduce(f: MultiPoly, lead: Sequence[Lead]) -> MultiPoly:
-    reg = f.registry
-    rem = MultiPoly.zero(reg)
-    work = f
-    while not work.is_zero():
-        k, c = work.leading()
-        for gk, gc, g in lead:
-            if reg.divides(gk, k):
-                work = work - _times_term(g, k - gk, Frac(c) / gc)
+def _normal_form(work: Dict[int, Frac], basis: Sequence[Tuple[int, Dict[int, Frac]]],
+                 divides) -> Dict[int, Frac]:
+    """The remainder of ``work`` on division by ``basis``, monic elements
+    as (leading key, terms); ``work`` is consumed."""
+    rem: Dict[int, Frac] = {}
+    while work:
+        k = max(work)
+        c = work.pop(k)
+        for gk, g in basis:
+            if divides(gk, k):
+                _subtract(work, c, k - gk, gk, g)
                 break
         else:
-            term = MultiPoly(reg, _packed={k: c})
-            rem = rem + term
-            work = work - term
+            rem[k] = c
     return rem
 
 
+def _monic(terms: Dict[int, Frac]) -> Tuple[int, Dict[int, Frac]]:
+    """The leading key of a nonzero term dict, and the dict divided in
+    place by its leading coefficient."""
+    lead = max(terms)
+    c = terms[lead]
+    if c != 1:
+        for k, v in terms.items():
+            terms[k] = _coeff(Frac(v) / c)
+    return lead, terms
+
+
 def buchberger(gens: Sequence[MultiPoly]) -> List[MultiPoly]:
-    lead: List[Lead] = [(*g.leading(), g) for g in gens if not g.is_zero()]
-    pairs = [(i, j) for i in range(len(lead)) for j in range(i + 1, len(lead))]
+    """The reduced Groebner basis of the ideal that ``gens`` generate,
+    monic, by increasing leading key."""
+    live = [g for g in gens if not g.is_zero()]
+    if not live:
+        return []
+    reg = live[0].registry
+    divides, lcm = reg.divides, reg.lcm
+    elements: List[Tuple[int, Dict[int, Frac]]] = []  # every element ever added
+    active: List[int] = []  # indices of the minimal basis so far
+    pairs: List[Tuple[int, int, int]] = []  # heap of (lcm key, i, j)
+
+    def update(terms: Dict[int, Frac]) -> None:
+        # Gebauer and Moeller's UPDATE: add the new element h to the basis.
+        hk = _monic(terms)[0]
+        h = len(elements)
+        elements.append((hk, terms))
+        lcms = {i: lcm(elements[i][0], hk) for i in active}
+        # Criteria M and F: a new pair goes when another new pair's lcm
+        # divides its lcm, the last of several equal lcms staying.  Coprime
+        # pairs stay as witnesses until the product criterion drops them.
+        # By increasing lcm, a pair still to come divides m only if it
+        # has lcm m itself.
+        new = sorted((m, i) for i, m in lcms.items())
+        kept: List[Tuple[int, int]] = []
+        for n, (m, i) in enumerate(new):
+            if m == elements[i][0] + hk or not (
+                (n + 1 < len(new) and new[n + 1][0] == m)
+                or any(divides(m2, m) for m2, _ in kept)
+            ):
+                kept.append((m, i))
+
+        def lcm_h(i: int) -> int:
+            if i not in lcms:
+                lcms[i] = lcm(elements[i][0], hk)
+            return lcms[i]
+
+        # Criterion B: an old pair goes when hk divides its lcm and neither
+        # of its elements has that same lcm with h.
+        pairs[:] = [
+            (m, i, j) for m, i, j in pairs
+            if not divides(hk, m) or lcm_h(i) == m or lcm_h(j) == m
+        ]
+        pairs.extend((m, i, h) for m, i in kept if m != elements[i][0] + hk)
+        heapify(pairs)
+        active[:] = [i for i in active if not divides(hk, elements[i][0])]
+        active.append(h)
+
+    def basis() -> List[Tuple[int, Dict[int, Frac]]]:
+        return [elements[i] for i in active]
+
+    for g in live:
+        rem = _normal_form(dict(g.terms), basis(), divides)
+        if rem:
+            update(rem)
     while pairs:
-        i, j = pairs.pop()
-        fk, gk = lead[i][0], lead[j][0]
-        lcm = lead[i][2].registry.lcm(fk, gk)
-        if lcm == fk + gk:
-            continue  # coprime leading monomials reduce to zero
-        s = _reduce(_spoly(lead[i], lead[j], lcm), lead)
-        if s.is_zero():
-            continue
-        lead.append((*s.leading(), s))
-        pairs.extend((k, len(lead) - 1) for k in range(len(lead) - 1))
-    return [g for _, _, g in lead]
+        m, i, j = heappop(pairs)
+        (fk, f), (gk, g) = elements[i], elements[j]
+        shift = m - fk
+        work = {t + shift: c for t, c in f.items() if t != fk}
+        _subtract(work, 1, m - gk, gk, g)
+        rem = _normal_form(work, basis(), divides)
+        if rem:
+            update(rem)
+    # The active leading keys are minimal; reducing every tail makes the
+    # basis the reduced one.
+    final = sorted(basis())
+    out = []
+    for k, g in final:
+        tail = _normal_form({t: c for t, c in g.items() if t != k}, final, divides)
+        tail[k] = 1
+        out.append(MultiPoly(reg, _packed=tail))
+    return out
 
 
 # The most standard monomials a chart may have before the staircase is
@@ -395,30 +478,30 @@ STAIRCASE_CAP = 4096
 
 
 def standard_monomials(basis: Sequence[MultiPoly], nvars: int) -> List[Tuple[int, ...]]:
-    """Monomials outside the leading-term ideal, by breadth-first degree."""
-    leads = [g.registry.unpack(g.leading()[0]) for g in basis if not g.is_zero()]
-
-    def divisible(e: Tuple[int, ...]) -> bool:
-        return any(all(a >= b for a, b in zip(e, le)) for le in leads)
-
-    out: List[Tuple[int, ...]] = []
-    frontier = [(0,) * nvars]
-    seen: Set[Tuple[int, ...]] = set(frontier)
+    """Monomials outside the leading-term ideal, by breadth-first degree;
+    ``nvars`` is the number of variables of the basis's registry."""
+    reg = basis[0].registry if basis else VarRegistry(aux_var("x", i) for i in range(nvars))
+    divides = reg.divides
+    leads = [max(g.terms) for g in basis if not g.is_zero()]
+    steps = [reg.pack([0] * i + [1]) for i in range(nvars)]
+    out: List[int] = []
+    frontier = [0]
+    seen: Set[int] = {0}
     while frontier:
         new_frontier = []
-        for e in frontier:
-            if divisible(e):
+        for key in frontier:
+            if any(divides(lk, key) for lk in leads):
                 continue
-            out.append(e)
+            out.append(key)
             if len(out) > STAIRCASE_CAP:
                 raise DegreeOverflowError("standard-monomial staircase exceeds the cap")
-            for k in range(nvars):
-                ne = tuple(x + (1 if i == k else 0) for i, x in enumerate(e))
-                if ne not in seen:
-                    seen.add(ne)
-                    new_frontier.append(ne)
+            for step in steps:
+                nk = key + step
+                if nk not in seen:
+                    seen.add(nk)
+                    new_frontier.append(nk)
         frontier = new_frontier
-    return out
+    return [reg.unpack(key) for key in out]
 
 
 @dataclass
@@ -458,11 +541,17 @@ def _nilpotent_move(subset: Tuple[int, ...], n: int) -> List[Tuple[int, ...]]:
     return out
 
 
+# The largest ambient dimension ``carell_chart`` takes.
+CARELL_N_CAP = 4
+
+
 def carell_chart(n: int, p: int) -> CarellChart:
     """Chart equations of the fixed scheme of the principal nilpotent at
     its unique fixed point, with the loop-rotation weights."""
-    if n > 4:
-        raise DegreeOverflowError("the fixed-scheme oracle is bounded at n <= 4")
+    if n < 0:
+        raise ValueError("the ambient dimension n must be non-negative")
+    if n > CARELL_N_CAP:
+        raise DegreeOverflowError(f"the fixed-scheme oracle is bounded at n <= {CARELL_N_CAP}")
     if p < 0 or p > n:
         raise ValueError("subspace dimension out of range")
     subsets = [tuple(s) for s in itertools.combinations(range(1, n + 1), p)]

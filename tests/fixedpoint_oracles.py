@@ -4,7 +4,9 @@ test module; the tests import it by name.
 * The Buchberger engine as it was before it worked on packed keys: every
   leading key is unpacked into an exponent tuple, divisibility and
   quotients are taken field by field on tuples, and each monomial is
-  packed again through the ``MultiPoly`` constructor.
+  packed again through the ``MultiPoly`` constructor.  It tries every
+  pair and returns an unreduced basis; ``reduced`` turns any Groebner
+  basis into the reduced one with the same tuple reductions.
 * The q-polynomials as they were before they became one-variable
   ``MultiPoly``s: dense integer lists, lowest power first, with their own
   product, sum and exact division.
@@ -74,6 +76,30 @@ def buchberger(gens):
         basis.append(s)
         pairs.extend((k, len(basis) - 1) for k in range(len(basis) - 1))
     return basis
+
+
+def _divides(e, f):
+    return all(a <= b for a, b in zip(e, f))
+
+
+def reduced(basis):
+    """The reduced Groebner basis, by increasing leading key, of the ideal
+    of a Groebner basis: drop every element whose leading monomial another
+    element's divides (of two equal ones, the later), reduce each tail by
+    the elements left, and divide by the leading coefficient."""
+    leads = [_unpacked_leading(g)[0] for g in basis]
+    minimal = [
+        g for n, g in enumerate(basis)
+        if not any(_divides(f, leads[n]) and (f != leads[n] or m < n)
+                   for m, f in enumerate(leads) if m != n)
+    ]
+    out = []
+    for g in minimal:
+        e, c = _unpacked_leading(g)
+        lead = MultiPoly(g.registry, {e: c})
+        tail = _reduce(g - lead, [f for f in minimal if f is not g])
+        out.append(MultiPoly(g.registry, {e: 1}) + tail.scale(Frac(1) / Frac(c)))
+    return sorted(out, key=lambda g: g.leading()[0])
 
 
 # -- dense q-polynomials ------------------------------------------------------

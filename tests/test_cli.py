@@ -440,6 +440,9 @@ def test_an_unwritable_report_exits_3_with_one_line(tmp_path, capsys, monkeypatc
         ["verify", "--suite", "all", "--quiver", "{a2}"],
         ["verify", "--suite", "fgl", "--fgl", "multiplicative"],
         ["verify", "--suite", "crosscheck", "--fgl", "multiplicative"],
+        ["carell", "--n", "-1", "--k", "0"],
+        ["carell", "--n", "4", "--k", "5"],
+        ["carell", "--n", "5", "--k", "2"],  # past the fixed-scheme oracle's bound
     ],
 )
 def test_negative_and_malformed_arguments_exit_2(tmp_path, argv):
@@ -464,6 +467,9 @@ def test_negative_and_malformed_arguments_exit_2(tmp_path, argv):
         "verify --suite all --quiver {a2}": "--quiver",
         "verify --suite fgl --fgl multiplicative": "--fgl",
         "verify --suite crosscheck --fgl multiplicative": "--fgl",
+        "carell --n -1 --k 0": "--n -1",
+        "carell --n 4 --k 5": "--k 5",
+        "carell --n 5 --k 2": "--n 5",
     }.get(" ".join(argv))
     # and these rows must exit within a wall-clock bound, in seconds
     seconds = {

@@ -1,6 +1,9 @@
-"""The packed-key Buchberger engine, the ``MultiPoly`` q-polynomials and
-the one-pass ``sl2_enumerate`` against the tuple engine, the dense lists
-and the per-candidate loop they replace (``tests/fixedpoint_oracles.py``)."""
+"""The reduced-basis Buchberger engine, the ``MultiPoly`` q-polynomials
+and the one-pass ``sl2_enumerate`` against the tuple engine, the dense
+lists and the per-candidate loop they replace
+(``tests/fixedpoint_oracles.py``).  The engine's basis is compared with
+the tuple engine's after ``oracle.reduced``, and its Groebner property is
+checked with the tuple engine's division."""
 
 import itertools
 import random
@@ -10,6 +13,7 @@ from fractions import Fraction as F
 import pytest
 
 import fixedpoint_oracles as oracle
+from quivergrass import fixedpoints
 from quivergrass.fixedpoints import (
     WindowOverflowError,
     buchberger,
@@ -30,13 +34,31 @@ def dense(poly):
     return out
 
 
+def assert_groebner(basis, gens):
+    """Every S-polynomial of ``basis`` and every generator reduces to zero
+    under the tuple engine's division, and every coefficient is stored in
+    ``_coeff`` normal form."""
+    for f, g in itertools.combinations(basis, 2):
+        assert oracle._reduce(oracle._spoly(f, g), basis).is_zero(), (f, g)
+    for g in gens:
+        assert oracle._reduce(g, basis).is_zero(), g
+    for g in basis:
+        for c in g.terms.values():
+            assert type(c) is int or (type(c) is F and c.denominator != 1), (g, c)
+
+
+def charts():
+    return [carell_chart(n, p) for n in range(5) for p in range(n + 1)]
+
+
 @pytest.mark.parametrize("n", range(5))
 def test_bases_equal_the_tuple_engine_on_every_carell_chart(n):
     for p in range(n + 1):
         chart = carell_chart(n, p)
         basis = buchberger(chart.equations)
-        assert basis == oracle.buchberger(chart.equations), (n, p)
-        assert [repr(g) for g in basis] == [repr(g) for g in oracle.buchberger(chart.equations)]
+        expected = oracle.reduced(oracle.buchberger(chart.equations))
+        assert basis == expected, (n, p)
+        assert [repr(g) for g in basis] == [repr(g) for g in expected]
         assert standard_monomials(basis, len(chart.variables)) == chart.standard
 
 
@@ -51,14 +73,54 @@ def random_ideal(rng, nvars):
     return reg, gens
 
 
+def random_ideals():
+    for nvars in (2, 3):
+        rng = random.Random(1000 + nvars)
+        for _ in range(40):
+            yield random_ideal(rng, nvars)[1]
+
+
 @pytest.mark.parametrize("nvars", [2, 3])
 def test_bases_equal_the_tuple_engine_on_seeded_random_ideals(nvars):
     rng = random.Random(1000 + nvars)
     for _ in range(40):
         reg, gens = random_ideal(rng, nvars)
         basis = buchberger(gens)
-        assert basis == oracle.buchberger(gens), gens
-        assert [repr(g) for g in basis] == [repr(g) for g in oracle.buchberger(gens)]
+        expected = oracle.reduced(oracle.buchberger(gens))
+        assert basis == expected, gens
+        assert [repr(g) for g in basis] == [repr(g) for g in expected]
+
+
+def test_bases_are_groebner_bases_of_their_generators():
+    ideals = [chart.equations for chart in charts()] + list(random_ideals())
+    assert len(ideals) == 15 + 80
+    for gens in ideals:
+        assert_groebner(buchberger(gens), gens)
+
+
+def test_shuffled_and_rescaled_generators_give_the_same_basis():
+    rng = random.Random(7)
+    scales = [-3, -1, 2, F(1, 2), F(-5, 3)]
+    for gens in [chart.equations for chart in charts()] + list(random_ideals()):
+        moved = [g.scale(rng.choice(scales)) for g in rng.sample(gens, len(gens))]
+        basis = buchberger(gens)
+        assert buchberger(moved) == basis, gens
+        assert [repr(g) for g in buchberger(moved)] == [repr(g) for g in basis]
+
+
+def test_carell_4_2_reduces_44_s_polynomials(monkeypatch):
+    # One normal form per generator, per S-polynomial taken from the pair
+    # queue, and per tail of the reduced basis.  Trying every pair reduced
+    # 126 S-polynomials.
+    calls = []
+    normal_form = fixedpoints._normal_form
+    monkeypatch.setattr(fixedpoints, "_normal_form",
+                        lambda *args: calls.append(1) or normal_form(*args))
+    chart = carell_chart(4, 2)
+    generators, tails = len(chart.equations), 15
+    assert len(calls) - generators - tails == 44
+    monkeypatch.undo()
+    assert len(buchberger(chart.equations)) == tails
 
 
 def test_gaussian_binomials_equal_the_dense_lists():

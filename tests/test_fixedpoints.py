@@ -228,6 +228,13 @@ def test_carell_overflow():
         carell_chart(5, 2)
 
 
+def test_carell_names_the_bad_dimension():
+    with pytest.raises(ValueError, match="ambient dimension n"):
+        carell_chart(-1, 0)
+    with pytest.raises(ValueError, match="subspace dimension"):
+        carell_chart(4, 5)
+
+
 def test_buchberger_small_ideal():
     x, y = aux_var("x", 1), aux_var("y", 2)
     reg = VarRegistry([x, y])
