@@ -10,8 +10,9 @@ The parser is built once per process, on the first ``main`` call, and
 ``poincare`` entry above ``fixedpoints.POINCARE_ENTRY_CAP``, entries
 whose product has a degree above ``fixedpoints.POINCARE_DEGREE_CAP`` or
 whose sum is above ``fixedpoints.POINCARE_SUM_CAP``, a ``carell --n``
-above ``fixedpoints.CARELL_N_CAP``, and an ``ind-rank`` or ``zastava-fiber`` fiber of more than
-``zastava.SYSTEM_CAP`` (2^16) monotone systems.
+above ``fixedpoints.CARELL_N_CAP``, and an ``ind-rank`` or
+``zastava-fiber`` fiber of more than ``zastava.SYSTEM_CAP`` (2^16)
+monotone systems.
 
 Exit codes: 0 all checks passed, 1 a check failed, 2 bad input, 3 the
 report could not be written (a full disk, a closed pipe): one line on

@@ -482,7 +482,7 @@ def standard_monomials(basis: Sequence[MultiPoly], nvars: int) -> List[Tuple[int
     ``nvars`` is the number of variables of the basis's registry."""
     reg = basis[0].registry if basis else VarRegistry(aux_var("x", i) for i in range(nvars))
     divides = reg.divides
-    leads = [max(g.terms) for g in basis if not g.is_zero()]
+    leads = [g.leading()[0] for g in basis if not g.is_zero()]
     steps = [reg.pack([0] * i + [1]) for i in range(nvars)]
     out: List[int] = []
     frontier = [0]
