@@ -10,9 +10,10 @@ The parser is built once per process, on the first ``main`` call, and
 ``poincare`` entry above ``fixedpoints.POINCARE_ENTRY_CAP``, entries
 whose product has a degree above ``fixedpoints.POINCARE_DEGREE_CAP`` or
 whose sum is above ``fixedpoints.POINCARE_SUM_CAP``, a ``carell --n``
-above ``fixedpoints.CARELL_N_CAP``, and an ``ind-rank`` or
-``zastava-fiber`` fiber of more than ``zastava.SYSTEM_CAP`` (2^16)
-monotone systems.
+above ``fixedpoints.CARELL_N_CAP``, a ``shuffle --dim --degree`` weight
+space of more than ``shuffle.WEIGHT_SPACE_CAP`` candidate products with
+their representatives, and an ``ind-rank`` or ``zastava-fiber`` fiber of
+more than ``zastava.SYSTEM_CAP`` (2^16) monotone systems.
 
 Exit codes: 0 all checks passed, 1 a check failed, 2 bad input, 3 the
 report could not be written (a full disk, a closed pipe): one line on
@@ -26,7 +27,8 @@ check fails, and then stop with exit 1.  The ``verify`` suites run on
 their own quivers and laws, so ``verify`` exits 2 on a ``--quiver`` that
 neither ``--suite crosscheck`` nor ``--config`` reads, and on an
 ``--fgl`` that neither ``--suite crosscheck --quiver`` nor ``--config``
-reads.
+reads, and on two different suite names, one positional and one given to
+``--suite``.
 """
 
 from __future__ import annotations
@@ -61,6 +63,7 @@ from .symalg import PoleError, SymalgError
 from .thom import KernelContext, crosscheck
 from .fixedpoints import (
     CARELL_N_CAP,
+    DegreeOverflowError,
     Q,
     carell_chart,
     gaussian_binomial,
@@ -240,7 +243,10 @@ def cmd_shuffle(args) -> Report:
         (alpha,) = _parse_flag(ctx, "--dim", args.dim, single=True)
         echo["dim"] = args.dim
         echo["degree"] = args.degree
-        basis = weight_space(ctx, alpha, args.degree, seed=args.seed)
+        try:
+            basis = weight_space(ctx, alpha, args.degree, seed=args.seed)
+        except DegreeOverflowError as exc:
+            raise DegreeOverflowError(f"--degree {args.degree}: {exc}") from None
         results.append(
             _result(
                 "shuffle.weight_space_dim",
@@ -256,6 +262,10 @@ def cmd_shuffle(args) -> Report:
 
 
 def cmd_verify(args) -> Report:
+    if args.suite and args.suite_flag and args.suite != args.suite_flag:
+        raise ValueError(f"verify {args.suite!r} and --suite {args.suite_flag!r} name two "
+                         "suites; give one")
+    args.suite = args.suite_flag or args.suite or "all"
     one_quiver = args.suite == "crosscheck" and args.quiver  # the per-flag listing of one file
     reads_context = one_quiver or args.config
     if args.quiver and not reads_context:
@@ -536,8 +546,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if not hasattr(args, key):
             setattr(args, key, default)
     args._t0 = time.time()
-    if args.cmd == "verify":
-        args.suite = args.suite_flag or args.suite or "all"
     try:
         echo, results = args.func(args)
     except (QuiverFormatError, SymalgError, PoleError, ValueError, OSError, KeyError) as exc:

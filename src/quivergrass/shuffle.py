@@ -15,8 +15,10 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction as Frac
+from math import comb, factorial, prod
 from typing import Dict, List, Sequence, Tuple
 
+from .fixedpoints import DegreeOverflowError
 from .quiver import ColorWord, DimVector, dim_add, dim_total, dim_zero
 from .symalg import (
     MultiPoly,
@@ -157,6 +159,14 @@ def _random_tau(ctx: KernelContext, rng: random.Random) -> Dict[Variable, Frac]:
     return vals
 
 
+# Candidate words x exponent tuples x the representatives each candidate is
+# summed over, which is (D + n)! / D! at total weight n and degree bound D.
+# At 1000, a1 at weight 2 takes degree bounds up to 30, and the slowest
+# admitted input measured, rank-2 a2 at weight (2, 2) and degree 3, takes
+# 3.5 s (2 vCPUs, interpreter start included).
+WEIGHT_SPACE_CAP = 1000
+
+
 def weight_space(
     ctx: KernelContext,
     alpha: DimVector,
@@ -167,7 +177,8 @@ def weight_space(
 
     The dimension is computed by exact row reduction after specializing
     the dilation coordinates at a random rational point, and confirmed
-    at a second point.
+    at a second point.  Raises ``DegreeOverflowError`` past
+    ``WEIGHT_SPACE_CAP`` before any element is built.
     """
     if dim_total(alpha) > 4:
         raise SymalgError("weight spaces are computed for total weight <= 4")
@@ -177,6 +188,12 @@ def weight_space(
     taus = [_random_tau(ctx, rng), _random_tau(ctx, rng)]
     nx = sum(map(len, element_chart(ctx, alpha).blocks.values()))
     words = _all_words(ctx.quiver, alpha)
+    cost = len(words) * comb(degree_bound + nx, nx) * prod(map(factorial, alpha.values()))
+    if cost > WEIGHT_SPACE_CAP:
+        raise DegreeOverflowError(
+            f"{cost} candidate products with their representatives, "
+            f"above the cap of {WEIGHT_SPACE_CAP}"
+        )
 
     raw: List[ShuffleElement] = []
     if dim_total(alpha) == 0:

@@ -1,13 +1,15 @@
 import errno
 import json
 import os
+import random
 import subprocess
 import sys
-import time
 from pathlib import Path
 
 import pytest
 
+import console_rows
+from console_rows import ROWS
 from quivergrass import checks, cli, fgl, thom
 from quivergrass.cli import EXIT_CHECK_FAILED, EXIT_OK, EXIT_OUTPUT_ERROR, EXIT_PARSE_ERROR, main
 
@@ -19,98 +21,14 @@ A2 = {
 }
 
 
-@pytest.fixture
-def quiver_files(tmp_path):
-    a1 = tmp_path / "a1.json"
-    a1.write_text(json.dumps(A1))
-    a2 = tmp_path / "a2.json"
-    a2.write_text(json.dumps(A2))
-    return str(a1), str(a2)
+DATA = Path(__file__).resolve().parent / "data"
+A1_FILE, A2_FILE = str(DATA / "a1.json"), str(DATA / "a2.json")  # the two quivers above
 
 
 def run(capsys, argv):
     code = main(argv)
     out = capsys.readouterr().out
     return code, out
-
-
-def test_kernel_command(quiver_files, capsys):
-    a1, a2 = quiver_files
-    code, out = run(capsys, ["kernel", "--quiver", a2, "--flag", "1,0|0,1", "--fgl", "additive"])
-    assert code == EXIT_OK
-    assert "kernel" in out and "dual_assembly_unit" in out
-
-
-def test_kernel_classical(quiver_files, capsys):
-    a1, a2 = quiver_files
-    code, out = run(capsys, ["kernel", "--quiver", a2, "--flag", "1,1", "--classical"])
-    assert code == EXIT_OK
-    assert "classical.multiplicity.1-2: 1" in out
-
-
-def test_shuffle_word_prints_two(quiver_files, capsys):
-    a1, _ = quiver_files
-    code, out = run(capsys, ["shuffle", "--quiver", a1, "--word", "1,1"])
-    assert code == EXIT_OK
-    assert "shuffle.product: 2" in out
-
-
-def test_shuffle_word_with_tau_zero(quiver_files, capsys):
-    a1, _ = quiver_files
-    code, out = run(capsys, ["shuffle", "--quiver", a1, "--word", "1,1", "--tau", "0"])
-    assert code == EXIT_OK
-    assert "shuffle.product: 2" in out
-
-
-def test_shuffle_weight_space(capsys):
-    code, out = run(capsys, ["shuffle", "--dim", "2", "--degree", "2"])
-    assert code == EXIT_OK
-    assert "weight_space_dim: 4" in out
-
-
-def test_poincare(capsys):
-    code, out = run(capsys, ["poincare", "--alpha", "2"])
-    assert code == EXIT_OK
-    assert "3 + q" in out
-
-
-def test_carell(capsys):
-    code, out = run(capsys, ["carell", "--n", "3", "--k", "1"])
-    assert code == EXIT_OK
-    assert "carell.dim: 3" in out
-
-
-def test_ind_rank(capsys):
-    code, out = run(capsys, ["ind-rank", "--poset", "chain:2", "--divisor", "a:i:1"])
-    assert code == EXIT_OK
-    assert "ind_rank: 3" in out
-
-
-def test_sl2(capsys):
-    code, out = run(capsys, ["sl2-lattice", "--p", "2", "--e", "2", "--n", "1", "--window", "4"])
-    assert code == EXIT_OK
-    assert "sl2.count: 2" in out
-
-
-def test_sl2_over_eps_cubed_needs_no_inverse_window(capsys):
-    # Q^-1 of a tail of length 3 reaches z^-6, outside the window; without
-    # --m no inverse is built
-    code, out = run(capsys, ["sl2-lattice", "--p", "2", "--e", "3", "--n", "0", "--window", "3"])
-    assert code == EXIT_OK
-    assert "sl2.count: 1" in out
-
-
-def test_zastava_fiber(quiver_files, tmp_path, capsys):
-    a1, _ = quiver_files
-    cfg = tmp_path / "fiber.json"
-    cfg.write_text(json.dumps({
-        "tau": ["1/3"], "poset": "chain:1",
-        "points": [{"id": "a", "color": "1", "coord": 0},
-                   {"id": "b", "color": "1", "coord": 7}],
-    }))
-    code, out = run(capsys, ["zastava-fiber", "--quiver", a1, "--config", str(cfg)])
-    assert code == EXIT_OK
-    assert "zastava.rank: 4" in out
 
 
 def test_verify_fgl_json_schema(capsys):
@@ -122,54 +40,19 @@ def test_verify_fgl_json_schema(capsys):
     assert "elapsed_ms" not in report  # deterministic by default
 
 
-def test_verify_locality_config(quiver_files, tmp_path, capsys):
-    a1, _ = quiver_files
-    cfg = tmp_path / "pts.json"
-    cfg.write_text(json.dumps({"tau": [1], "D1": {"1": [0]}, "D2": {"1": [5]}}))
-    code, out = run(capsys, ["verify", "fgl", "--quiver", a1, "--config", str(cfg)])
-    assert code == EXIT_OK
-    assert "locality.config" in out
-
-
-def test_verify_locality_config_with_a_reversed_arrow_shift(capsys):
-    # rank-2 a2 with mu(h1) = d1, mu(h1*) = d2 and tau = (1, 2): D1^2 + mu(h1)
-    # = 0 + 1 lands on D2^1, the zero of a rep_lower factor
-    data = Path(__file__).resolve().parent / "data"
-    code, out = run(capsys, ["verify", "locality", "--quiver", str(data / "a2_rank2.json"),
-                             "--config", str(data / "a2_rank2_config.json")])
-    assert code == EXIT_OK
-    assert "locality.config: not disjoint; zero at rep_lower[h1;" in out
-
-
-def test_verify_crosscheck_single_quiver_lists_units(quiver_files, capsys):
-    a1, _ = quiver_files
-    code, out = run(capsys, ["verify", "--suite", "crosscheck", "--quiver", a1])
+def test_verify_crosscheck_single_quiver_lists_units(capsys):
+    code, out = run(capsys, ["verify", "--suite", "crosscheck", "--quiver", A1_FILE])
     assert code == EXIT_OK
     lines = [l for l in out.splitlines() if "crosscheck.flag[" in l]
     assert len(lines) == 15  # all flag types of total dimension <= 4 on one vertex
     assert all("[pass]" in l for l in lines)
 
 
-def test_deterministic_reports(quiver_files, capsys):
-    a1, _ = quiver_files
-    argv = ["--format", "json", "--seed", "5", "shuffle", "--quiver", a1, "--word", "1,1"]
+def test_deterministic_reports(capsys):
+    argv = ["--format", "json", "--seed", "5", "shuffle", "--quiver", A1_FILE, "--word", "1,1"]
     _, out1 = run(capsys, argv)
     _, out2 = run(capsys, argv)
     assert out1 == out2
-
-
-def test_parse_error_exit_code(capsys):
-    code = main(["kernel", "--quiver", "/nonexistent.json", "--flag", "1"])
-    assert code == EXIT_PARSE_ERROR
-
-
-def test_series_selector(tmp_path, quiver_files, capsys):
-    a1, _ = quiver_files
-    law = tmp_path / "law.json"
-    law.write_text('{"N": 4, "coeffs": {"1,1": "-1"}}')
-    code, out = run(capsys, ["shuffle", "--quiver", a1, "--word", "1",
-                             "--fgl", f"series:{law}"])
-    assert code == EXIT_OK
 
 
 def test_global_flags_both_positions(capsys):
@@ -182,16 +65,16 @@ def test_global_flags_both_positions(capsys):
 def test_a_global_flag_does_not_outlive_its_call(capsys):
     # the parser is shared by every call; what one call parses must not
     # leak into the next
-    a2 = str(Path(__file__).resolve().parent / "data" / "a2.json")
     goldens = json.loads((Path(__file__).resolve().parent / "goldens" / "kernel.json").read_text())
     key = "kernel --quiver tests/data/a2.json --flag 1,1|1,0 --fgl {} --format text"
-    code, out = run(capsys, ["--fgl", "multiplicative", "kernel", "--quiver", a2, "--flag", "1,1|1,0"])
+    code, out = run(capsys, ["--fgl", "multiplicative", "kernel", "--quiver", A2_FILE,
+                             "--flag", "1,1|1,0"])
     assert code == EXIT_OK and out == goldens[key.format("multiplicative")]
-    code, out = run(capsys, ["kernel", "--quiver", a2, "--flag", "1,1|1,0"])
+    code, out = run(capsys, ["kernel", "--quiver", A2_FILE, "--flag", "1,1|1,0"])
     assert code == EXIT_OK and out == goldens[key.format("additive")]
     before = run(capsys, ["--format", "json", "--fgl", "multiplicative",
-                          "kernel", "--quiver", a2, "--flag", "1,1|1,0"])
-    after = run(capsys, ["kernel", "--quiver", a2, "--flag", "1,1|1,0",
+                          "kernel", "--quiver", A2_FILE, "--flag", "1,1|1,0"])
+    after = run(capsys, ["kernel", "--quiver", A2_FILE, "--flag", "1,1|1,0",
                          "--fgl", "multiplicative", "--format", "json"])
     assert before == after and json.loads(before[1])["config_echo"]["fgl"] == "multiplicative"
 
@@ -273,17 +156,16 @@ def test_malformed_weights_exits_2(tmp_path, capsys, weights):
     assert "weights" in capsys.readouterr().err
 
 
-def test_reports_do_not_depend_on_the_hash_seed(quiver_files, tmp_path):
-    _, a2 = quiver_files
+def test_reports_do_not_depend_on_the_hash_seed(tmp_path):
     law = tmp_path / "law.json"
     law.write_text('{"N": 4, "coeffs": {"1,2": "1", "2,1": "-1/2"}}')
     commands = [
-        ["verify", "--suite", "crosscheck", "--quiver", a2],
-        ["kernel", "--quiver", a2, "--flag", "1,1|1,0", "--fgl", "multiplicative"],
-        ["kernel", "--quiver", a2, "--flag", "1,1|1,0", "--fgl", f"series:{law}"],
+        ["verify", "--suite", "crosscheck", "--quiver", A2_FILE],
+        ["kernel", "--quiver", A2_FILE, "--flag", "1,1|1,0", "--fgl", "multiplicative"],
+        ["kernel", "--quiver", A2_FILE, "--flag", "1,1|1,0", "--fgl", f"series:{law}"],
         # a symmetrized sum of three terms, and a product with one representative
-        ["shuffle", "--quiver", a2, "--word", "1,2,1"],
-        ["shuffle", "--quiver", a2, "--word", "1,2"],
+        ["shuffle", "--quiver", A2_FILE, "--word", "1,2,1"],
+        ["shuffle", "--quiver", A2_FILE, "--word", "1,2"],
     ]
     src = str(Path(__file__).resolve().parent.parent / "src")
     for command in commands:
@@ -296,12 +178,12 @@ def test_reports_do_not_depend_on_the_hash_seed(quiver_files, tmp_path):
         assert outs[0] and outs[0] == outs[1] == outs[2]
 
 
-def test_kernel_report_is_the_same_from_a_cold_and_a_warm_memo(quiver_files, tmp_path, capsys):
-    _, a2 = quiver_files
+def test_kernel_report_is_the_same_from_a_cold_and_a_warm_memo(tmp_path, capsys):
     law = tmp_path / "law.json"
     law.write_text('{"N": 4, "coeffs": {"1,2": "1", "2,1": "-1/2"}}')
     for spec in ("additive", "multiplicative", f"series:{law}"):
-        argv = ["--format", "json", "kernel", "--quiver", a2, "--flag", "1,1|1,0", "--fgl", spec]
+        argv = ["--format", "json", "kernel", "--quiver", A2_FILE, "--flag", "1,1|1,0",
+                "--fgl", spec]
         fgl._ORIENTATIONS.clear()
         cold = run(capsys, argv)
         warm = run(capsys, argv)
@@ -319,11 +201,10 @@ def test_kernel_report_is_the_same_from_a_cold_and_a_warm_memo(quiver_files, tmp
         '{"N": 4, "coeffs": {"1": "-1"}}',
     ],
 )
-def test_malformed_series_law_exits_2(quiver_files, tmp_path, capsys, text):
-    a1, _ = quiver_files
+def test_malformed_series_law_exits_2(tmp_path, capsys, text):
     law = tmp_path / "law.json"
     law.write_text(text)
-    code = main(["kernel", "--quiver", a1, "--flag", "1|1", "--fgl", f"series:{law}"])
+    code = main(["kernel", "--quiver", A1_FILE, "--flag", "1|1", "--fgl", f"series:{law}"])
     assert code == EXIT_PARSE_ERROR
     assert "error:" in capsys.readouterr().err
 
@@ -337,11 +218,10 @@ def test_malformed_series_law_exits_2(quiver_files, tmp_path, capsys, text):
         {"tau": 1},
     ],
 )
-def test_malformed_point_config_exits_2(quiver_files, tmp_path, capsys, config):
-    a1, _ = quiver_files
+def test_malformed_point_config_exits_2(tmp_path, capsys, config):
     cfg = tmp_path / "pts.json"
     cfg.write_text(json.dumps(config))
-    code = main(["verify", "fgl", "--quiver", a1, "--config", str(cfg)])
+    code = main(["verify", "fgl", "--quiver", A1_FILE, "--config", str(cfg)])
     assert code == EXIT_PARSE_ERROR
     assert "error:" in capsys.readouterr().err
 
@@ -356,11 +236,10 @@ def test_malformed_point_config_exits_2(quiver_files, tmp_path, capsys, config):
         {"tau": ["1/3"], "points": [{"id": "a", "color": "1", "coord": 0, "multiplicity": "1"}]},
     ],
 )
-def test_malformed_fiber_config_exits_2(quiver_files, tmp_path, capsys, config):
-    a1, _ = quiver_files
+def test_malformed_fiber_config_exits_2(tmp_path, capsys, config):
     cfg = tmp_path / "fiber.json"
     cfg.write_text(json.dumps(config))
-    code = main(["zastava-fiber", "--quiver", a1, "--config", str(cfg)])
+    code = main(["zastava-fiber", "--quiver", A1_FILE, "--config", str(cfg)])
     assert code == EXIT_PARSE_ERROR
     assert "error:" in capsys.readouterr().err
 
@@ -398,115 +277,22 @@ def test_an_unwritable_report_exits_3_with_one_line(tmp_path, capsys, monkeypatc
     assert err == f"error: cannot write the report: {error}\n"
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["ind-rank", "--poset", "{list_poset}", "--divisor", "a:i:2"],
-        ["ind-rank", "--poset", "{bad_relations}", "--divisor", "a:i:2"],
-        ["sl2-lattice", "--p", "2", "--e", "2", "--n", "-1", "--window", "4"],
-        ["sl2-lattice", "--p", "2", "--e", "2", "--n", "1", "--window", "4", "--m", "-1"],
-        ["poincare", "--alpha", "-1"],
-        ["shuffle", "--dim", "2", "--degree", "-1"],
-        ["shuffle", "--dim=-1"],
-        ["shuffle", "--dim", "1,1"],  # a1 has one vertex
-        ["kernel", "--quiver", "{a2}", "--flag=-1,0"],
-        ["kernel", "--quiver", "{a2}", "--flag", "1", "--classical"],
-        ["shuffle", "--dim", "1|1"],
-        ["ind-rank", "--poset", "chain:2", "--divisor", "a:i"],
-        ["kernel", "--quiver", "{a2}", "--flag", "2,1|0,1", "--classical"],
-        ["poincare", "--alpha", "x"],
-        ["poincare", "--alpha", "1,,2"],
-        ["ind-rank", "--poset", "chain:x", "--divisor", "a:i:1"],
-        ["shuffle", "--word", "1", "--tau", "x"],
-        ["shuffle", "--word", "1", "--tau", "1/0"],  # raised ZeroDivisionError
-        ["zastava-fiber", "--config", "{fiber}", "--tau", "x"],
-        # a repeated point id, whatever its colors
-        ["ind-rank", "--poset", "chain:2", "--divisor", "a:i:1,a:j:2"],
-        ["zastava-fiber", "--quiver", "{data}/a2_rank2.json",
-         "--config", "{data}/fiber_repeated_id.json"],
-        # over the state budget; once built every ring element first
-        ["sl2-lattice", "--p", "2", "--e", "40", "--n", "0", "--window", "40"],
-        ["sl2-lattice", "--p", "1000003", "--e", "2", "--n", "0", "--window", "2"],
-        # past the monotone-system budget of 2^16, or a poincare bound
-        ["ind-rank", "--poset", "antichain:12", "--divisor", "a:i:3"],
-        ["ind-rank", "--poset", "chain:30", "--divisor", "a:i:30"],
-        ["ind-rank", "--poset", "chain:1", "--divisor", "a:i:70000"],
-        ["zastava-fiber", "--config", "{wide_fiber}"],
-        ["poincare", "--alpha", "1000"],
-        ["poincare", "--alpha", ",".join(["32"] * 16)],  # every entry at the cap
-        ["poincare", "--alpha", ",".join(["1"] * 20000)],  # 2^20000 at q = 1
-        # an option that no part of the run reads, before any suite runs
-        ["verify", "--suite", "locality", "--quiver", "/nonexistent.json"],
-        ["verify", "--suite", "all", "--quiver", "{a2}"],
-        ["verify", "--suite", "fgl", "--fgl", "multiplicative"],
-        ["verify", "--suite", "crosscheck", "--fgl", "multiplicative"],
-        ["carell", "--n", "-1", "--k", "0"],
-        ["carell", "--n", "4", "--k", "5"],
-        ["carell", "--n", "5", "--k", "2"],  # past the fixed-scheme oracle's bound
-    ],
-)
-def test_negative_and_malformed_arguments_exit_2(tmp_path, argv):
-    # these rows' messages must name the option (or the id) they reject
-    option = {
-        "shuffle --dim 1,1": "--dim",
-        "kernel --quiver {a2} --flag=-1,0": "--flag",
-        "kernel --quiver {a2} --flag 1 --classical": "--flag",
-        "shuffle --dim 1|1": "--dim",
-        "ind-rank --poset chain:2 --divisor a:i": "--divisor",
-        "kernel --quiver {a2} --flag 2,1|0,1 --classical": "--classical",
-        "poincare --alpha x": "--alpha",
-        "poincare --alpha 1,,2": "--alpha",
-        "ind-rank --poset chain:x --divisor a:i:1": "--poset",
-        "shuffle --word 1 --tau x": "--tau",
-        "shuffle --word 1 --tau 1/0": "--tau",
-        "zastava-fiber --config {fiber} --tau x": "--tau",
-        "ind-rank --poset chain:2 --divisor a:i:1,a:j:2": "--divisor 'a:i:1,a:j:2': point id 'a'",
-        "zastava-fiber --quiver {data}/a2_rank2.json --config {data}/fiber_repeated_id.json":
-            "point id 'a' is repeated",
-        "verify --suite locality --quiver /nonexistent.json": "--quiver",
-        "verify --suite all --quiver {a2}": "--quiver",
-        "verify --suite fgl --fgl multiplicative": "--fgl",
-        "verify --suite crosscheck --fgl multiplicative": "--fgl",
-        "carell --n -1 --k 0": "--n -1",
-        "carell --n 4 --k 5": "--k 5",
-        "carell --n 5 --k 2": "--n 5",
-    }.get(" ".join(argv))
-    # and these rows must exit within a wall-clock bound, in seconds
-    seconds = {
-        "sl2-lattice --p 2 --e 40 --n 0 --window 40": 2.0,
-        "sl2-lattice --p 1000003 --e 2 --n 0 --window 2": 2.0,
-        "ind-rank --poset antichain:12 --divisor a:i:3": 1.0,
-        "ind-rank --poset chain:30 --divisor a:i:30": 1.0,
-        "ind-rank --poset chain:1 --divisor a:i:70000": 1.0,
-        "zastava-fiber --config {wide_fiber}": 1.0,
-        "poincare --alpha 1000": 1.0,
-        "poincare --alpha " + ",".join(["32"] * 16): 1.0,
-        "poincare --alpha " + ",".join(["1"] * 20000): 1.0,
-        "verify --suite all --quiver {a2}": 1.0,
-    }.get(" ".join(argv))
-    fiber = {"tau": ["1/3"], "points": [{"id": "a", "color": "1", "coord": 0}]}
-    wide_fiber = {"tau": ["1/3"], "poset": "antichain:9",  # 4^9 systems
-                  "points": [{"id": "a", "color": "1", "coord": 0},
-                             {"id": "b", "color": "1", "coord": 7}]}
-    files = {"list_poset": [1, 2], "bad_relations": {"elements": ["a"], "relations": 3}, "a2": A2,
-             "fiber": fiber, "wide_fiber": wide_fiber}
-    for name, data in files.items():
-        (tmp_path / f"{name}.json").write_text(json.dumps(data))
-    argv = [a.format(data=DATA, **{n: tmp_path / f"{n}.json" for n in files}) for a in argv]
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    started = time.perf_counter()
-    proc = subprocess.run(
-        [sys.executable, "-m", "quivergrass.cli", *argv],
-        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
-    )
-    elapsed = time.perf_counter() - started
-    assert proc.returncode == EXIT_PARSE_ERROR
-    assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
-    assert option is None or option in proc.stderr, proc.stderr
-    assert seconds is None or elapsed < seconds, elapsed
+def _row_id(row):
+    return row.text.replace("{data}/", "")[:70]
 
 
-DATA = Path(__file__).resolve().parent / "data"
+@pytest.mark.parametrize("row", [row for row in ROWS if not row.stdout], ids=_row_id)
+def test_console_row(row):
+    assert not console_rows.problems(row)
+
+
+@pytest.mark.parametrize("row", [row for row in ROWS if row.stdout], ids=_row_id)
+def test_console_row_through_the_entry_point(monkeypatch, row):
+    # the report goes to a real file, such as /dev/full
+    monkeypatch.setenv("PYTHONPATH", str(Path(__file__).resolve().parent.parent / "src"))
+    assert not console_rows.problems(row, [sys.executable, "-m", "quivergrass.cli"])
+
+
 GOOD = {"quiver": DATA / "a2_rank2.json", "points": DATA / "a2_rank2_config.json",
         "fiber": DATA / "a2_rank2_fiber.json"}
 
@@ -586,19 +372,6 @@ def test_every_file_reader_rejects_every_bad_file_kind(tmp_path, capsys, argv, b
 INCONSISTENT = str(DATA / "kronecker2_full.json")  # default weights on the full torus
 
 
-@pytest.mark.parametrize("argv", [
-    ["shuffle", "--quiver", INCONSISTENT, "--word", "1,2"],
-    ["verify", "--suite", "crosscheck", "--quiver", INCONSISTENT],
-    ["verify", "fgl", "--quiver", INCONSISTENT, "--config", str(GOOD["points"])],
-    ["zastava-fiber", "--quiver", INCONSISTENT, "--config", str(GOOD["fiber"])],
-])
-def test_an_inconsistent_quiver_file_fails_its_dilation_check(capsys, argv):
-    code, out = run(capsys, argv)
-    assert code == EXIT_CHECK_FAILED
-    assert out == ("[fail] quiver.dilation_consistency: h1:violated; h2:violated"
-                   "  (expected: weight pairs restrict to the symplectic character)\n")
-
-
 def test_the_kernel_command_reports_an_inconsistent_file_and_goes_on(capsys):
     code, out = run(capsys, ["kernel", "--quiver", INCONSISTENT, "--flag", "1,0|0,1"])
     assert code == EXIT_CHECK_FAILED
@@ -632,3 +405,43 @@ def test_zero_coordinates_stay_points_of_the_additive_group(capsys):
                   "--config", str(DATA / "points_tau_zero.json")]):
         code, _ = run(capsys, argv)
         assert code == EXIT_OK
+
+
+# Junk for any node of an input file: 10^400 overflows a float, and the
+# 5,000-digit string is past the interpreter's int-from-text limit.
+JUNK = [None, [], {}, "", "x", "1/0", -1, 0, 1.5, True, 10 ** 400, "9" * 5000, [[]], {"": None}]
+FUZZED = {  # a file, and the commands that read a broken copy of it as {file}
+    "a2.json": ["kernel --quiver {file} --flag 1,0|0,1", "shuffle --quiver {file} --word 1,2"],
+    "a1_fiber.json": ["zastava-fiber --config {file}"],
+    "a2_rank2_config.json": ["verify fgl --quiver {data}/a2_rank2.json --config {file}"],
+    "series4.json": ["kernel --quiver {data}/a2.json --flag 1,1|1,0 --fgl series:{file}"],
+    "poset_diamond.json": ["ind-rank --poset {file} --divisor a:i:2"],
+}
+
+
+def _broken(node):
+    """Every copy of a JSON value with one node replaced by junk or deleted."""
+    yield from JUNK
+    for key in node if isinstance(node, dict) else range(len(node)) if isinstance(node, list) else ():
+        copy = node.copy()
+        del copy[key]
+        yield copy
+        for child in _broken(node[key]):
+            copy = node.copy()
+            copy[key] = child
+            yield copy
+
+
+def test_a_broken_input_file_exits_0_1_or_2_within_5_seconds(tmp_path):
+    cases = [(name, text, broken) for name, texts in FUZZED.items()
+             for broken in _broken(json.loads((DATA / name).read_text())) for text in texts]
+    for name, text, broken in random.Random(26).sample(cases, 500):
+        file = tmp_path / name
+        file.write_text(json.dumps(broken))
+        case = f"{text} on {file.read_text()[:200]}"
+        try:
+            code, _, _, seconds = console_rows.run(
+                [word.replace("{file}", str(file)) for word in console_rows.words(text)])
+        except Exception as exc:  # a traceback at the console
+            raise AssertionError(case) from exc
+        assert code in (EXIT_OK, EXIT_CHECK_FAILED, EXIT_PARSE_ERROR) and seconds < 5, case
