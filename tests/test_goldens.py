@@ -2,8 +2,10 @@
 compared with the files under ``tests/goldens``.
 
 * ``shuffle.json`` holds the full text and JSON reports of ``shuffle
-  --word`` and ``shuffle --dim``, and the sha256 of the text reports of
-  ``verify --suite ideal`` and ``verify --suite assoc``.
+  --word``, of ``shuffle --dim`` on a1 at weights 0 to 3 and on the
+  rank-2 torus of a2 at weight (1, 1) under the additive,
+  multiplicative and series4 laws, and the sha256 of the text reports
+  of ``verify --suite ideal`` and ``verify --suite assoc``.
 * ``fixedpoints.json`` holds the text and JSON reports of ``carell`` for
   every n <= 4 and 0 <= k <= n, of ``poincare`` on four dimension
   vectors, and of five ``sl2-lattice`` commands: the one the benchmark
@@ -44,9 +46,14 @@ ROOT = Path(__file__).resolve().parent.parent
 GOLDENS = ROOT / "tests" / "goldens"
 DATA = "tests/data"
 A2 = f"{DATA}/a2_rank2.json"
+LAWS = ("additive", "multiplicative", f"series:{DATA}/series4.json")
 
 WORDS = [([], "1,1"), ([], "1,1,1"),
          (["--quiver", A2], "1,2"), (["--quiver", A2], "1,2,1"), (["--quiver", A2], "2,1,1,2")]
+
+# (options, --dim, --degree) of the weight-space reports
+DIMS = [([], "0", "2"), ([], "1", "2"), ([], "3", "2")] + [
+    (["--quiver", A2, "--fgl", law], "1,1", "4") for law in LAWS]
 
 # (argv, stored as a sha256 of the report instead of the report itself)
 SHUFFLE = [
@@ -56,6 +63,11 @@ SHUFFLE = [
     for fmt in ("text", "json")
 ] + [
     (["shuffle", "--dim", "2", "--degree", "2"], False),
+] + [
+    (["shuffle", *options, "--dim", dim, "--degree", degree, "--format", fmt], False)
+    for options, dim, degree in DIMS
+    for fmt in ("text", "json")
+] + [
     (["verify", "--suite", "ideal"], True),
     (["verify", "--suite", "assoc"], True),
 ]
@@ -75,8 +87,6 @@ FIXEDPOINTS = [
     )
     for fmt in ("text", "json")
 ]
-
-LAWS = ("additive", "multiplicative", f"series:{DATA}/series4.json")
 
 # (quiver file, flags of the kernel, flags of the classical kernel)
 FLAGS = [
