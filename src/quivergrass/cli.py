@@ -27,8 +27,8 @@ check fails, and then stop with exit 1.  The ``verify`` suites run on
 their own quivers and laws, so ``verify`` exits 2 on a ``--quiver`` that
 neither ``--suite crosscheck`` nor ``--config`` reads, and on an
 ``--fgl`` that neither ``--suite crosscheck --quiver`` nor ``--config``
-reads, and on two different suite names, one positional and one given to
-``--suite``.
+reads, on any ``--tau``, and on two different suite names, one positional
+and one given to ``--suite``.
 """
 
 from __future__ import annotations
@@ -53,13 +53,14 @@ from .locality import (
 )
 from .quiver import (
     QuiverFormatError,
+    dim_total,
     json_int,
     json_rational,
     load_quiver,
     stock_quiver,
 )
 from .shuffle import weight_space, word_product
-from .symalg import PoleError, SymalgError
+from .symalg import SymalgError
 from .thom import KernelContext, crosscheck
 from .fixedpoints import (
     CARELL_N_CAP,
@@ -243,15 +244,19 @@ def cmd_shuffle(args) -> Report:
         (alpha,) = _parse_flag(ctx, "--dim", args.dim, single=True)
         echo["dim"] = args.dim
         echo["degree"] = args.degree
+        if dim_total(alpha) > 4:
+            raise ValueError(f"--dim {args.dim}: expected a total weight of at most 4")
+        if args.degree < 0:
+            raise ValueError(f"--degree {args.degree}: expected a non-negative integer")
         try:
-            basis = weight_space(ctx, alpha, args.degree, seed=args.seed)
+            dim = weight_space(ctx, alpha, args.degree, seed=args.seed)
         except DegreeOverflowError as exc:
             raise DegreeOverflowError(f"--degree {args.degree}: {exc}") from None
         results.append(
             _result(
                 "shuffle.weight_space_dim",
                 True,
-                basis.dimension,
+                dim,
                 "",
                 "exact row reduction at two random dilation points",
             )
@@ -274,6 +279,9 @@ def cmd_verify(args) -> Report:
     if "fgl" in args._given and not reads_context:
         raise ValueError(f"--fgl {args.fgl}: --suite {args.suite} runs its own laws; only "
                          "--suite crosscheck with --quiver and --config read --fgl")
+    if "tau" in args._given:
+        raise ValueError(f"--tau {args.tau}: verify reads no --tau; a --config file gives its "
+                         "own tau")
     echo = {"suite": args.suite, "seed": args.seed}
     ctx = _load_context(args) if reads_context else None
     if ctx is not None and not ctx.dilation_report.all_ok:
@@ -548,7 +556,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args._t0 = time.time()
     try:
         echo, results = args.func(args)
-    except (QuiverFormatError, SymalgError, PoleError, ValueError, OSError, KeyError) as exc:
+    except (QuiverFormatError, SymalgError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE_ERROR
     try:

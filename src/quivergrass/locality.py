@@ -201,8 +201,6 @@ def verify_trivialization(
 
 @dataclass
 class MLocalityReport:
-    word1: ColorWord
-    word2: ColorWord
     identity_holds: bool
 
 
@@ -218,7 +216,7 @@ def verify_m_locality(
     """
     combined: ColorWord = tuple(word1) + tuple(word2)
     if not combined:
-        return MLocalityReport(word1, word2, True)
+        return MLocalityReport(True)
     n1 = len(word1)
     parts: List[Tuple[ThomKernel, Place]] = []
     if word1:
@@ -237,7 +235,7 @@ def verify_m_locality(
         parts.append((ctx.biextension_kernel(alpha, beta),
                       lambda g, v, s: (slots[g - 1][v][s - 1], 1)))
     quotient = divisor_quotient(ctx.word_kernel(combined), parts)
-    return MLocalityReport(word1, word2, quotient.is_scalar() and quotient.unit == 1)
+    return MLocalityReport(quotient.is_scalar() and quotient.unit == 1)
 
 
 def parse_point_config(data: Mapping) -> Tuple[PointConfig, PointConfig, List[Frac]]:

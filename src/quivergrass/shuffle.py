@@ -1,4 +1,4 @@
-"""The twisted shuffle product and spans of generator products.
+"""The twisted shuffle product and weight-space dimensions.
 
 Elements of a given weight live on the one-slot chart of that weight
 (coordinates x[1, i, s] per vertex i) and are invariant under the
@@ -6,7 +6,9 @@ per-vertex permutations of their coordinates.  The product of two
 elements places them on disjoint coordinate blocks, multiplies by the
 pair kernel of the two blocks, and sums over all per-vertex block
 shuffles.  Denominators introduced by the kernel cancel after the sum;
-the product of polynomial elements is again polynomial.
+the product of polynomial elements is again polynomial.  ``weight_space``
+gives the dimension of the span of generator products times
+bounded-degree monomials at one weight.
 """
 
 from __future__ import annotations
@@ -18,13 +20,13 @@ from fractions import Fraction as Frac
 from math import comb, factorial, prod
 from typing import Dict, List, Sequence, Tuple
 
-from .fixedpoints import DegreeOverflowError
+from .fixedpoints import DegreeOverflowError, _monic, _normal_form
+from .locality import tau_point
 from .quiver import ColorWord, DimVector, dim_add, dim_total, dim_zero
 from .symalg import (
     MultiPoly,
     RationalFunction,
     SymalgError,
-    Variable,
     symmetrize,
 )
 from .thom import KernelContext, TorusChart
@@ -130,18 +132,6 @@ def monomial_element(
     return ShuffleElement(weight, result, result.is_regular())
 
 
-@dataclass
-class WeightSpaceBasis:
-    weight: DimVector
-    degree_bound: int
-    elements: List[ShuffleElement]
-    dimension: int
-    tau_points: List[Dict[Variable, Frac]]
-
-    def __repr__(self) -> str:
-        return f"WeightSpaceBasis(weight={self.weight}, dim={self.dimension})"
-
-
 def _all_words(quiver, alpha: DimVector) -> List[ColorWord]:
     letters: List[str] = []
     for v in quiver.vertices:
@@ -149,21 +139,24 @@ def _all_words(quiver, alpha: DimVector) -> List[ColorWord]:
     return sorted(set(itertools.permutations(letters)))
 
 
-def _random_tau(ctx: KernelContext, rng: random.Random) -> Dict[Variable, Frac]:
-    from .symalg import d_var
-
-    # Avoid small coincidences among shift values.
-    vals = {}
-    for k in range(1, ctx.dilation.rank + 1):
-        vals[d_var(k)] = Frac(rng.randint(50, 400), rng.randint(1, 7))
-    return vals
+def _rank(polys: Sequence[MultiPoly]) -> int:
+    """The dimension of the span of ``polys``: each term of each is reduced
+    by the basis element whose leading key is that term's, and a nonzero
+    remainder joins the basis."""
+    basis: List[Tuple[int, Dict[int, Frac]]] = []
+    for p in polys:
+        rem = _normal_form(dict(p.terms), basis, int.__eq__)
+        if rem:
+            basis.append(_monic(rem))
+    return len(basis)
 
 
 # Candidate words x exponent tuples x the representatives each candidate is
 # summed over, which is (D + n)! / D! at total weight n and degree bound D.
 # At 1000, a1 at weight 2 takes degree bounds up to 30, and the slowest
-# admitted input measured, rank-2 a2 at weight (2, 2) and degree 3, takes
-# 3.5 s (2 vCPUs, interpreter start included).
+# admitted input measured, cyclic3 on a rank-2 torus with every arrow
+# weight 1 at weight (2, 1, 1) and degree 3, takes 5 to 9 s (2 shared
+# vCPUs, interpreter start included).
 WEIGHT_SPACE_CAP = 1000
 
 
@@ -172,83 +165,39 @@ def weight_space(
     alpha: DimVector,
     degree_bound: int,
     seed: int = 7,
-) -> WeightSpaceBasis:
-    """Span of all generator-order products times bounded-degree monomials.
+) -> int:
+    """Dimension of the span of all generator-order products times
+    bounded-degree monomials.
 
     The dimension is computed by exact row reduction after specializing
     the dilation coordinates at a random rational point, and confirmed
     at a second point.  Raises ``DegreeOverflowError`` past
     ``WEIGHT_SPACE_CAP`` before any element is built.
     """
-    if dim_total(alpha) > 4:
+    n = dim_total(alpha)
+    if n > 4:
         raise SymalgError("weight spaces are computed for total weight <= 4")
     if degree_bound < 0:
         raise SymalgError("the degree bound must be non-negative")
     rng = random.Random(seed)
-    taus = [_random_tau(ctx, rng), _random_tau(ctx, rng)]
-    nx = sum(map(len, element_chart(ctx, alpha).blocks.values()))
+    # Shift values away from small coincidences.
+    taus = [tau_point(ctx, [Frac(rng.randint(50, 400), rng.randint(1, 7))
+                            for _ in range(ctx.dilation.rank)]) for _ in range(2)]
     words = _all_words(ctx.quiver, alpha)
-    cost = len(words) * comb(degree_bound + nx, nx) * prod(map(factorial, alpha.values()))
+    cost = len(words) * comb(degree_bound + n, n) * prod(map(factorial, alpha.values()))
     if cost > WEIGHT_SPACE_CAP:
         raise DegreeOverflowError(
             f"{cost} candidate products with their representatives, "
             f"above the cap of {WEIGHT_SPACE_CAP}"
         )
-
-    raw: List[ShuffleElement] = []
-    if dim_total(alpha) == 0:
-        raw.append(unit_element(ctx))
-    else:
-        for word in words:
-            for exps in _bounded_exponents(nx, degree_bound):
+    raw: List[RationalFunction] = []
+    for word in words:
+        for exps in itertools.product(range(degree_bound + 1), repeat=n):
+            if sum(exps) <= degree_bound:
                 elt = monomial_element(ctx, word, exps)
                 if elt.polynomial and elt.fn.numerator().degree() <= degree_bound:
-                    raw.append(elt)
-
-    dims = []
-    pivots_first: List[ShuffleElement] = []
-    for which, tau_pt in enumerate(taus):
-        rows = []
-        for elt in raw:
-            fn = elt.fn.substitute(tau_pt)
-            rows.append((elt, fn.numerator()))
-        dim, pivots = _rank_over_monomials(rows)
-        dims.append(dim)
-        if which == 0:
-            pivots_first = pivots
+                    raw.append(elt.fn)
+    dims = [_rank([fn.substitute(tau).numerator() for fn in raw]) for tau in taus]
     if len(set(dims)) != 1:
         raise SymalgError(f"weight-space dimension unstable across points: {dims}")
-    return WeightSpaceBasis(alpha, degree_bound, pivots_first, dims[0], taus)
-
-
-def _bounded_exponents(n: int, bound: int):
-    if n == 0:
-        yield ()
-        return
-    for total in range(0, bound + 1):
-        for cuts in itertools.combinations(range(total + n - 1), n - 1):
-            exps = []
-            prev = -1
-            for c in cuts:
-                exps.append(c - prev - 1)
-                prev = c
-            exps.append(total + n - 2 - prev)
-            yield tuple(exps)
-
-
-def _rank_over_monomials(rows) -> Tuple[int, List[ShuffleElement]]:
-    basis: Dict[int, MultiPoly] = {}
-    pivots: List[ShuffleElement] = []
-    for elt, poly in rows:
-        current = poly
-        while not current.is_zero():
-            lead, coeff = current.leading()
-            if lead in basis:
-                other = basis[lead]
-                _, oc = other.leading()
-                current = current - other.scale(Frac(coeff) / Frac(oc))
-            else:
-                basis[lead] = current
-                pivots.append(elt)
-                break
-    return len(basis), pivots
+    return dims[0]

@@ -99,7 +99,8 @@ ROWS = [
     Row("kernel --quiver {data}/a2.json --flag=-1,0", 2, "--flag"),
     Row("kernel --quiver {data}/a2.json --flag 1 --classical", 2, "--flag"),
     Row("kernel --quiver {data}/a2.json --flag 2,1|0,1 --classical", 2, "--classical"),
-    Row("shuffle --dim 2 --degree -1", 2),
+    Row("shuffle --dim 2 --degree -1", 2, "--degree"),
+    Row("shuffle --dim 5", 2, "--dim"),  # total weight above 4
     Row("shuffle --dim=-1", 2),
     Row("shuffle --dim 1,1", 2, "--dim"),  # a1 has one vertex
     Row("shuffle --dim 1|1", 2, "--dim"),
@@ -133,6 +134,9 @@ ROWS = [
     Row("verify --suite all --quiver {data}/a2.json", 2, "--quiver", seconds=1.0),
     Row("verify --suite fgl --fgl multiplicative", 2, "--fgl"),
     Row("verify --suite crosscheck --fgl multiplicative", 2, "--fgl"),
+    # a --config file gives its own tau; this one's is 1
+    Row("verify locality --quiver {data}/a1.json --config {data}/a1_config.json --tau 3", 2,
+        "--tau"),
     Row("verify --suite fgl --quiver {data}/a2_rank2.json --config {data}/a2_rank2_config.json"
         " --fgl multiplicative", 2),  # 0 is not a point of the multiplicative group
     # two suite names

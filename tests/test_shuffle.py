@@ -7,6 +7,7 @@ import pytest
 from quivergrass.fgl import FormalGroupLaw
 from quivergrass.quiver import DilationTorus, default_nakajima, stock_quiver
 from quivergrass.shuffle import (
+    _rank,
     generator,
     monomial_element,
     shuffle_product,
@@ -14,7 +15,7 @@ from quivergrass.shuffle import (
     weight_space,
     word_product,
 )
-from quivergrass.symalg import MultiPoly, RationalFunction, rat_equal, d_var
+from quivergrass.symalg import MultiPoly, RationalFunction, VarRegistry, rat_equal, d_var
 from quivergrass.thom import KernelContext
 
 
@@ -165,9 +166,49 @@ def test_classical_limit_of_products():
 
 def test_weight_space_dimensions():
     ctx = ctx_for("a1")
-    assert weight_space(ctx, {"1": 1}, 1).dimension == 2
-    assert weight_space(ctx, {"1": 2}, 0).dimension == 1
-    assert weight_space(ctx, {"1": 0}, 3).dimension == 1
+    assert weight_space(ctx, {"1": 1}, 1) == 2
+    assert weight_space(ctx, {"1": 2}, 0) == 1
+    assert weight_space(ctx, {"1": 0}, 3) == 1
+
+
+def dense_rank(rows):
+    """The rank of a list of {key: coefficient} rows by Gaussian elimination
+    of the dense Fraction matrix over the union of their keys."""
+    keys = sorted({k for row in rows for k in row})
+    matrix = [[F(row.get(k, 0)) for k in keys] for row in rows]
+    rank = 0
+    for col in range(len(keys)):
+        pivot = next((r for r in range(rank, len(matrix)) if matrix[r][col]), None)
+        if pivot is None:
+            continue
+        matrix[rank], matrix[pivot] = matrix[pivot], matrix[rank]
+        for r in range(len(matrix)):
+            if r != rank and matrix[r][col]:
+                c = matrix[r][col] / matrix[rank][col]
+                matrix[r] = [a - c * b for a, b in zip(matrix[r], matrix[rank])]
+        rank += 1
+    return rank
+
+
+def test_rank_matches_dense_elimination():
+    reg = VarRegistry([d_var(1), d_var(2), d_var(3)])
+    monomials = [MultiPoly.monomial(reg, {d_var(1): i, d_var(2): j, d_var(3): k})
+                 for i in range(3) for j in range(3) for k in range(2)]
+    rng = random.Random(27)
+    for _ in range(60):
+        free = [
+            sum((m.scale(F(rng.randint(-5, 5), rng.randint(1, 4)))
+                 for m in rng.sample(monomials, rng.randint(1, 6))), MultiPoly.zero(reg))
+            for _ in range(rng.randint(1, 5))
+        ]
+        dependent = [
+            sum((p.scale(F(rng.randint(-3, 3), rng.randint(1, 3))) for p in free),
+                MultiPoly.zero(reg))
+            for _ in range(rng.randint(1, 3))
+        ]
+        polys = free + dependent + [MultiPoly.zero(reg)]
+        rng.shuffle(polys)
+        assert _rank(polys) == dense_rank([dict(p.terms) for p in polys])
 
 
 def test_associativity_randomized_all_backends():
