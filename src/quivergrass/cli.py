@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Subcommands: kernel, shuffle, verify, sl2-lattice, poincare, carell,
-ind-rank, zastava-fiber.  Global flags: --fgl, --tau, --seed, --format.
+ind-rank, zastava-fiber.  Each declares only the options it reads.
 Reports are deterministic for a fixed configuration; wall-clock timing
 is only emitted under --timing so golden files stay byte-identical.
 
@@ -15,9 +15,9 @@ space of more than ``shuffle.WEIGHT_SPACE_CAP`` candidate products with
 their representatives, and an ``ind-rank`` or ``zastava-fiber`` fiber of
 more than ``zastava.SYSTEM_CAP`` (2^16) monotone systems.
 
-Exit codes: 0 all checks passed, 1 a check failed, 2 bad input, 3 the
-report could not be written (a full disk, a closed pipe): one line on
-stderr and no traceback.
+Exit codes: 0 all checks passed, 1 a check failed, 2 bad input (a parse
+error too), 3 the report could not be written (a full disk, a closed
+pipe): one line on stderr and no traceback.
 
 Each command builds one ``KernelContext`` (``_load_context``) and reads
 its dilation check, run once, from ``KernelContext.dilation_report``.
@@ -27,8 +27,9 @@ check fails, and then stop with exit 1.  The ``verify`` suites run on
 their own quivers and laws, so ``verify`` exits 2 on a ``--quiver`` that
 neither ``--suite crosscheck`` nor ``--config`` reads, and on an
 ``--fgl`` that neither ``--suite crosscheck --quiver`` nor ``--config``
-reads, on any ``--tau``, and on two different suite names, one positional
-and one given to ``--suite``.
+reads, and on two different suite names, one positional and one given to
+``--suite``.  ``shuffle --word`` reads no ``--degree`` or ``--seed``, and
+``shuffle --dim`` no ``--tau``.
 """
 
 from __future__ import annotations
@@ -100,9 +101,9 @@ def _load_context(args) -> KernelContext:
     """The command's one context: the ``--quiver`` file, or stock a1 with
     its default weights on the diagonal torus (``checks.make_context``)."""
     if not args.quiver:
-        return checksmod.make_context(stock_quiver("a1"), select_fgl(args.fgl))
+        return checksmod.make_context(stock_quiver("a1"), select_fgl(args.fgl or "additive"))
     quiver, weights, torus = load_quiver(args.quiver)
-    return KernelContext(quiver, weights, torus, select_fgl(args.fgl))
+    return KernelContext(quiver, weights, torus, select_fgl(args.fgl or "additive"))
 
 
 def _dilation_result(ctx: KernelContext) -> CheckResult:
@@ -224,7 +225,11 @@ def cmd_shuffle(args) -> Report:
     echo = {"quiver": args.quiver or "a1", "fgl": args.fgl}
     if not ctx.dilation_report.all_ok:
         return echo, [_dilation_result(ctx)]
-    if args.word:
+    form, unread = ("--word", ("degree", "seed")) if args.word is not None else ("--dim", ("tau",))
+    for name in unread:
+        if getattr(args, name) is not None:
+            raise ValueError(f"--{name} {getattr(args, name)}: shuffle {form} reads no --{name}")
+    if args.word is not None:
         word = tuple(w.strip() for w in args.word.split(","))
         echo["word"] = ",".join(word)
         elt = word_product(ctx, word)
@@ -240,18 +245,18 @@ def cmd_shuffle(args) -> Report:
             _result("shuffle.polynomial", elt.polynomial, elt.polynomial, True,
                  "denominator cancellation")
         )
-    elif args.dim:
+    else:
         (alpha,) = _parse_flag(ctx, "--dim", args.dim, single=True)
         echo["dim"] = args.dim
-        echo["degree"] = args.degree
+        echo["degree"] = degree = args.degree or 0
         if dim_total(alpha) > 4:
             raise ValueError(f"--dim {args.dim}: expected a total weight of at most 4")
-        if args.degree < 0:
-            raise ValueError(f"--degree {args.degree}: expected a non-negative integer")
+        if degree < 0:
+            raise ValueError(f"--degree {degree}: expected a non-negative integer")
         try:
-            dim = weight_space(ctx, alpha, args.degree, seed=args.seed)
+            dim = weight_space(ctx, alpha, degree, seed=args.seed or 0)
         except DegreeOverflowError as exc:
-            raise DegreeOverflowError(f"--degree {args.degree}: {exc}") from None
+            raise DegreeOverflowError(f"--degree {degree}: {exc}") from None
         results.append(
             _result(
                 "shuffle.weight_space_dim",
@@ -261,8 +266,6 @@ def cmd_shuffle(args) -> Report:
                 "exact row reduction at two random dilation points",
             )
         )
-    else:
-        raise QuiverFormatError("shuffle needs --word or --dim")
     return echo, results
 
 
@@ -276,12 +279,9 @@ def cmd_verify(args) -> Report:
     if args.quiver and not reads_context:
         raise ValueError(f"--quiver {args.quiver}: --suite {args.suite} runs on its own quivers; "
                          "only --suite crosscheck and --config read --quiver")
-    if "fgl" in args._given and not reads_context:
+    if args.fgl is not None and not reads_context:
         raise ValueError(f"--fgl {args.fgl}: --suite {args.suite} runs its own laws; only "
                          "--suite crosscheck with --quiver and --config read --fgl")
-    if "tau" in args._given:
-        raise ValueError(f"--tau {args.tau}: verify reads no --tau; a --config file gives its "
-                         "own tau")
     echo = {"suite": args.suite, "seed": args.seed}
     ctx = _load_context(args) if reads_context else None
     if ctx is not None and not ctx.dilation_report.all_ok:
@@ -462,38 +462,48 @@ def cmd_zastava_fiber(args) -> Report:
 # -- parser ----------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Every parse error is bad input: ``main`` prints it on one line and exits 2."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The parser, built on the first call; parsing never changes it."""
-    # Global flags may appear before or after the subcommand; SUPPRESS keeps
-    # the subparser from clobbering a value given at the top level.
-    common = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
-    common.add_argument("--fgl", help="additive | multiplicative | series:<file>")
-    common.add_argument("--tau", help="dilation coordinates, comma separated")
-    common.add_argument("--seed", type=int)
-    common.add_argument("--format", choices=("text", "json"))
-    common.add_argument("--timing", action="store_true",
-                        help="include elapsed_ms in the report (non-deterministic)")
-
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="quivergrass",
-        parents=[common],
         description="Exact kernels, shuffle products, and fixed-point counts for quiver charts.",
     )
+    # --format and --timing may also follow the command; SUPPRESS keeps the
+    # subparser from clobbering a value given before it.
+    common = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
+    for p in (parser, common):
+        p.add_argument("--format", choices=("text", "json"))
+        p.add_argument("--timing", action="store_true",
+                       help="include elapsed_ms in the report (non-deterministic)")
+    parser.set_defaults(format="text", timing=False)
     sub = parser.add_subparsers(dest="cmd", required=True)
+    fgl = "additive | multiplicative | series:<file>"
 
     p = sub.add_parser("kernel", parents=[common], help="kernel of a flag type")
     p.add_argument("--quiver", required=True)
     p.add_argument("--flag", required=True, help='slot dims, e.g. "1,0|0,1"')
     p.add_argument("--classical", action="store_true")
+    p.add_argument("--fgl", default="additive", help=fgl)
     p.set_defaults(func=cmd_kernel)
 
     p = sub.add_parser("shuffle", parents=[common],
                        help="generator products and weight spaces")
     p.add_argument("--quiver", default=None)
-    p.add_argument("--word", default=None, help='vertices, e.g. "1,2,1"')
-    p.add_argument("--dim", default=None, help='weight, e.g. "2" or "1,1"')
-    p.add_argument("--degree", type=int, default=0)
+    form = p.add_mutually_exclusive_group(required=True)
+    form.add_argument("--word", help='vertices, e.g. "1,2,1"')
+    form.add_argument("--dim", help='weight, e.g. "2" or "1,1"')
+    p.add_argument("--degree", type=int, help="with --dim (default 0)")
+    p.add_argument("--seed", type=int, help="with --dim (default 0)")
+    p.add_argument("--fgl", default="additive", help=fgl)
+    p.add_argument("--tau", help="with --word: dilation coordinates, comma separated")
     p.set_defaults(func=cmd_shuffle)
 
     p = sub.add_parser("verify", parents=[common], help="run a bundled verification suite")
@@ -502,6 +512,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="|".join([*checksmod.SUITES, "all"]))
     p.add_argument("--quiver", default=None)
     p.add_argument("--config", default=None, help="point-configuration JSON for locality")
+    p.add_argument("--fgl", default=None, help=f"{fgl} (default additive)")
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("sl2-lattice", parents=[common],
@@ -532,29 +544,17 @@ def build_parser() -> argparse.ArgumentParser:
                        help="fiber data at a point configuration")
     p.add_argument("--quiver", default=None)
     p.add_argument("--config", required=True)
+    p.add_argument("--fgl", default="additive", help=fgl)
+    p.add_argument("--tau", help="dilation coordinates, comma separated")
     p.set_defaults(func=cmd_zastava_fiber)
 
     return parser
 
 
-_GLOBAL_DEFAULTS = {
-    "fgl": "additive",
-    "tau": None,
-    "seed": 0,
-    "format": "text",
-    "timing": False,
-}
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
-    # A global flag is an attribute only when given, until the defaults fill in.
-    args._given = frozenset(vars(args))
-    for key, default in _GLOBAL_DEFAULTS.items():
-        if not hasattr(args, key):
-            setattr(args, key, default)
-    args._t0 = time.time()
     try:
+        args = build_parser().parse_args(argv)
+        args._t0 = time.time()
         echo, results = args.func(args)
     except (QuiverFormatError, SymalgError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

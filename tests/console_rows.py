@@ -137,6 +137,22 @@ ROWS = [
     # a --config file gives its own tau; this one's is 1
     Row("verify locality --quiver {data}/a1.json --config {data}/a1_config.json --tau 3", 2,
         "--tau"),
+    # only kernel, shuffle, verify and zastava-fiber read --fgl, only shuffle
+    # and zastava-fiber --tau, only shuffle and verify --seed, each after the
+    # command
+    Row("carell --n 3 --k 1 --tau 3 --fgl multiplicative", 2, "--tau"),
+    Row("kernel --quiver {data}/a2.json --flag 1,0|0,1 --tau 3", 2, "--tau"),
+    Row("shuffle --dim 2 --degree 2 --tau 5", 2, "--tau"),
+    Row("ind-rank --poset chain:2 --divisor a:i:1 --fgl multiplicative", 2, "--fgl"),
+    Row("sl2-lattice --p 2 --e 2 --n 1 --window 4 --seed 1", 2, "--seed"),
+    Row("shuffle --word 1,1 --seed 3", 2, "--seed"),
+    Row("--fgl multiplicative kernel --quiver {data}/a2.json --flag 1,0|0,1", 2,
+        "multiplicative"),
+    # parse errors: one error line, as all other bad input
+    Row("shuffle --word 1 --dim 2", 2, "--dim"),
+    Row("carell --n x --k 1", 2, "--n"),
+    Row("carell --n 3", 2, "--k"),
+    Row("kernel --quiver {data}/a2.json --flag 1,0|0,1 --format xml", 2, "--format"),
     Row("verify --suite fgl --quiver {data}/a2_rank2.json --config {data}/a2_rank2_config.json"
         " --fgl multiplicative", 2),  # 0 is not a point of the multiplicative group
     # two suite names

@@ -48,10 +48,14 @@ def test_verify_crosscheck_single_quiver_lists_units(capsys):
     assert all("[pass]" in l for l in lines)
 
 
-def test_deterministic_reports(capsys):
-    argv = ["--format", "json", "--seed", "5", "shuffle", "--quiver", A1_FILE, "--word", "1,1"]
-    _, out1 = run(capsys, argv)
-    _, out2 = run(capsys, argv)
+@pytest.mark.parametrize("argv", [
+    ["--format", "json", "shuffle", "--quiver", A1_FILE, "--word", "1,1"],
+    ["--format", "json", "shuffle", "--dim", "2", "--degree", "2", "--seed", "5"],
+])
+def test_deterministic_reports(capsys, argv):
+    code1, out1 = run(capsys, argv)
+    code2, out2 = run(capsys, argv)
+    assert code1 == code2 == EXIT_OK
     assert out1 == out2
 
 
@@ -67,16 +71,16 @@ def test_a_global_flag_does_not_outlive_its_call(capsys):
     # leak into the next
     goldens = json.loads((Path(__file__).resolve().parent / "goldens" / "kernel.json").read_text())
     key = "kernel --quiver tests/data/a2.json --flag 1,1|1,0 --fgl {} --format text"
-    code, out = run(capsys, ["--fgl", "multiplicative", "kernel", "--quiver", A2_FILE,
-                             "--flag", "1,1|1,0"])
+    argv = ["kernel", "--quiver", A2_FILE, "--flag", "1,1|1,0"]
+    code, out = run(capsys, argv + ["--fgl", "multiplicative"])
     assert code == EXIT_OK and out == goldens[key.format("multiplicative")]
-    code, out = run(capsys, ["kernel", "--quiver", A2_FILE, "--flag", "1,1|1,0"])
+    code, out = run(capsys, argv)
     assert code == EXIT_OK and out == goldens[key.format("additive")]
-    before = run(capsys, ["--format", "json", "--fgl", "multiplicative",
-                          "kernel", "--quiver", A2_FILE, "--flag", "1,1|1,0"])
-    after = run(capsys, ["kernel", "--quiver", A2_FILE, "--flag", "1,1|1,0",
-                         "--fgl", "multiplicative", "--format", "json"])
+    before = run(capsys, ["--format", "json", *argv, "--fgl", "multiplicative"])
+    after = run(capsys, argv + ["--fgl", "multiplicative", "--format", "json"])
     assert before == after and json.loads(before[1])["config_echo"]["fgl"] == "multiplicative"
+    code, out = run(capsys, argv)
+    assert code == EXIT_OK and out == goldens[key.format("additive")]
 
 
 def test_the_parser_is_built_once_per_process():
@@ -120,6 +124,13 @@ def test_verify_suite_help_lists_every_suite(capsys, monkeypatch):
     with pytest.raises(SystemExit):
         main(["verify", "--help"])
     assert "|".join([*checks.SUITES, "all"]) in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ["carell", "poincare", "sl2-lattice", "ind-rank"])
+def test_a_command_lists_only_the_options_it_reads(capsys, command):
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    assert not {"--fgl", "--tau", "--seed"} & set(capsys.readouterr().out.split())
 
 
 @pytest.mark.parametrize(
