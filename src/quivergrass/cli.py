@@ -48,6 +48,7 @@ from . import checks as checksmod
 from .checks import CheckResult, _result
 from .fgl import select_fgl
 from .locality import (
+    check_points,
     parse_point_config,
     tau_point,
     verify_trivialization,
@@ -58,6 +59,7 @@ from .quiver import (
     json_int,
     json_rational,
     load_quiver,
+    read_json,
     stock_quiver,
 )
 from .shuffle import weight_space, word_product
@@ -141,7 +143,12 @@ def _parse_tau(ctx: KernelContext, text: Optional[str]):
                      "comma-separated rationals")
     if len(values) == 1 and ctx.dilation.rank > 1:
         values = values * ctx.dilation.rank
-    return tau_point(ctx, values)
+    try:
+        tau = tau_point(ctx, values)
+        check_points(ctx.law, tau, ())
+    except SymalgError as exc:
+        raise SymalgError(f"--tau {text}: {exc}") from None
+    return tau
 
 
 def _emit(command: str, echo: Dict, results: List[CheckResult], args) -> int:
@@ -231,6 +238,9 @@ def cmd_shuffle(args) -> Report:
             raise ValueError(f"--{name} {getattr(args, name)}: shuffle {form} reads no --{name}")
     if args.word is not None:
         word = tuple(w.strip() for w in args.word.split(","))
+        for vertex in word:
+            if vertex not in ctx.quiver.vertices:
+                raise QuiverFormatError(f"--word {args.word!r}: unknown vertex {vertex!r}")
         echo["word"] = ",".join(word)
         elt = word_product(ctx, word)
         fn = elt.fn
@@ -291,9 +301,7 @@ def cmd_verify(args) -> Report:
     else:
         results = checksmod.suite(args.suite, seed=args.seed)
     if args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-        d1, d2, tau_values = parse_point_config(data)
+        d1, d2, tau_values = parse_point_config(read_json(args.config))
         tau = tau_point(ctx, tau_values)
         rep = verify_trivialization(ctx, d1, d2, tau)
         results.append(
@@ -417,8 +425,7 @@ def cmd_ind_rank(args) -> Report:
 
 
 def cmd_zastava_fiber(args) -> Report:
-    with open(args.config, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+    data = read_json(args.config)
     if not (
         isinstance(data, dict)
         and isinstance(data.get("tau", []), list)

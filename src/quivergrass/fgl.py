@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction as Frac
 from typing import Dict, Mapping, NamedTuple, Tuple
 
-from .quiver import json_int, json_rational
+from .quiver import json_int, json_rational, read_json
 from .symalg import (
     MultiPoly,
     RationalFunction,
@@ -312,11 +312,9 @@ def fgl_verify(law: FormalGroupLaw) -> AxiomReport:
     return AxiomReport(unit_ok, comm_ok, assoc_ok)
 
 
-def parse_series_file(text: str) -> FormalGroupLaw:
-    """Series law description: JSON with keys "N" and "coeffs" {"i,j": a_ij}."""
-    import json
-
-    data = json.loads(text)
+def parse_series_file(path: str) -> FormalGroupLaw:
+    """Series law file: JSON with keys "N" and "coeffs" {"i,j": a_ij}."""
+    data = read_json(path)
     if not isinstance(data, dict) or "N" not in data or not isinstance(
         data.get("coeffs", {}), dict
     ):
@@ -339,7 +337,5 @@ def select_fgl(spec: str) -> FormalGroupLaw:
     if spec == MULTIPLICATIVE:
         return FormalGroupLaw.multiplicative()
     if spec.startswith("series:"):
-        path = spec.split(":", 1)[1]
-        with open(path, "r", encoding="utf-8") as fh:
-            return parse_series_file(fh.read())
+        return parse_series_file(spec.split(":", 1)[1])
     raise SymalgError(f"unknown formal group selector {spec!r}")

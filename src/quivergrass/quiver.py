@@ -260,13 +260,18 @@ def parse_quiver(data: Mapping) -> Tuple[QuiverSpec, NakajimaWeights, DilationTo
     return q, weights, torus
 
 
-def load_quiver(path: str) -> Tuple[QuiverSpec, NakajimaWeights, DilationTorus]:
+def read_json(path: str):
+    """The JSON value in the file at ``path``, read by every input file; a
+    decode error (JSON or UTF-8) names the file."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
+            return json.load(fh)
+        except ValueError as exc:
             raise QuiverFormatError(f"invalid JSON in {path}: {exc}") from exc
-    return parse_quiver(data)
+
+
+def load_quiver(path: str) -> Tuple[QuiverSpec, NakajimaWeights, DilationTorus]:
+    return parse_quiver(read_json(path))
 
 
 # -- stock quivers used across the verification suites ------------------------

@@ -18,7 +18,6 @@ with each combined member's word kernel evaluated whole
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction as Frac
@@ -26,6 +25,7 @@ from typing import Dict, FrozenSet, Iterator, List, Mapping, Sequence, Tuple
 
 from .fixedpoints import DegreeOverflowError
 from .locality import PointConfig, TauPoint, check_colors, check_points, is_m_tau_disjoint
+from .quiver import read_json
 from .symalg import PoleError, SymalgError
 from .thom import KernelContext, evaluate_kernel
 
@@ -107,8 +107,7 @@ class Poset:
             return Poset.chain(int(spec.split(":", 1)[1]))
         if spec.startswith("antichain:"):
             return Poset.antichain(int(spec.split(":", 1)[1]))
-        with open(spec, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+        data = read_json(spec)
         if not (
             isinstance(data, dict)
             and isinstance(data.get("elements"), list)

@@ -153,6 +153,19 @@ ROWS = [
     Row("carell --n x --k 1", 2, "--n"),
     Row("carell --n 3", 2, "--k"),
     Row("kernel --quiver {data}/a2.json --flag 1,0|0,1 --format xml", 2, "--format"),
+    Row("shuffle --word=", 2, "--word '': unknown vertex ''"),  # an empty word
+    Row("shuffle --word 9", 2, "--word"),
+    Row("shuffle --word 1,,1", 2, "--word"),
+    # 0 is not a point of the multiplicative group
+    Row("shuffle --word 1,1 --fgl multiplicative --tau 0", 2, "--tau 0: tau value d1 = 0"),
+    Row("zastava-fiber --config {data}/a1_fiber.json --fgl multiplicative --tau 0", 2,
+        "--tau 0: tau value d1 = 0"),
+    # a file that is no JSON
+    Row("zastava-fiber --config /dev/null", 2, "invalid JSON in /dev/null"),
+    Row("verify fgl --quiver {data}/a1.json --config /dev/null", 2, "invalid JSON in /dev/null"),
+    Row("kernel --quiver {data}/a2.json --flag 1,0|0,1 --fgl series:/dev/null", 2,
+        "invalid JSON in /dev/null"),
+    Row("ind-rank --poset /dev/null --divisor a:i:1", 2, "invalid JSON in /dev/null"),
     Row("verify --suite fgl --quiver {data}/a2_rank2.json --config {data}/a2_rank2_config.json"
         " --fgl multiplicative", 2),  # 0 is not a point of the multiplicative group
     # two suite names

@@ -365,7 +365,8 @@ BAD_FILES = {
         pytest.param(argv, bad, extra, named, id=f"{argv[0]}-{kind}-{bad}")
         for kind, readers in FILE_READERS.items()
         for argv in readers
-        for bad, extra, named in BAD_FILES[kind]
+        # a file that is no UTF-8 text is bad for every reader
+        for bad, extra, named in BAD_FILES[kind] + [("not_utf8.json", [], "invalid JSON in")]
     ],
 )
 def test_every_file_reader_rejects_every_bad_file_kind(tmp_path, capsys, argv, bad, extra, named):

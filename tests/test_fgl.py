@@ -143,7 +143,7 @@ def test_truncation_guard(reg):
 def test_series_file_roundtrip(tmp_path):
     path = tmp_path / "law.json"
     path.write_text('{"N": 4, "coeffs": {"1,1": "-1", "2,1": "1/2", "1,2": "1/2"}}')
-    law = parse_series_file(path.read_text())
+    law = parse_series_file(str(path))
     assert law.order == 4
     assert fgl_verify(law).unit_ok
 
