@@ -12,8 +12,9 @@ whose product has a degree above ``fixedpoints.POINCARE_DEGREE_CAP`` or
 whose sum is above ``fixedpoints.POINCARE_SUM_CAP``, a ``carell --n``
 above ``fixedpoints.CARELL_N_CAP``, a ``shuffle --dim --degree`` weight
 space of more than ``shuffle.WEIGHT_SPACE_CAP`` candidate products with
-their representatives, and an ``ind-rank`` or ``zastava-fiber`` fiber of
-more than ``zastava.SYSTEM_CAP`` (2^16) monotone systems.
+their representatives or ``shuffle.WEIGHT_SPACE_TERMS_CAP`` numerator
+terms, and an ``ind-rank`` or ``zastava-fiber`` fiber of more than
+``zastava.SYSTEM_CAP`` (2^16) monotone systems.
 
 Exit codes: 0 all checks passed, 1 a check failed, 2 bad input (a parse
 error too), 3 the report could not be written (a full disk, a closed
@@ -27,9 +28,10 @@ check fails, and then stop with exit 1.  The ``verify`` suites run on
 their own quivers and laws, so ``verify`` exits 2 on a ``--quiver`` that
 neither ``--suite crosscheck`` nor ``--config`` reads, and on an
 ``--fgl`` that neither ``--suite crosscheck --quiver`` nor ``--config``
-reads, and on two different suite names, one positional and one given to
-``--suite``.  ``shuffle --word`` reads no ``--degree`` or ``--seed``, and
-``shuffle --dim`` no ``--tau``.
+reads, on a ``--seed`` that no suite of ``checks.DRAWS`` reads, and on
+two different suite names, one positional and one given to ``--suite``.
+``shuffle --word`` reads no ``--degree``, and ``shuffle --dim`` no
+``--tau``; ``zastava-fiber`` reads its tau from its config file only.
 """
 
 from __future__ import annotations
@@ -136,9 +138,7 @@ def _parse_flag(ctx: KernelContext, option: str, text: str, single: bool = False
     return tuple(dict(zip(ctx.quiver.vertices, d)) for d in slots)
 
 
-def _parse_tau(ctx: KernelContext, text: Optional[str]):
-    if text is None:
-        return None
+def _parse_tau(ctx: KernelContext, text: str):
     values = _parsed("--tau", text, lambda t: [json_rational(v, "--tau") for v in t.split(",")],
                      "comma-separated rationals")
     if len(values) == 1 and ctx.dilation.rank > 1:
@@ -232,10 +232,9 @@ def cmd_shuffle(args) -> Report:
     echo = {"quiver": args.quiver or "a1", "fgl": args.fgl}
     if not ctx.dilation_report.all_ok:
         return echo, [_dilation_result(ctx)]
-    form, unread = ("--word", ("degree", "seed")) if args.word is not None else ("--dim", ("tau",))
-    for name in unread:
-        if getattr(args, name) is not None:
-            raise ValueError(f"--{name} {getattr(args, name)}: shuffle {form} reads no --{name}")
+    form, unread = ("--word", "degree") if args.word is not None else ("--dim", "tau")
+    if getattr(args, unread) is not None:
+        raise ValueError(f"--{unread} {getattr(args, unread)}: shuffle {form} reads no --{unread}")
     if args.word is not None:
         word = tuple(w.strip() for w in args.word.split(","))
         for vertex in word:
@@ -244,9 +243,8 @@ def cmd_shuffle(args) -> Report:
         echo["word"] = ",".join(word)
         elt = word_product(ctx, word)
         fn = elt.fn
-        tau = _parse_tau(ctx, args.tau)
-        if tau is not None:
-            fn = fn.substitute(tau)
+        if args.tau is not None:
+            fn = fn.substitute(_parse_tau(ctx, args.tau))
         shown = str(fn.scalar_value()) if fn.is_scalar() else repr(fn)
         results.append(
             _result("shuffle.product", True, shown, "", "symmetrized kernel product")
@@ -264,7 +262,7 @@ def cmd_shuffle(args) -> Report:
         if degree < 0:
             raise ValueError(f"--degree {degree}: expected a non-negative integer")
         try:
-            dim = weight_space(ctx, alpha, degree, seed=args.seed or 0)
+            dim = weight_space(ctx, alpha, degree)
         except DegreeOverflowError as exc:
             raise DegreeOverflowError(f"--degree {degree}: {exc}") from None
         results.append(
@@ -286,20 +284,23 @@ def cmd_verify(args) -> Report:
     args.suite = args.suite_flag or args.suite or "all"
     one_quiver = args.suite == "crosscheck" and args.quiver  # the per-flag listing of one file
     reads_context = one_quiver or args.config
-    if args.quiver and not reads_context:
-        raise ValueError(f"--quiver {args.quiver}: --suite {args.suite} runs on its own quivers; "
-                         "only --suite crosscheck and --config read --quiver")
-    if args.fgl is not None and not reads_context:
-        raise ValueError(f"--fgl {args.fgl}: --suite {args.suite} runs its own laws; only "
-                         "--suite crosscheck with --quiver and --config read --fgl")
-    echo = {"suite": args.suite, "seed": args.seed}
+    for name, read, readers in (
+        ("quiver", reads_context, "--suite crosscheck and --config"),
+        ("fgl", reads_context, "--suite crosscheck with --quiver and --config"),
+        ("seed", args.suite in checksmod.DRAWS, "--suite assoc, locality and all"),
+    ):
+        value = getattr(args, name)
+        if value is not None and not read:
+            raise ValueError(f"--{name} {value}: --suite {args.suite} reads no --{name}; "
+                             f"only {readers} read it")
+    echo = {"suite": args.suite, "seed": args.seed or 0}
     ctx = _load_context(args) if reads_context else None
     if ctx is not None and not ctx.dilation_report.all_ok:
         return echo, [_dilation_result(ctx)]
     if one_quiver:
         results = _crosscheck_single_quiver(ctx)
     else:
-        results = checksmod.suite(args.suite, seed=args.seed)
+        results = checksmod.suite(args.suite, seed=echo["seed"])
     if args.config:
         d1, d2, tau_values = parse_point_config(read_json(args.config))
         tau = tau_point(ctx, tau_values)
@@ -441,9 +442,7 @@ def cmd_zastava_fiber(args) -> Report:
     ctx = _load_context(args)
     if not ctx.dilation_report.all_ok:
         return echo, [_dilation_result(ctx)]
-    tau = _parse_tau(ctx, args.tau)
-    if tau is None:
-        tau = tau_point(ctx, [json_rational(v, "tau") for v in data.get("tau", [])])
+    tau = tau_point(ctx, [json_rational(v, "tau") for v in data.get("tau", [])])
     poset = _parsed("poset", str(data.get("poset", "chain:1")), Poset.parse,
                     "chain:<m>, antichain:<k> or a poset JSON file")
     points = [
@@ -508,7 +507,6 @@ def build_parser() -> argparse.ArgumentParser:
     form.add_argument("--word", help='vertices, e.g. "1,2,1"')
     form.add_argument("--dim", help='weight, e.g. "2" or "1,1"')
     p.add_argument("--degree", type=int, help="with --dim (default 0)")
-    p.add_argument("--seed", type=int, help="with --dim (default 0)")
     p.add_argument("--fgl", default="additive", help=fgl)
     p.add_argument("--tau", help="with --word: dilation coordinates, comma separated")
     p.set_defaults(func=cmd_shuffle)
@@ -520,7 +518,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--quiver", default=None)
     p.add_argument("--config", default=None, help="point-configuration JSON for locality")
     p.add_argument("--fgl", default=None, help=f"{fgl} (default additive)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=None, help="with assoc, locality or all (default 0)")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("sl2-lattice", parents=[common],
@@ -552,7 +550,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--quiver", default=None)
     p.add_argument("--config", required=True)
     p.add_argument("--fgl", default="additive", help=fgl)
-    p.add_argument("--tau", help="dilation coordinates, comma separated")
     p.set_defaults(func=cmd_zastava_fiber)
 
     return parser

@@ -15,7 +15,9 @@ chi(tau), meets a point of D_g^i:
 
 ``pair_check_kernel`` assembles that list and ``is_m_tau_disjoint``
 reads it, so the predicate and the factors that ``verify_trivialization``
-names when a constraint is violated cannot disagree.
+names when a constraint is violated cannot disagree.  AC5 plants each
+colliding configuration (``checks._random_colliding``) on a random block
+of the same list, so every family gets collisions.
 ``verify_m_locality`` checks the factorization of a concatenated word's
 kernel into the two word kernels times the one-sided pair kernel, the
 kernel-level form of the locality isomorphism, exactly and on divisors

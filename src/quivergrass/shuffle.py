@@ -29,7 +29,7 @@ from .symalg import (
     SymalgError,
     symmetrize,
 )
-from .thom import KernelContext, TorusChart
+from .thom import KernelContext, ThomKernel, TorusChart
 
 
 @dataclass
@@ -152,43 +152,49 @@ def _rank(polys: Sequence[MultiPoly]) -> int:
 
 
 # Candidate words x exponent tuples x the representatives each candidate is
-# summed over, which is (D + n)! / D! at total weight n and degree bound D.
-# At 1000, a1 at weight 2 takes degree bounds up to 30, and the slowest
-# admitted input measured, cyclic3 on a rank-2 torus with every arrow
-# weight 1 at weight (2, 1, 1) and degree 3, takes 5 to 9 s (2 shared
-# vCPUs, interpreter start included).
+# summed over, (D + n)! / D! at total weight n and degree bound D; and those
+# candidates times the terms that bound each one's expanded numerator
+# (``_numerator_terms``), which grow with the arrows and the law.  The README
+# gives the slowest admitted inputs measured.
 WEIGHT_SPACE_CAP = 1000
+WEIGHT_SPACE_TERMS_CAP = 1_000_000
 
 
-def weight_space(
-    ctx: KernelContext,
-    alpha: DimVector,
-    degree_bound: int,
-    seed: int = 7,
-) -> int:
+def _numerator_terms(kernel: ThomKernel) -> int:
+    """A bound on the terms of the kernel's expanded numerator, which a
+    monomial multiple keeps: the monomials in the chart's variables of at
+    most its degree, or the product of its factors' term counts, whichever
+    is smaller; single-term factors change neither."""
+    powers = [(p, e) for p, e in kernel.fn.factors if e > 0 and len(p.terms) > 1]
+    degree, nvars = sum(e * p.degree() for p, e in powers), len(kernel.chart.registry.variables)
+    return min(comb(degree + nvars, nvars), prod(len(p.terms) ** e for p, e in powers))
+
+
+def weight_space(ctx: KernelContext, alpha: DimVector, degree_bound: int) -> int:
     """Dimension of the span of all generator-order products times
     bounded-degree monomials.
 
     The dimension is computed by exact row reduction after specializing
-    the dilation coordinates at a random rational point, and confirmed
-    at a second point.  Raises ``DegreeOverflowError`` past
-    ``WEIGHT_SPACE_CAP`` before any element is built.
+    the dilation coordinates at a rational point, and confirmed at a
+    second, both drawn from the fixed stream ``random.Random(0)``.  Raises
+    ``DegreeOverflowError`` past either cap before any element is built.
     """
     n = dim_total(alpha)
     if n > 4:
         raise SymalgError("weight spaces are computed for total weight <= 4")
     if degree_bound < 0:
         raise SymalgError("the degree bound must be non-negative")
-    rng = random.Random(seed)
+    rng = random.Random(0)
     # Shift values away from small coincidences.
     taus = [tau_point(ctx, [Frac(rng.randint(50, 400), rng.randint(1, 7))
                             for _ in range(ctx.dilation.rank)]) for _ in range(2)]
     words = _all_words(ctx.quiver, alpha)
-    cost = len(words) * comb(degree_bound + n, n) * prod(map(factorial, alpha.values()))
-    if cost > WEIGHT_SPACE_CAP:
+    candidates = len(words) * comb(degree_bound + n, n) * prod(map(factorial, alpha.values()))
+    terms = candidates * (_numerator_terms(ctx.word_kernel(words[0])) if n else 1)
+    if candidates > WEIGHT_SPACE_CAP or terms > WEIGHT_SPACE_TERMS_CAP:
         raise DegreeOverflowError(
-            f"{cost} candidate products with their representatives, "
-            f"above the cap of {WEIGHT_SPACE_CAP}"
+            f"{candidates} candidate products with their representatives (cap "
+            f"{WEIGHT_SPACE_CAP}) and {terms} numerator terms (cap {WEIGHT_SPACE_TERMS_CAP})"
         )
     raw: List[RationalFunction] = []
     for word in words:

@@ -50,6 +50,7 @@ ROWS = [
     Row("verify fgl --suite fgl", 0),
     Row("verify --suite biextension", 0),
     Row("verify --suite locality", 0),
+    Row("verify --suite locality --seed 2", 0),
     Row("verify --suite locality --quiver {data}/a2_rank2.json"
         " --config {data}/a2_rank2_config.json", 0),
     Row("verify --suite ideal", 0),
@@ -137,15 +138,21 @@ ROWS = [
     # a --config file gives its own tau; this one's is 1
     Row("verify locality --quiver {data}/a1.json --config {data}/a1_config.json --tau 3", 2,
         "--tau"),
-    # only kernel, shuffle, verify and zastava-fiber read --fgl, only shuffle
-    # and zastava-fiber --tau, only shuffle and verify --seed, each after the
-    # command
+    # only kernel, shuffle, verify and zastava-fiber read --fgl, only
+    # shuffle --word reads --tau (zastava-fiber's tau is in its file), and
+    # only verify --suite assoc, locality and all read --seed, each after
+    # the command
     Row("carell --n 3 --k 1 --tau 3 --fgl multiplicative", 2, "--tau"),
     Row("kernel --quiver {data}/a2.json --flag 1,0|0,1 --tau 3", 2, "--tau"),
     Row("shuffle --dim 2 --degree 2 --tau 5", 2, "--tau"),
+    Row("zastava-fiber --config {data}/a1_fiber.json --tau 3", 2, "--tau"),
     Row("ind-rank --poset chain:2 --divisor a:i:1 --fgl multiplicative", 2, "--fgl"),
     Row("sl2-lattice --p 2 --e 2 --n 1 --window 4 --seed 1", 2, "--seed"),
     Row("shuffle --word 1,1 --seed 3", 2, "--seed"),
+    Row("shuffle --dim 2 --degree 2 --seed 5", 2, "--seed"),
+    Row("verify --suite crosscheck --quiver {data}/a1.json --seed 5", 2, "--seed"),
+    Row("verify --suite classical --seed 5", 2, "--seed"),
+    Row("verify --suite fgl --seed 0", 2, "--seed"),
     Row("--fgl multiplicative kernel --quiver {data}/a2.json --flag 1,0|0,1", 2,
         "multiplicative"),
     # parse errors: one error line, as all other bad input
@@ -158,8 +165,6 @@ ROWS = [
     Row("shuffle --word 1,,1", 2, "--word"),
     # 0 is not a point of the multiplicative group
     Row("shuffle --word 1,1 --fgl multiplicative --tau 0", 2, "--tau 0: tau value d1 = 0"),
-    Row("zastava-fiber --config {data}/a1_fiber.json --fgl multiplicative --tau 0", 2,
-        "--tau 0: tau value d1 = 0"),
     # a file that is no JSON
     Row("zastava-fiber --config /dev/null", 2, "invalid JSON in /dev/null"),
     Row("verify fgl --quiver {data}/a1.json --config /dev/null", 2, "invalid JSON in /dev/null"),
@@ -184,6 +189,10 @@ ROWS = [
     Row("poincare --alpha " + ",".join(["1"] * 20000), 2, seconds=1.0),  # 2^20000 at q = 1
     Row("carell --n 5 --k 2", 2, "--n 5"),  # past the fixed-scheme oracle's bound
     Row("shuffle --dim 2 --degree 80", 2, "--degree 80", seconds=1.0),
+    # past the numerator-term bound, which grows with the arrows
+    Row("shuffle --quiver {data}/a2.json --dim 2,2 --degree 3", 2, "--degree 3", seconds=1.0),
+    Row("shuffle --quiver {data}/a2_four_arrows.json --dim 2,2 --degree 1", 2, "--degree 1",
+        seconds=1.0),
     # -- exit 3 ------------------------------------------------------------------
     Row("poincare --alpha 2,1", 3, "error: cannot write the report:", stdout="/dev/full"),
 ]

@@ -50,7 +50,7 @@ def test_verify_crosscheck_single_quiver_lists_units(capsys):
 
 @pytest.mark.parametrize("argv", [
     ["--format", "json", "shuffle", "--quiver", A1_FILE, "--word", "1,1"],
-    ["--format", "json", "shuffle", "--dim", "2", "--degree", "2", "--seed", "5"],
+    ["--format", "json", "shuffle", "--dim", "2", "--degree", "2"],
 ])
 def test_deterministic_reports(capsys, argv):
     code1, out1 = run(capsys, argv)

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -271,3 +272,21 @@ def test_disjointness_matches_the_descriptor_oracle_on_every_ac5_draw(monkeypatc
     monkeypatch.setattr(checks, "is_m_tau_disjoint", both)
     assert all(r.ok for r in checks.locality_suite(max_total=0))
     assert len(calls) >= 400 and set(calls) == {True, False}
+
+
+def test_ac5_collisions_hit_every_pair_block_family(monkeypatch):
+    # the culprits of AC5's seed-0 colliding draws on a2 name each family
+    # of pair_blocks at least 10 times
+    counts = Counter()
+    draw = checks._random_colliding
+
+    def counted(ctx, rng):
+        d1, d2, tau = draw(ctx, rng)
+        if len(ctx.quiver.vertices) == 2:
+            rep = verify_trivialization(ctx, d1, d2, tau)
+            counts.update({rec.family for _, rec in rep.culprits})
+        return d1, d2, tau
+
+    monkeypatch.setattr(checks, "_random_colliding", counted)
+    assert all(r.ok for r in checks.locality_suite(max_total=0))
+    assert min(counts[f] for f in ("rep_raise", "rep_lower", "gp_omega", "gp_inv")) >= 10, counts
