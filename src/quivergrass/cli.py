@@ -64,7 +64,7 @@ from .quiver import (
     read_json,
     stock_quiver,
 )
-from .shuffle import weight_space, word_product
+from .shuffle import UnequalRanksError, weight_space, word_product
 from .symalg import SymalgError
 from .thom import KernelContext, crosscheck
 from .fixedpoints import (
@@ -262,15 +262,18 @@ def cmd_shuffle(args) -> Report:
         if degree < 0:
             raise ValueError(f"--degree {degree}: expected a non-negative integer")
         try:
-            dim = weight_space(ctx, alpha, degree)
+            dim, expected = weight_space(ctx, alpha, degree), ""
         except DegreeOverflowError as exc:
             raise DegreeOverflowError(f"--degree {degree}: {exc}") from None
+        except UnequalRanksError as exc:
+            dim = "ranks {} and {}".format(*exc.ranks)
+            expected = "equal ranks at the two dilation points"
         results.append(
             _result(
                 "shuffle.weight_space_dim",
-                True,
+                not expected,
                 dim,
-                "",
+                expected,
                 "exact row reduction at two random dilation points",
             )
         )

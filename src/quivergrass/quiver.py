@@ -56,11 +56,8 @@ class QuiverSpec:
             if a.tail not in self.vpos or a.head not in self.vpos:
                 raise QuiverFormatError(f"arrow {a.aid} references unknown vertex")
         self.arrows: Tuple[Arrow, ...] = tuple(arrows)
-
-    @property
-    def double(self) -> Tuple[Arrow, ...]:
-        rev = tuple(Arrow(star(a.aid), a.head, a.tail) for a in self.arrows)
-        return self.arrows + rev
+        self.double: Tuple[Arrow, ...] = self.arrows + tuple(
+            Arrow(star(a.aid), a.head, a.tail) for a in self.arrows)
 
     @property
     def loops(self) -> Tuple[Arrow, ...]:

@@ -20,7 +20,7 @@ from fractions import Fraction as Frac
 from math import comb, factorial, prod
 from typing import Dict, List, Sequence, Tuple
 
-from .fixedpoints import DegreeOverflowError, _monic, _normal_form
+from .fixedpoints import DegreeOverflowError, _monic, _subtract
 from .locality import tau_point
 from .quiver import ColorWord, DimVector, dim_add, dim_total, dim_zero
 from .symalg import (
@@ -30,6 +30,15 @@ from .symalg import (
     symmetrize,
 )
 from .thom import KernelContext, ThomKernel, TorusChart
+
+
+class UnequalRanksError(Exception):
+    """The weight-space ranks at the two dilation points, which differ: a
+    failed check, not bad input."""
+
+    def __init__(self, ranks: List[int]):
+        super().__init__(f"unequal weight-space ranks {ranks}")
+        self.ranks = ranks
 
 
 @dataclass
@@ -140,22 +149,28 @@ def _all_words(quiver, alpha: DimVector) -> List[ColorWord]:
 
 
 def _rank(polys: Sequence[MultiPoly]) -> int:
-    """The dimension of the span of ``polys``: each term of each is reduced
-    by the basis element whose leading key is that term's, and a nonzero
-    remainder joins the basis."""
-    basis: List[Tuple[int, Dict[int, Frac]]] = []
+    """The dimension of the span of ``polys``, on leading terms only: a
+    row's leading term is cancelled by the basis row with that leading key
+    until the row is zero or its leading key is new; then the row, made
+    monic, joins the basis under that key."""
+    basis: Dict[int, Dict[int, Frac]] = {}
     for p in polys:
-        rem = _normal_form(dict(p.terms), basis, int.__eq__)
-        if rem:
-            basis.append(_monic(rem))
+        row = dict(p.terms)
+        while row:
+            lead = max(row)
+            if lead not in basis:
+                basis[lead] = _monic(row)[1]
+                break
+            _subtract(row, row.pop(lead), 0, lead, basis[lead])
     return len(basis)
 
 
 # Candidate words x exponent tuples x the representatives each candidate is
 # summed over, (D + n)! / D! at total weight n and degree bound D; and those
 # candidates times the terms that bound each one's expanded numerator
-# (``_numerator_terms``), which grow with the arrows and the law.  The README
-# gives the slowest admitted inputs measured.
+# (``_numerator_terms``), which grow with the arrows and the law.  The slowest
+# admitted inputs measured take about 1 s, building the elements and ranking
+# them at two points; the README gives them.
 WEIGHT_SPACE_CAP = 1000
 WEIGHT_SPACE_TERMS_CAP = 1_000_000
 
@@ -177,7 +192,8 @@ def weight_space(ctx: KernelContext, alpha: DimVector, degree_bound: int) -> int
     The dimension is computed by exact row reduction after specializing
     the dilation coordinates at a rational point, and confirmed at a
     second, both drawn from the fixed stream ``random.Random(0)``.  Raises
-    ``DegreeOverflowError`` past either cap before any element is built.
+    ``DegreeOverflowError`` past either cap before any element is built,
+    and ``UnequalRanksError`` when the two ranks differ.
     """
     n = dim_total(alpha)
     if n > 4:
@@ -205,5 +221,5 @@ def weight_space(ctx: KernelContext, alpha: DimVector, degree_bound: int) -> int
                     raw.append(elt.fn)
     dims = [_rank([fn.substitute(tau).numerator() for fn in raw]) for tau in taus]
     if len(set(dims)) != 1:
-        raise SymalgError(f"weight-space dimension unstable across points: {dims}")
+        raise UnequalRanksError(dims)
     return dims[0]

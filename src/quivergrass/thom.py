@@ -66,6 +66,7 @@ from .quiver import (
     validate_dilation,
 )
 from .symalg import (
+    ROLE_DILATION,
     PoleError,
     RationalFunction,
     SymalgError,
@@ -267,19 +268,31 @@ class KernelContext:
     def assemble(self, chart: TorusChart, blocks: Sequence[HomBlock]) -> ThomKernel:
         """The kernel of ``blocks``: one record per coordinate pair of each
         block, in list order, weight-zero records aside.  Raises
-        ``SymalgError`` for a twist or a block outside the chart."""
+        ``SymalgError`` for a twist or a block outside the chart, or for a
+        twist with a variable that is not a dilation coordinate.
+
+        Characters are built in canonical order without a sort: a twist
+        holds dilation coordinates only, which sort after every torus
+        coordinate, so x[g', j, t] - x[g, i, s] + twist is the pair in
+        its own order followed by the twist's coefficients, or the twist
+        alone when the two coordinates are one."""
         for twist in {b.twist for b in blocks}:
             twist.check_in(chart.registry)
+            if any(v.role != ROLE_DILATION for v, _ in twist.coeffs):
+                raise SymalgError(f"twist {twist} is not a dilation character")
         kernel = ThomKernel(chart, self.law)
         for b in blocks:
             (g, i), (gp, j) = b.source, b.target
             targets = chart.block(gp, j)
+            twist = b.twist.coeffs
             for s, src in enumerate(chart.block(g, i), start=1):
                 for t, tgt in enumerate(targets, start=1):
-                    coeffs: Dict[Variable, int] = dict(b.twist.coeffs)
-                    coeffs[tgt] = coeffs.get(tgt, 0) + 1
-                    coeffs[src] = coeffs.get(src, 0) - 1
-                    char = Character.make(coeffs)
+                    if src < tgt:
+                        char = Character(((src, -1), (tgt, 1)) + twist)
+                    elif tgt < src:
+                        char = Character(((tgt, 1), (src, -1)) + twist)
+                    else:
+                        char = b.twist
                     (kernel.divisor if char.coeffs else kernel.zero_records).append(
                         FactorRecord(b.family, b.arrow, b.vertex, (g, gp), (s, t), char,
                                      b.exponent))
@@ -301,9 +314,12 @@ class KernelContext:
         slots: Dict[str, List[int]] = {}
         for g, v in chart.blocks:
             slots.setdefault(v, []).append(g)
-        return [HomBlock(family, k.aid, None, (g, k.tail), (gp, k.head), self.mu(k.aid), +1)
-                for k in self.quiver.double
-                for g in slots.get(k.tail, ()) for gp in slots.get(k.head, ()) if keep(g, gp)]
+        out: List[HomBlock] = []
+        for k in self.quiver.double:
+            mu = self.mu(k.aid)
+            out += [HomBlock(family, k.aid, None, (g, k.tail), (gp, k.head), mu, +1)
+                    for g in slots.get(k.tail, ()) for gp in slots.get(k.head, ()) if keep(g, gp)]
+        return out
 
     # -- public operators ------------------------------------------------------
 

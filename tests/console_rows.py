@@ -70,6 +70,9 @@ ROWS = [
     Row("shuffle --quiver {data}/a1.json --word 1 --fgl series:{data}/series_one_coeff.json", 0),
     Row("shuffle --word 1,1 --fgl multiplicative", 0),
     Row("shuffle --dim 2 --degree 2", 0, "weight_space_dim: 4"),
+    # 650 rows at each of two points: in time only if the rank reduces leading terms alone
+    Row("shuffle --quiver {data}/a2_rank2.json --fgl series:{data}/series4.json --dim 1,1"
+        " --degree 30", 0, "weight_space_dim: 325", seconds=3.0),
     Row("poincare --alpha 2", 0, "3 + q"),
     Row("poincare --alpha 2,1", 0),
     Row("carell --n 3 --k 1", 0, "carell.dim: 3"),

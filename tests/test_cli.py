@@ -10,7 +10,7 @@ import pytest
 
 import console_rows
 from console_rows import ROWS
-from quivergrass import checks, cli, fgl, thom
+from quivergrass import checks, cli, fgl, shuffle, thom
 from quivergrass.cli import EXIT_CHECK_FAILED, EXIT_OK, EXIT_OUTPUT_ERROR, EXIT_PARSE_ERROR, main
 
 A1 = {"vertices": ["1"], "arrows": [], "dilation": {"rank": 1, "basis": [[1], [1]]}}
@@ -389,6 +389,16 @@ def test_the_kernel_command_reports_an_inconsistent_file_and_goes_on(capsys):
     assert code == EXIT_CHECK_FAILED
     assert out.startswith("[fail] quiver.dilation_consistency: h1:violated; h2:violated")
     assert "[pass] kernel.dual_assembly_unit: 1" in out
+
+
+def test_unequal_ranks_at_the_two_points_fail_the_check(capsys, monkeypatch):
+    ranks = iter([3, 4])
+    monkeypatch.setattr(shuffle, "_rank", lambda polys: next(ranks))
+    code = main(["shuffle", "--dim", "2", "--degree", "2"])
+    out, err = capsys.readouterr()
+    assert code == EXIT_CHECK_FAILED and err == ""
+    assert out == ("[fail] shuffle.weight_space_dim: ranks 3 and 4"
+                   "  (expected: equal ranks at the two dilation points)\n")
 
 
 @pytest.mark.parametrize("argv", [

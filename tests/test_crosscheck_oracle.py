@@ -2,7 +2,8 @@
 comparison it replaced: both kernels multiplied out into factored
 functions, divided and cancelled.  The oracle lives only here.  Also the
 kernels assembled from block lists against the nested-loop assemblies
-they replaced (``kernel_oracles``)."""
+they replaced (``kernel_oracles``), which build every character with
+``Character.make``, a sort, where ``assemble`` builds it in order."""
 
 import pytest
 
@@ -166,10 +167,11 @@ def kernel_records(kernel):
 
 
 def test_kernels_match_the_nested_loop_assemblies():
-    for name in ("a2", "jordan", "kronecker2"):
+    # every AC1 flag, and jordan, whose classical loop joins a coordinate to itself
+    for name in [*CROSSCHECK_QUIVERS, "jordan"]:
         quiver = stock_quiver(name)
         ctx = make_context(quiver, FormalGroupLaw.additive())
-        for flag in enumerate_flags(quiver, 3):
+        for flag in enumerate_flags(quiver, 4):
             chart = ctx.chart(flag)
             assert (kernel_records(ctx.flag_kernel(flag, chart))
                     == kernel_records(nested_flag_kernel(ctx, chart)))
@@ -181,9 +183,10 @@ def test_kernels_match_the_nested_loop_assemblies():
 
 
 def test_pair_check_kernels_match_the_nested_loop_assembly():
-    for name in ("a2", "kronecker2"):
+    # every weight pair of AC5 (a1, a2, at most two points per color) and more
+    for name in ("a1", "a2", "kronecker2"):
         quiver = stock_quiver(name)
-        weights = [v for total in range(1, 4) for v in enumerate_dimvectors(quiver, total)]
+        weights = [v for total in range(1, 5) for v in enumerate_dimvectors(quiver, total)]
         weights.append({v: 0 for v in quiver.vertices})
         for torus in (DilationTorus.diagonal(), DilationTorus.full()):
             ctx = make_context(quiver, FormalGroupLaw.additive(), torus)
@@ -191,3 +194,19 @@ def test_pair_check_kernels_match_the_nested_loop_assembly():
                 for v2 in weights:
                     assert (kernel_records(pair_check_kernel(ctx, v1, v2))
                             == kernel_records(nested_pair_check_kernel(ctx, v1, v2)))
+
+
+def test_a_twisted_loop_on_one_slot_gives_the_twist_alone():
+    ctx = make_context(stock_quiver("jordan"), FormalGroupLaw.additive())
+    kernel = kernel_of_module(ctx, ctx.chart(({"1": 2},)), [((1, "1"), (1, "1"), ctx.omega(), 1)])
+    assert [rec.char for rec in kernel.divisor if rec.indices[0] == rec.indices[1]] == [
+        ctx.omega()] * 2
+
+
+def test_a_twist_with_a_torus_coordinate_raises():
+    ctx = make_context(stock_quiver("a2"), FormalGroupLaw.additive())
+    chart = ctx.chart(({"1": 1, "2": 1}, {"1": 1, "2": 0}))
+    x = chart.x(2, "1", 1)
+    for twist in (Character(((x, 1),)), Character(((x, -1), (d_var(1), 1)))):
+        with pytest.raises(SymalgError, match="not a dilation character"):
+            kernel_of_module(ctx, chart, [((1, "1"), (1, "2"), twist, 1)])
